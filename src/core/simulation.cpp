@@ -134,6 +134,31 @@ void TangleSimulation::probe_health(std::uint64_t round) {
   health_->sample(view, cones.get(), round, rng);
 }
 
+std::optional<PublishRequest> TangleSimulation::step_node(
+    NodeContext& context, std::size_t user_index, bool malicious) const {
+  const data::UserData& user = dataset_->user(user_index);
+  if (!malicious) return HonestNode(config_.node).step(context, user);
+  switch (config_.attack) {
+    case AttackType::kRandomPoison:
+      return RandomPoisonNode(config_.node).step(context, user);
+    case AttackType::kLabelFlip: {
+      const auto it = std::lower_bound(malicious_users_.begin(),
+                                       malicious_users_.end(), user_index);
+      const auto offset =
+          static_cast<std::size_t>(it - malicious_users_.begin());
+      return LabelFlipNode(config_.node).step(context, poisoned_users_[offset]);
+    }
+    case AttackType::kBackdoor:
+      return BackdoorNode(config_.node, config_.trigger,
+                          config_.backdoor_boost,
+                          config_.backdoor_data_fraction)
+          .step(context, user);
+    case AttackType::kNone:
+      break;
+  }
+  return std::nullopt;
+}
+
 std::size_t TangleSimulation::run_round(std::uint64_t round) {
   obs::TraceScope span("sim.round");
   // Samples registry deltas into the timeline when the round body closes,
@@ -166,53 +191,28 @@ std::size_t TangleSimulation::run_round(std::uint64_t round) {
   std::vector<SlotResult> results(participants);
 
   pool_.parallel_for(participants, [&](std::size_t slot) {
+    SlotResult& result = results[slot];
     const std::size_t user_index = chosen[slot];
-    const bool malicious = attacking && is_malicious(user_index);
-    results[slot].malicious = malicious;
-
+    result.malicious = attacking && is_malicious(user_index);
     NodeContext context{view, store_, factory_, round,
                         master_rng_.split(streams::kNode)
                             .split(round)
                             .split(user_index + 1),
                         cones, kernel_pool_.get(), &eval_engine_};
-
-    if (!malicious) {
-      HonestNode node(config_.node);
-      results[slot].publish = node.step(context, dataset_->user(user_index));
-      return;
-    }
-    switch (config_.attack) {
-      case AttackType::kRandomPoison: {
-        RandomPoisonNode node(config_.node);
-        results[slot].publish =
-            node.step(context, dataset_->user(user_index));
-        break;
-      }
-      case AttackType::kLabelFlip: {
-        const auto it = std::lower_bound(malicious_users_.begin(),
-                                         malicious_users_.end(), user_index);
-        const auto offset =
-            static_cast<std::size_t>(it - malicious_users_.begin());
-        LabelFlipNode node(config_.node);
-        results[slot].publish =
-            node.step(context, poisoned_users_[offset]);
-        break;
-      }
-      case AttackType::kBackdoor: {
-        BackdoorNode node(config_.node, config_.trigger,
-                          config_.backdoor_boost,
-                          config_.backdoor_data_fraction);
-        results[slot].publish =
-            node.step(context, dataset_->user(user_index));
-        break;
-      }
-      case AttackType::kNone:
-        break;
+    result.publish = step_node(context, user_index, result.malicious);
+    // The whole codec step runs here in the lane: the delta base comes from
+    // parents in the round's prefix view, which nothing mutates before the
+    // barrier, and encode/decode are pure, so the canonical payload does not
+    // depend on which lane computes it.
+    if (result.publish) {
+      result.publish->params = payload_pipeline_.process(
+          std::move(result.publish->params), result.publish->parents, tangle_,
+          store_);
     }
   });
 
   // Round barrier: everything published this round lands in the ledger
-  // now and becomes visible from round + 1 on.
+  // now, in slot order, and becomes visible from round + 1 on.
   std::size_t published = 0;
   std::size_t honest_published = 0;
   std::size_t honest_participants = 0;
@@ -221,9 +221,7 @@ std::size_t TangleSimulation::run_round(std::uint64_t round) {
     auto& result = results[slot];
     if (!result.malicious) ++honest_participants;
     if (!result.publish) continue;
-    const auto added = store_.add(payload_pipeline_.process(
-        std::move(result.publish->params), result.publish->parents, tangle_,
-        store_));
+    const auto added = store_.add(std::move(result.publish->params));
     tangle_.add_transaction(result.publish->parents, added.id, added.hash,
                             round,
                             result.malicious

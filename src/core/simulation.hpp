@@ -2,9 +2,11 @@
 // Training is organized in rounds: a subset of nodes participates per
 // round, transactions published in round r become visible in round r+1,
 // and a fraction of nodes can be declared malicious from a configurable
-// attack-start round onward. Node steps within a round run in parallel on
-// a thread pool; determinism is preserved because every step derives its
-// randomness from (seed, round, slot).
+// attack-start round onward. Node steps within a round, each followed by
+// the payload codec of its publish, run in parallel on a thread pool, and
+// the round barrier commits the publishes in slot order; determinism is
+// preserved because every step derives its randomness from (seed, round,
+// slot).
 #pragma once
 
 #include <memory>
@@ -140,6 +142,12 @@ class TangleSimulation {
  private:
   bool attack_active(std::uint64_t round) const noexcept;
   bool is_malicious(std::size_t user) const noexcept;
+
+  /// Runs one participant's node step with the behavior its user plays
+  /// this round (honest, or the configured attack).
+  std::optional<PublishRequest> step_node(NodeContext& context,
+                                          std::size_t user_index,
+                                          bool malicious) const;
 
   /// Runs the DAG health probe over the full ledger (timeline mode only).
   void probe_health(std::uint64_t round);

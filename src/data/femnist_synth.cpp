@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <span>
 #include <tuple>
 
 #include "support/rng.hpp"
+#include "support/thread_pool.hpp"
 
 namespace tanglefl::data {
 namespace {
@@ -112,9 +114,10 @@ WriterStyle make_style(std::uint64_t seed, std::size_t user_id) {
   return style;
 }
 
-/// Renders `glyph` through `style` with per-sample jitter drawn from `rng`.
-std::vector<float> render(const Glyph& glyph, const WriterStyle& style,
-                          Rng& rng) {
+/// Renders `glyph` through `style` with per-sample jitter drawn from `rng`
+/// into `out` (size x size pixels).
+void render(const Glyph& glyph, const WriterStyle& style, Rng& rng,
+            std::span<float> out) {
   const std::size_t size = glyph.size;
   const double center = static_cast<double>(size - 1) / 2.0;
 
@@ -125,7 +128,6 @@ std::vector<float> render(const Glyph& glyph, const WriterStyle& style,
   const double sy = style.shift_y + rng.uniform(-0.5, 0.5);
 
   const double cos_r = std::cos(rot), sin_r = std::sin(rot);
-  std::vector<float> out(size * size);
   for (std::size_t yy = 0; yy < size; ++yy) {
     for (std::size_t xx = 0; xx < size; ++xx) {
       // Inverse mapping: output pixel -> source coordinate.
@@ -140,7 +142,6 @@ std::vector<float> render(const Glyph& glyph, const WriterStyle& style,
       out[yy * size + xx] = static_cast<float>(std::clamp(v, 0.0, 1.0));
     }
   }
-  return out;
 }
 
 }  // namespace
@@ -154,8 +155,9 @@ nn::Tensor render_femnist_sample(const FemnistSynthConfig& config,
                 .split(kUserStream)
                 .split(user_id + 1)
                 .split(sample_index + 1);
-  return nn::Tensor({1, config.image_size, config.image_size},
-                    render(glyph, style, rng));
+  nn::Tensor sample({1, config.image_size, config.image_size});
+  render(glyph, style, rng, sample.values());
+  return sample;
 }
 
 FederatedDataset make_femnist_synth(const FemnistSynthConfig& config) {
@@ -167,13 +169,25 @@ FederatedDataset make_femnist_synth(const FemnistSynthConfig& config) {
     glyphs.push_back(make_glyph(config.image_size, config.seed, c));
   }
 
+  // Every draw except the pixel jitter is made here, in writer order, and
+  // every buffer is allocated here too, so the dataset stays in the calling
+  // thread's malloc arena. The pool then only renders pixels in place; each
+  // sample has its own stream, so the pixels do not depend on the lane.
+  struct Sample {
+    const Glyph* glyph;
+    const WriterStyle* style;
+    Rng rng;
+    std::span<float> out;
+  };
   const std::size_t pixels = config.image_size * config.image_size;
-  std::vector<UserData> users;
-  users.reserve(config.num_users);
-
+  std::vector<WriterStyle> styles(config.num_users);
+  std::vector<DataSplit> all(config.num_users);
+  std::vector<Rng> split_rngs;
+  split_rngs.reserve(config.num_users);
+  std::vector<Sample> samples;
   for (std::size_t u = 0; u < config.num_users; ++u) {
     Rng user_rng = Rng(config.seed).split(kUserStream).split(u + 1);
-    const WriterStyle style = make_style(config.seed, u);
+    styles[u] = make_style(config.seed, u);
 
     // Unbalanced user sizes: log-normal around the configured mean.
     const double log_mean = std::log(config.mean_samples_per_user);
@@ -186,25 +200,34 @@ FederatedDataset make_femnist_synth(const FemnistSynthConfig& config) {
     const std::vector<double> label_mix =
         user_rng.dirichlet(config.dirichlet_alpha, config.num_classes);
 
-    DataSplit all;
-    all.features = nn::Tensor({count, 1, config.image_size, config.image_size});
-    all.labels.resize(count);
+    all[u].features =
+        nn::Tensor({count, 1, config.image_size, config.image_size});
+    all[u].labels.resize(count);
     for (std::size_t i = 0; i < count; ++i) {
       const std::size_t class_id = user_rng.weighted_choice(label_mix);
-      Rng sample_rng = user_rng.split(0xe9a0 + i);
-      const std::vector<float> image =
-          render(glyphs[class_id], style, sample_rng);
-      std::copy(image.begin(), image.end(),
-                all.features.data() + i * pixels);
-      all.labels[i] = static_cast<std::int32_t>(class_id);
+      all[u].labels[i] = static_cast<std::int32_t>(class_id);
+      samples.push_back({&glyphs[class_id], &styles[u],
+                         user_rng.split(0xe9a0 + i),
+                         all[u].features.values().subspan(i * pixels, pixels)});
     }
+    split_rngs.push_back(user_rng.split(0x59111));
+  }
 
-    UserData user;
-    user.user_id = "writer_" + std::to_string(u);
-    Rng split_rng = user_rng.split(0x59111);
-    std::tie(user.train, user.test) =
-        train_test_split(all, config.train_fraction, split_rng);
-    users.push_back(std::move(user));
+  // Two workers beside the calling thread: every worker thread gets its own
+  // malloc arena, which threads started later inherit, so more workers cost
+  // peak memory for little extra speed.
+  ThreadPool pool(2);
+  pool.parallel_for(samples.size(), [&](std::size_t s) {
+    Sample& sample = samples[s];
+    render(*sample.glyph, *sample.style, sample.rng, sample.out);
+  });
+
+  std::vector<UserData> users(config.num_users);
+  for (std::size_t u = 0; u < config.num_users; ++u) {
+    users[u].user_id = "writer_" + std::to_string(u);
+    std::tie(users[u].train, users[u].test) =
+        train_test_split(all[u], config.train_fraction, split_rngs[u]);
+    all[u] = DataSplit{};  // the split copied them; free before the next
   }
 
   return FederatedDataset("femnist-synth", "CNN", config.num_classes,

@@ -35,7 +35,8 @@ struct FemnistSynthConfig {
   std::uint64_t seed = 42;
 };
 
-/// Generates the full federated dataset. Deterministic in `config.seed`.
+/// Generates the full federated dataset. Deterministic in `config.seed`:
+/// samples render in parallel, each from its own random stream.
 FederatedDataset make_femnist_synth(const FemnistSynthConfig& config);
 
 /// Renders one sample of `class_id` in the style of `user_id` (exposed for

@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 
 #include "nn/privacy.hpp"
@@ -214,13 +215,19 @@ std::size_t exponent_bucket_of(float base_value) {
   return 0;                       // smaller (or zero)
 }
 
+/// Codes the dense word stream. The range coder only ever appends, so once
+/// the output reaches `give_up_at` bytes the finished stream could not be
+/// shorter: coding stops there and returns the unfinished prefix, which the
+/// best-of caller only compares and discards.
 std::vector<std::uint8_t> entropy_compress_words(
-    std::span<const std::uint8_t> data, std::span<const float> base) {
+    std::span<const std::uint8_t> data, std::span<const float> base,
+    std::size_t give_up_at = std::numeric_limits<std::size_t>::max()) {
   std::vector<ByteTree> trees(4 * kWordClasses * kExponentBuckets);
   std::vector<std::uint8_t> out;
   out.reserve(data.size() / 2 + 16);
   RangeEncoder encoder(out);
   for (std::size_t word = 0; word + 4 <= data.size(); word += 4) {
+    if (out.size() >= give_up_at) return out;
     const std::size_t bucket =
         base.empty() ? 0 : exponent_bucket_of(base[word / 4]);
     std::size_t cls = 0;
@@ -282,6 +289,39 @@ std::uint64_t read_varint(ByteReader& reader) {
     if ((byte & 0x80) == 0) return value;
   }
   throw SerializeError("payload codec: varint overruns 64 bits");
+}
+
+std::uint64_t varint_size(std::uint64_t value) {
+  std::uint64_t bytes = 1;
+  for (; value >= 0x80; value >>= 7) ++bytes;
+  return bytes;
+}
+
+/// Checks an untrusted entropy-stage plain size before anything is sized
+/// by it: the dense form is exactly four bytes per parameter, and a topk or
+/// quantize body is at most what `count` parameters can serialize to.
+void check_plain_size(std::uint8_t flags, std::uint64_t count,
+                      std::uint64_t plain_size) {
+  // Keeps every bound below free of overflow.
+  if (count > (std::numeric_limits<std::uint64_t>::max() >> 5)) {
+    throw SerializeError("payload codec: parameter count too large");
+  }
+  const bool topk = (flags & kFlagTopk) != 0;
+  const bool quantize = (flags & kFlagQuantize) != 0;
+  if (!topk && !quantize) {
+    if (plain_size != count * sizeof(std::uint32_t)) {
+      throw SerializeError("payload codec: dense plain size mismatch");
+    }
+    return;
+  }
+  // Values: an f32 scale plus one byte each, or one f32 each.
+  std::uint64_t limit =
+      quantize ? sizeof(float) + count : sizeof(float) * count;
+  // Topk adds the kept count and one gap varint per kept index.
+  if (topk) limit += varint_size(count) * (count + 1);
+  if (plain_size > limit) {
+    throw SerializeError("payload codec: plain size exceeds payload bound");
+  }
 }
 
 /// Little-endian byte image of the dense lossless words: XOR'd float bit
@@ -439,8 +479,10 @@ EncodedPayload PayloadCodec::encode(std::span<const float> params,
           dense_words(params, std::span<const float>{});
       const std::vector<std::uint8_t> delta_coded =
           entropy_compress_words(words, delta_base);
-      const std::vector<std::uint8_t> raw_coded =
-          entropy_compress_words(raw_words, std::span<const float>{});
+      // Raw wins only when strictly smaller, so its pass stops as soon as it
+      // has caught up with the delta stream.
+      const std::vector<std::uint8_t> raw_coded = entropy_compress_words(
+          raw_words, std::span<const float>{}, delta_coded.size());
       EncodedPayload encoded;
       encoded.param_count = params.size();
       ByteWriter out;
@@ -505,6 +547,7 @@ nn::ParamVector PayloadCodec::decode(const EncodedPayload& encoded,
   std::vector<std::uint8_t> plain;
   if ((flags & kFlagEntropy) != 0) {
     const std::uint64_t plain_size = read_varint(reader);
+    check_plain_size(flags, count, plain_size);
     const bool dense = (flags & (kFlagTopk | kFlagQuantize)) == 0;
     const std::span<const float> dense_base =
         delta_used ? base : std::span<const float>{};

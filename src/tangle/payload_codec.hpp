@@ -121,7 +121,9 @@ std::vector<std::size_t> chunk_boundaries(std::span<const std::uint8_t> data,
 /// an honest node trained from), encodes, records the
 /// ledger.codec.{raw_bytes,encoded_bytes} counters and encode/decode
 /// timings, and returns the canonical decoded payload to store. With no
-/// wire stage configured this is a zero-cost pass-through.
+/// wire stage configured this is a zero-cost pass-through. process() keeps
+/// no state, so concurrent calls are safe while nothing mutates `tangle`
+/// or `store`.
 class PayloadPipeline {
  public:
   explicit PayloadPipeline(const PayloadCodecConfig& config)

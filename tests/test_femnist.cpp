@@ -4,6 +4,10 @@
 
 #include <cmath>
 #include <set>
+#include <span>
+#include <string>
+
+#include "support/sha256.hpp"
 
 namespace tanglefl::data {
 namespace {
@@ -33,6 +37,38 @@ TEST(FemnistSynth, DeterministicInSeed) {
     EXPECT_TRUE(a.user(u).train.features.equals(b.user(u).train.features));
     EXPECT_EQ(a.user(u).train.labels, b.user(u).train.labels);
   }
+}
+
+/// SHA-256 over every user's id, labels and pixel bytes, in user order.
+std::string dataset_digest(const FederatedDataset& dataset) {
+  Sha256 hasher;
+  const auto absorb = [&](const void* data, std::size_t bytes) {
+    hasher.update(std::span<const std::uint8_t>(
+        static_cast<const std::uint8_t*>(data), bytes));
+  };
+  for (std::size_t u = 0; u < dataset.num_users(); ++u) {
+    const UserData& user = dataset.user(u);
+    hasher.update(user.user_id);
+    for (const DataSplit* split : {&user.train, &user.test}) {
+      const auto pixels = split->features.values();
+      absorb(pixels.data(), pixels.size_bytes());
+      absorb(split->labels.data(),
+             split->labels.size() * sizeof(split->labels[0]));
+    }
+  }
+  return to_hex(hasher.finish());
+}
+
+TEST(FemnistSynth, DatasetBytesArePinned) {
+  // Samples render in parallel lanes; the digest was taken from the serial
+  // renderer, so it pins that no pixel depends on the lane that drew it.
+  FemnistSynthConfig config = small_config();
+  config.num_users = 40;
+  config.num_classes = 10;
+  config.image_size = 12;
+  config.mean_samples_per_user = 25.0;
+  EXPECT_EQ(dataset_digest(make_femnist_synth(config)),
+            "276d0338174a3447e64c7affdd7ef273b048b4391ec33afd7f7d00d643714302");
 }
 
 TEST(FemnistSynth, DifferentSeedsDiffer) {

@@ -11,7 +11,9 @@
 #include "data/femnist_synth.hpp"
 #include "nn/model_zoo.hpp"
 #include "nn/privacy.hpp"
+#include "obs/metrics.hpp"
 #include "support/rng.hpp"
+#include "support/sha256.hpp"
 
 namespace tanglefl::tangle {
 namespace {
@@ -190,6 +192,65 @@ TEST(PayloadCodec, TopkKeepsRequestedFraction) {
   }
   EXPECT_LE(moved, 50u);
   EXPECT_GT(moved, 0u);
+}
+
+/// A payload unrelated to any base (a poisoned publish's shape): fresh
+/// N(0,1) draws, so the XOR-delta stream has no structure to exploit.
+nn::ParamVector unrelated_payload(std::size_t n, std::uint64_t seed = 11) {
+  Rng rng(seed);
+  nn::ParamVector params(n);
+  for (float& value : params) value = static_cast<float>(rng.normal());
+  return params;
+}
+
+std::string digest_of(const EncodedPayload& encoded) {
+  return to_hex(Sha256::hash(encoded.bytes));
+}
+
+TEST(PayloadCodec, BestOfDenseEncodingIsPinned) {
+  // The dense best-of encoder codes the XOR-delta stream, then stops the raw
+  // pass once it cannot win. The digests pin the exact chosen streams, as
+  // encoded by the full two-pass encoder, for both outcomes.
+  const CodecFixture near;  // delta wins: the raw pass stops early
+  const nn::ParamVector unrelated = unrelated_payload(near.base.size());
+  const PayloadCodec best_of(parse_codec_spec("delta,entropy"));
+  const EncodedPayload near_encoded = best_of.encode(near.params, near.base);
+  const EncodedPayload unrelated_encoded =
+      best_of.encode(unrelated, near.base);
+  // Leading flag byte: entropy plus delta-used when the delta stream won,
+  // entropy plus dense-raw when the raw pass ran to completion and won.
+  EXPECT_EQ(near_encoded.bytes.front(), 0x09);
+  EXPECT_EQ(unrelated_encoded.bytes.front(), 0x18);
+  EXPECT_EQ(digest_of(near_encoded),
+            "47d6e69bc58a5acc13df198e1fb9c9c70cb8ad19bffaaf806900b7957d8d9d94");
+  EXPECT_EQ(digest_of(unrelated_encoded),
+            "cbb00e4170d78f75d137cd8473dd51680ab36f524c12410b27bfb62e531768e7");
+  EXPECT_TRUE(
+      bit_equal(best_of.decode(near_encoded, near.base), near.params));
+  EXPECT_TRUE(
+      bit_equal(best_of.decode(unrelated_encoded, near.base), unrelated));
+
+  // Best-of never loses to coding the raw words alone.
+  const PayloadCodec entropy_only(parse_codec_spec("entropy"));
+  EXPECT_LE(near_encoded.bytes.size(),
+            entropy_only.encode(near.params, near.base).bytes.size());
+  EXPECT_LE(unrelated_encoded.bytes.size(),
+            entropy_only.encode(unrelated, near.base).bytes.size());
+}
+
+TEST(PayloadCodec, OversizedPlainSizeThrowsBeforeAllocating) {
+  // 12 crafted bytes: flags, count 1, an entropy plain size of 2^40 as a
+  // varint, and four coder bytes. Decoding must reject the size before it
+  // sizes any buffer by it, for the dense form and every stage body.
+  for (const std::uint8_t flags : {0x08, 0x0A, 0x0C, 0x0E}) {
+    EncodedPayload crafted;
+    crafted.param_count = 1;
+    crafted.bytes = {flags, 0x01, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20,
+                     0x00,  0x00, 0x00, 0x00};
+    const PayloadCodec codec(parse_codec_spec("entropy"));
+    EXPECT_THROW((void)codec.decode(crafted, {}), SerializeError)
+        << "flags " << static_cast<int>(flags);
+  }
 }
 
 // ---------------------------------------------------------------- spec parse
@@ -427,6 +488,46 @@ TEST(PayloadCodecEngine, BitIdenticalAcrossKernelThreadCounts) {
     for (std::size_t j = 0; j < history.size(); ++j) {
       EXPECT_EQ(history[j].accuracy, reference[j].accuracy);
       EXPECT_EQ(history[j].loss, reference[j].loss);
+    }
+  }
+}
+
+TEST(PayloadCodecEngine, BitIdenticalAcrossPoolThreadCounts) {
+  // The codec runs in the node-step lanes and the barrier commits in slot
+  // order, so ledger, history and deterministic counters must not depend on
+  // how many lanes encode.
+  const auto dataset = small_dataset();
+  const auto factory = small_factory();
+  for (const std::string spec : {"default", "delta,quantize,entropy"}) {
+    std::vector<std::vector<std::string>> ledgers;
+    std::vector<core::RunResult> results;
+    std::vector<std::string> snapshots;
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+      obs::MetricsRegistry::global().reset();
+      core::SimulationConfig config = fast_config();
+      config.codec = parse_codec_spec(spec);
+      config.threads = threads;
+      core::TangleSimulation sim(dataset, factory, config);
+      results.push_back(sim.run());
+      ledgers.push_back(tx_hexes(sim.tangle()));
+      snapshots.push_back(obs::MetricsRegistry::global()
+                              .snapshot(obs::SnapshotKind::kDeterministic)
+                              .to_json());
+    }
+    EXPECT_NE(snapshots[0].find("ledger.codec.payloads"), std::string::npos)
+        << spec;
+    for (std::size_t i = 1; i < ledgers.size(); ++i) {
+      EXPECT_EQ(ledgers[i], ledgers[0]) << spec << " thread variant " << i;
+      EXPECT_EQ(snapshots[i], snapshots[0]) << spec << " thread variant " << i;
+      const auto& history = results[i].history;
+      const auto& reference = results[0].history;
+      ASSERT_EQ(history.size(), reference.size());
+      for (std::size_t j = 0; j < history.size(); ++j) {
+        EXPECT_EQ(history[j].accuracy, reference[j].accuracy);
+        EXPECT_EQ(history[j].loss, reference[j].loss);
+        EXPECT_EQ(history[j].tip_count, reference[j].tip_count);
+        EXPECT_EQ(history[j].ledger_bytes, reference[j].ledger_bytes);
+      }
     }
   }
 }
