@@ -18,14 +18,6 @@ int main(int argc, char** argv) {
       args.get_int("nodes", 10, "active nodes per round (reference)"));
   const auto seed = static_cast<std::uint64_t>(
       args.get_int("seed", 42, "master random seed"));
-  const bool eval_cache =
-      args.get_int("eval-cache", 1,
-                   "cache loss probes across wakeups (0 = off; outputs are "
-                   "byte-identical either way)") != 0;
-  const bool eval_batch =
-      args.get_int("eval-batch", 1,
-                   "batched multi-model candidate probes (0 = off; outputs "
-                   "are byte-identical either way)") != 0;
   const tangle::PayloadCodecConfig codec =
       bench::parse_payload_codec_flag(args);
   const std::string csv =
@@ -38,8 +30,6 @@ int main(int argc, char** argv) {
   bench_run.config("users", users);
   bench_run.config("rounds", rounds);
   bench_run.config("nodes", nodes);
-  bench_run.config("eval_cache", eval_cache);
-  bench_run.config("eval_batch", eval_batch);
   bench_run.config("payload_codec", tangle::codec_spec_string(codec));
   bench_run.config("csv", csv);
 
@@ -66,8 +56,6 @@ int main(int argc, char** argv) {
   round_config.eval_nodes_fraction = 0.3;
   round_config.node = node;
   round_config.seed = seed;
-  round_config.use_eval_cache = eval_cache;
-  round_config.use_eval_batch = eval_batch;
   round_config.codec = codec;
   round_config.timeline = bench_run.timeline();
   const core::RunResult round_run = [&] {
@@ -118,8 +106,6 @@ int main(int argc, char** argv) {
     config.eval_nodes_fraction = 0.3;
     config.node = node;
     config.seed = seed;
-    config.use_eval_cache = eval_cache;
-    config.use_eval_batch = eval_batch;
     config.codec = codec;
     config.timeline = bench_run.timeline();
     if (config.timeline != nullptr) config.timeline->begin_run(variant.name);

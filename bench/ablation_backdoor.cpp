@@ -22,10 +22,6 @@ int main(int argc, char** argv) {
       args.get_int("seed", 42, "master random seed"));
   const auto threads = static_cast<std::size_t>(
       args.get_int("threads", 1, "worker threads"));
-  const bool eval_batch =
-      args.get_int("eval-batch", 1,
-                   "batched multi-model candidate probes (0 = off; outputs "
-                   "are byte-identical either way)") != 0;
   const tangle::PayloadCodecConfig codec =
       bench::parse_payload_codec_flag(args);
   const std::string csv =
@@ -40,7 +36,6 @@ int main(int argc, char** argv) {
   bench_run.config("users", users);
   bench_run.config("nodes", nodes);
   bench_run.config("threads", threads);
-  bench_run.config("eval_batch", eval_batch);
   bench_run.config("payload_codec", tangle::codec_spec_string(codec));
   bench_run.config("csv", csv);
 
@@ -84,7 +79,6 @@ int main(int argc, char** argv) {
     config.backdoor_boost = cell.boost;
     config.seed = seed;
     config.threads = threads;
-    config.use_eval_batch = eval_batch;
     config.codec = codec;
     config.timeline = bench_run.timeline();
 

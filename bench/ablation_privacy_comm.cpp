@@ -26,10 +26,6 @@ int main(int argc, char** argv) {
       args.get_int("seed", 42, "master random seed"));
   const auto threads = static_cast<std::size_t>(
       args.get_int("threads", 1, "worker threads"));
-  const bool eval_batch =
-      args.get_int("eval-batch", 1,
-                   "batched multi-model candidate probes (0 = off; outputs "
-                   "are byte-identical either way)") != 0;
   const tangle::PayloadCodecConfig codec =
       bench::parse_payload_codec_flag(args);
   const bool frontier =
@@ -50,7 +46,6 @@ int main(int argc, char** argv) {
   bench_run.config("users", users);
   bench_run.config("nodes", nodes);
   bench_run.config("threads", threads);
-  bench_run.config("eval_batch", eval_batch);
   bench_run.config("payload_codec", tangle::codec_spec_string(codec));
   bench_run.config("frontier", frontier);
   bench_run.config("csv", csv);
@@ -101,7 +96,6 @@ int main(int argc, char** argv) {
     config.node.dp.noise_multiplier = variant.noise;
     config.seed = seed;
     config.threads = threads;
-    config.use_eval_batch = eval_batch;
     config.codec = codec;
     config.timeline = bench_run.timeline();
 
@@ -160,7 +154,6 @@ int main(int argc, char** argv) {
       config.node.reference.num_reference_models = 10;
       config.seed = seed;
       config.threads = threads;
-      config.use_eval_batch = eval_batch;
       config.codec = tangle::parse_codec_spec(spec);
 
       const std::uint64_t raw_before = raw_counter.value();

@@ -25,14 +25,6 @@ int main(int argc, char** argv) {
       args.get_int("seed", 42, "master random seed"));
   const auto threads = static_cast<std::size_t>(
       args.get_int("threads", 1, "worker threads"));
-  const bool eval_cache =
-      args.get_int("eval-cache", 1,
-                   "cache loss probes across rounds (0 = off; outputs are "
-                   "byte-identical either way)") != 0;
-  const bool eval_batch =
-      args.get_int("eval-batch", 1,
-                   "batched multi-model candidate probes (0 = off; outputs "
-                   "are byte-identical either way)") != 0;
   const tangle::PayloadCodecConfig codec =
       bench::parse_payload_codec_flag(args);
   const std::string csv =
@@ -48,8 +40,6 @@ int main(int argc, char** argv) {
   bench_run.config("nodes", nodes);
   bench_run.config("fraction", fraction);
   bench_run.config("threads", threads);
-  bench_run.config("eval_cache", eval_cache);
-  bench_run.config("eval_batch", eval_batch);
   bench_run.config("payload_codec", tangle::codec_spec_string(codec));
   bench_run.config("csv", csv);
 
@@ -91,8 +81,6 @@ int main(int argc, char** argv) {
       config.attack_start_round = pretrain + 1;
       config.seed = seed;
       config.threads = threads;
-      config.use_eval_cache = eval_cache;
-      config.use_eval_batch = eval_batch;
       config.codec = codec;
       config.timeline = bench_run.timeline();
 

@@ -25,10 +25,6 @@ int main(int argc, char** argv) {
       "kernel-threads", 0,
       "GEMM kernel pool size shared by the tangle runs (0 = serial; "
       "results are bit-identical for any value)"));
-  const bool eval_batch =
-      args.get_int("eval-batch", 1,
-                   "batched multi-model candidate probes (0 = off; outputs "
-                   "are byte-identical either way)") != 0;
   const tangle::PayloadCodecConfig codec =
       bench::parse_payload_codec_flag(args);
   const std::string nodes_list = args.get_string(
@@ -46,7 +42,6 @@ int main(int argc, char** argv) {
   run.config("eval_every", eval_every);
   run.config("threads", threads);
   run.config("kernel_threads", kernel_threads);
-  run.config("eval_batch", eval_batch);
   run.config("payload_codec", tangle::codec_spec_string(codec));
   run.config("nodes", nodes_list);
   run.config("csv", csv);
@@ -103,7 +98,6 @@ int main(int argc, char** argv) {
     base.seed = seed;
     base.threads = threads;
     base.kernel_threads = kernel_threads;
-    base.use_eval_batch = eval_batch;
     base.codec = codec;
     base.timeline = run.timeline();
 

@@ -24,10 +24,6 @@ int main(int argc, char** argv) {
       "kernel-threads", 0,
       "GEMM kernel pool size for the tangle run (0 = serial; results are "
       "bit-identical for any value)"));
-  const bool eval_batch =
-      args.get_int("eval-batch", 1,
-                   "batched multi-model candidate probes (0 = off; outputs "
-                   "are byte-identical either way)") != 0;
   const tangle::PayloadCodecConfig codec =
       bench::parse_payload_codec_flag(args);
   const std::string csv = args.get_string(
@@ -43,7 +39,6 @@ int main(int argc, char** argv) {
   run.config("eval_every", eval_every);
   run.config("threads", threads);
   run.config("kernel_threads", kernel_threads);
-  run.config("eval_batch", eval_batch);
   run.config("payload_codec", tangle::codec_spec_string(codec));
   run.config("csv", csv);
 
@@ -83,7 +78,6 @@ int main(int argc, char** argv) {
   tangle_config.seed = seed;
   tangle_config.threads = threads;
   tangle_config.kernel_threads = kernel_threads;
-  tangle_config.use_eval_batch = eval_batch;
   tangle_config.codec = codec;
   tangle_config.timeline = run.timeline();
   const core::RunResult tangle_run = [&] {

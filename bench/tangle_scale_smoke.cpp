@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
       "health-every", 250, "rounds between health/timeline probes"));
   const auto seed =
       static_cast<std::uint64_t>(args.get_int("seed", 1, "master RNG seed"));
-  if (args.should_exit()) return 0;
+  if (args.should_exit()) return args.help_requested() ? 0 : 1;
   run.start(seed);
   run.config("transactions", transactions);
   run.config("lambda", lambda);

@@ -17,64 +17,25 @@
 
 #include <cstdint>
 
-#include "core/metrics.hpp"
-#include "core/node.hpp"
-#include "core/simulation.hpp"
-#include "data/poison.hpp"
+#include "core/engine_core.hpp"
 
 namespace tanglefl::core {
 
-struct AsyncSimulationConfig {
+struct AsyncSimulationConfig : EngineConfig, AttackConfig {
   double duration_seconds = 60.0;      // simulated wall-clock horizon
   double wake_rate_per_node = 0.2;     // Poisson rate [1/s] per node
   double mean_training_seconds = 1.0;  // exponential training duration
   double network_delay_seconds = 0.5;  // propagation delay to all peers
   double publish_loss = 0.0;           // probability a publish never lands
 
-  NodeConfig node;
-
-  AttackType attack = AttackType::kNone;
-  double malicious_fraction = 0.0;
   double attack_start_seconds = 0.0;
-  data::LabelFlip flip{3, 8};
-  data::BackdoorTrigger trigger;
-  double backdoor_boost = 3.0;
-  double backdoor_data_fraction = 0.5;
+  double eval_every_seconds = 10.0;  // must be > 0
 
-  double eval_every_seconds = 10.0;
-  double eval_nodes_fraction = 0.1;
-
-  std::uint64_t seed = 1;
-
-  // Reuse cone computations across wakeups that see the same ledger prefix
-  // (common when wakes cluster between publishes). Bit-identical results
-  // either way; see tangle/view_cache.hpp.
-  bool use_view_cache = true;
-
-  // Cache loss-probe results across probes and wakeups in the shared eval
-  // engine; byte-identical outputs either way (core/eval_engine.hpp).
-  bool use_eval_cache = true;
-  // Batched multi-model candidate probes (EvalEngineConfig::use_batched):
-  // off replays the exact per-probe serial path. Outputs are byte-identical
-  // either way.
-  bool use_eval_batch = true;
-
-  // Publish-path payload codec (tangle/payload_codec.hpp); all stages
-  // default off, keeping outputs byte-identical to prior versions.
-  tangle::PayloadCodecConfig codec;
-
-  // Milestone pruning, checked at evaluation instants and clamped so the
-  // frontier never outruns the slowest in-flight view horizon (see
-  // tangle/milestones.hpp). Requires use_view_cache; disabled (the
-  // default), outputs are byte-identical to prior versions.
-  tangle::MilestoneConfig prune;
-
-  // Optional per-round time-series sink; rows are keyed by whole simulated
-  // seconds and sampled at every evaluation instant. Ledger time here is
-  // microseconds, so HealthConfig::orphan_age is overridden from
-  // health_orphan_age_seconds at construction.
-  obs::Timeline* timeline = nullptr;
-  tangle::HealthConfig health;
+  // Milestone pruning is checked at evaluation instants and clamped so the
+  // frontier never outruns the slowest in-flight view horizon. Timeline
+  // rows are keyed by whole simulated seconds and sampled at every
+  // evaluation instant. Ledger time here is microseconds, so
+  // HealthConfig::orphan_age is overridden from health_orphan_age_seconds.
   double health_orphan_age_seconds = 5.0;
 };
 
@@ -97,42 +58,17 @@ class AsyncTangleSimulation {
   /// simulated seconds).
   RunResult run();
 
-  const tangle::Tangle& tangle() const noexcept { return tangle_; }
-  const tangle::ModelStore& store() const noexcept { return store_; }
+  const tangle::Tangle& tangle() const noexcept { return core_.tangle(); }
+  const tangle::ModelStore& store() const noexcept { return core_.store(); }
   const AsyncStats& stats() const noexcept { return stats_; }
 
   /// Consensus accuracy as seen at simulated time `now`.
   RoundRecord evaluate(double now);
 
  private:
-  static std::uint64_t to_micros(double seconds) noexcept {
-    return static_cast<std::uint64_t>(seconds * 1e6);
-  }
-
-  bool is_malicious(std::size_t user) const noexcept;
-
-  const data::FederatedDataset* dataset_;
-  nn::ModelFactory factory_;
   AsyncSimulationConfig config_;
-  Rng master_rng_;
-  tangle::ModelStore store_;
-  tangle::Tangle tangle_;
+  EngineCore core_;
   AsyncStats stats_;
-  // Keyed by prefix count: holds the latest wake horizons plus the full
-  // eval view.
-  tangle::ViewCache view_cache_{4};
-  // Shared loss-probe engine (cache + model pool + pre-batched splits).
-  EvalEngine eval_engine_;
-  tangle::MilestoneTracker pruner_;
-  // Publish-path codec driver; pass-through when no wire stage is on.
-  tangle::PayloadPipeline payload_pipeline_{config_.codec};
-
-  // Timeline mode only; null otherwise.
-  std::unique_ptr<tangle::HealthTracker> health_;
-  std::unique_ptr<obs::RegistrySampler> timeline_sampler_;
-
-  std::vector<std::size_t> malicious_users_;
-  std::vector<data::UserData> poisoned_users_;
 };
 
 /// Convenience wrapper mirroring run_tangle_learning.

@@ -18,21 +18,20 @@
 // consensus quality degrades under partial views.
 #pragma once
 
-#include <memory>
 #include <vector>
 
-#include "core/eval_engine.hpp"
-#include "core/metrics.hpp"
-#include "core/node.hpp"
-#include "data/poison.hpp"
-#include "obs/timeline.hpp"
-#include "tangle/health.hpp"
-#include "tangle/milestones.hpp"
-#include "tangle/payload_codec.hpp"
+#include "core/engine_core.hpp"
 
 namespace tanglefl::core {
 
-struct GossipConfig {
+// Honest nodes only, so no AttackConfig. Milestone pruning requires the
+// union of all replica tip sets to be covered: a replica lagging at the
+// genesis blocks any advance until gossip catches it up, and once the
+// frontier moves it is an ancestor of every replica (replicas are
+// ancestor-closed), so masked walks rooted at it stay valid. Health is
+// probed over the full global ledger — the union of all replicas — so
+// orphan/tip series describe the true DAG, not one partial view.
+struct GossipConfig : EngineConfig {
   std::size_t rounds = 40;
   std::size_t nodes_per_round = 10;
 
@@ -41,43 +40,7 @@ struct GossipConfig {
   std::size_t max_transfer = 64;       // transactions per pull (0 = all)
   double pull_failure = 0.0;           // probability a pull silently fails
 
-  NodeConfig node;
-
-  std::size_t eval_every = 5;
-  double eval_nodes_fraction = 0.1;
-
-  std::uint64_t seed = 1;
-
-  // Share cone computations across participants whose replicas converged
-  // to the same membership (keyed by membership hash — see
-  // tangle/view_cache.hpp). Bit-identical results either way.
-  bool use_view_cache = true;
-
-  // Cache loss-probe results across probes and rounds in the shared eval
-  // engine; byte-identical outputs either way (core/eval_engine.hpp).
-  bool use_eval_cache = true;
-  // Batched multi-model candidate probes (EvalEngineConfig::use_batched):
-  // off replays the exact per-probe serial path. Outputs are byte-identical
-  // either way.
-  bool use_eval_batch = true;
-
-  // Publish-path payload codec (tangle/payload_codec.hpp); all stages
-  // default off, keeping outputs byte-identical to prior versions.
-  tangle::PayloadCodecConfig codec;
-
-  // Milestone pruning. The milestone must be covered by the union of all
-  // replica tip sets, so a replica lagging at the genesis blocks any
-  // advance until gossip catches it up; once the frontier moves, it is an
-  // ancestor of every replica (replicas are ancestor-closed), so masked
-  // walks rooted at it stay valid. Requires use_view_cache; disabled (the
-  // default), outputs are byte-identical to prior versions.
-  tangle::MilestoneConfig prune;
-
-  // Optional per-round time-series sink (see obs/timeline.hpp). Health is
-  // probed over the full global ledger — the union of all replicas — so
-  // orphan/tip series describe the true DAG, not one partial view.
-  obs::Timeline* timeline = nullptr;
-  tangle::HealthConfig health;
+  std::size_t eval_every = 5;  // must be > 0
 };
 
 struct GossipStats {
@@ -106,8 +69,8 @@ class GossipSimulation {
   /// Mean over nodes of |replica| / |ledger|.
   double mean_coverage() const;
 
-  const tangle::Tangle& tangle() const noexcept { return tangle_; }
-  const tangle::ModelStore& store() const noexcept { return store_; }
+  const tangle::Tangle& tangle() const noexcept { return core_.tangle(); }
+  const tangle::ModelStore& store() const noexcept { return core_.store(); }
   const GossipStats& stats() const noexcept { return stats_; }
   const std::vector<std::size_t>& peers(std::size_t node) const {
     return peers_.at(node);
@@ -119,28 +82,12 @@ class GossipSimulation {
  private:
   void pull(std::size_t from, std::size_t to);
 
-  const data::FederatedDataset* dataset_;
-  nn::ModelFactory factory_;
   GossipConfig config_;
-  Rng master_rng_;
-  tangle::ModelStore store_;
-  tangle::Tangle tangle_;
+  EngineCore core_;
   GossipStats stats_;
 
   std::vector<std::vector<std::size_t>> peers_;  // outgoing pull targets
   std::vector<std::vector<bool>> known_;         // per node, by TxIndex
-  // Replicas diverge, so keep enough slots for every distinct membership a
-  // round's participants may hold (plus the observer's eval view).
-  tangle::ViewCache view_cache_{16};
-  // Shared loss-probe engine (cache + model pool + pre-batched splits).
-  EvalEngine eval_engine_;
-  tangle::MilestoneTracker pruner_;
-  // Publish-path codec driver; pass-through when no wire stage is on.
-  tangle::PayloadPipeline payload_pipeline_{config_.codec};
-
-  // Timeline mode only; null otherwise.
-  std::unique_ptr<tangle::HealthTracker> health_;
-  std::unique_ptr<obs::RegistrySampler> timeline_sampler_;
 };
 
 /// Convenience wrapper mirroring run_tangle_learning.

@@ -24,6 +24,9 @@ FedAvgServer::FedAvgServer(const data::FederatedDataset& dataset,
       config_(config),
       master_rng_(config.seed),
       pool_(std::max<std::size_t>(1, config.threads)) {
+  core::validate_run_config(static_cast<double>(config_.eval_every),
+                            config_.eval_nodes_fraction,
+                            config_.malicious_fraction);
   nn::Model model = factory_();
   Rng init_rng = master_rng_.split(kInitStream);
   model.init(init_rng);

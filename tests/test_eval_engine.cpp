@@ -549,38 +549,10 @@ void expect_identical_runs(const Tangle& tangle_a, const Tangle& tangle_b,
   }
 }
 
-TEST(EvalEngine, SimulationByteIdenticalCacheOnVsOff) {
-  // Robust mode (tip_sample_size > num_tips) so every step runs the
-  // Section III-E candidate probes through the engine.
-  const auto dataset = small_dataset();
-  SimulationConfig on;
-  on.rounds = 4;
-  on.nodes_per_round = 4;
-  on.eval_every = 2;
-  on.eval_nodes_fraction = 0.5;
-  on.node.training.epochs = 1;
-  on.node.training.sgd.learning_rate = 0.05;
-  on.node.num_tips = 2;
-  on.node.tip_sample_size = 4;
-  on.seed = 1;
-  SimulationConfig off = on;
-  off.use_eval_cache = false;
-
-  TangleSimulation a(dataset, small_factory(), on);
-  TangleSimulation b(dataset, small_factory(), off);
-  const RunResult ra = a.run();
-  const RunResult rb = b.run();
-  expect_identical_runs(a.tangle(), b.tangle(), ra, rb);
-  // The cached run actually cached (the off run kept the map empty).
-  EXPECT_GT(a.eval_engine().cached_results(), 0u);
-  EXPECT_EQ(b.eval_engine().cached_results(), 0u);
-}
-
-TEST(EvalEngine, SimulationByteIdenticalEvalBatchOnVsOffAcrossKernelThreads) {
+TEST(EvalEngine, SimulationByteIdenticalAcrossKernelThreads) {
   // Batched candidate probes must not perturb a single bit of the run,
   // regardless of the kernel pool driving the fused grid. Every
-  // (eval_batch, kernel_threads) combination is compared against the
-  // batch-on single-threaded baseline.
+  // kernel_threads value is compared against the single-threaded baseline.
   const auto dataset = small_dataset();
   SimulationConfig base;
   base.rounds = 4;
@@ -596,68 +568,16 @@ TEST(EvalEngine, SimulationByteIdenticalEvalBatchOnVsOffAcrossKernelThreads) {
   std::vector<std::unique_ptr<TangleSimulation>> sims;
   std::vector<RunResult> results;
   for (const std::size_t kernel_threads : {1, 2, 4}) {
-    for (const bool eval_batch : {true, false}) {
-      SimulationConfig config = base;
-      config.kernel_threads = kernel_threads;
-      config.use_eval_batch = eval_batch;
-      sims.push_back(std::make_unique<TangleSimulation>(
-          dataset, small_factory(), config));
-      results.push_back(sims.back()->run());
-    }
+    SimulationConfig config = base;
+    config.kernel_threads = kernel_threads;
+    sims.push_back(
+        std::make_unique<TangleSimulation>(dataset, small_factory(), config));
+    results.push_back(sims.back()->run());
   }
   for (std::size_t i = 1; i < sims.size(); ++i) {
     expect_identical_runs(sims[0]->tangle(), sims[i]->tangle(), results[0],
                           results[i]);
   }
-}
-
-TEST(EvalEngine, AsyncSimulationByteIdenticalEvalBatchOnVsOff) {
-  const auto dataset = small_dataset();
-  AsyncSimulationConfig on;
-  on.duration_seconds = 30.0;
-  on.wake_rate_per_node = 0.3;
-  on.mean_training_seconds = 0.5;
-  on.network_delay_seconds = 0.5;
-  on.eval_every_seconds = 10.0;
-  on.eval_nodes_fraction = 0.5;
-  on.node.training.epochs = 1;
-  on.node.training.sgd.learning_rate = 0.05;
-  on.node.num_tips = 2;
-  on.node.tip_sample_size = 4;
-  on.seed = 7;
-  AsyncSimulationConfig off = on;
-  off.use_eval_batch = false;
-
-  AsyncTangleSimulation a(dataset, small_factory(), on);
-  AsyncTangleSimulation b(dataset, small_factory(), off);
-  const RunResult ra = a.run();
-  const RunResult rb = b.run();
-  expect_identical_runs(a.tangle(), b.tangle(), ra, rb);
-}
-
-TEST(EvalEngine, GossipSimulationByteIdenticalEvalBatchOnVsOff) {
-  const auto dataset = small_dataset();
-  GossipConfig on;
-  on.rounds = 8;
-  on.nodes_per_round = 4;
-  on.peers_per_node = 3;
-  on.gossip_exchanges = 2;
-  on.eval_every = 4;
-  on.eval_nodes_fraction = 0.5;
-  on.node.training.epochs = 1;
-  on.node.training.sgd.learning_rate = 0.05;
-  on.node.num_tips = 2;
-  on.node.tip_sample_size = 4;
-  on.node.reference.confidence.sample_rounds = 6;
-  on.seed = 7;
-  GossipConfig off = on;
-  off.use_eval_batch = false;
-
-  GossipSimulation a(dataset, small_factory(), on);
-  GossipSimulation b(dataset, small_factory(), off);
-  const RunResult ra = a.run();
-  const RunResult rb = b.run();
-  expect_identical_runs(a.tangle(), b.tangle(), ra, rb);
 }
 
 TEST(EvalEngine, SimulationByteIdenticalAcrossThreadCounts) {
@@ -680,55 +600,6 @@ TEST(EvalEngine, SimulationByteIdenticalAcrossThreadCounts) {
 
   TangleSimulation a(dataset, small_factory(), one);
   TangleSimulation b(dataset, small_factory(), four);
-  const RunResult ra = a.run();
-  const RunResult rb = b.run();
-  expect_identical_runs(a.tangle(), b.tangle(), ra, rb);
-}
-
-TEST(EvalEngine, AsyncSimulationByteIdenticalCacheOnVsOff) {
-  const auto dataset = small_dataset();
-  AsyncSimulationConfig on;
-  on.duration_seconds = 30.0;
-  on.wake_rate_per_node = 0.3;
-  on.mean_training_seconds = 0.5;
-  on.network_delay_seconds = 0.5;
-  on.eval_every_seconds = 10.0;
-  on.eval_nodes_fraction = 0.5;
-  on.node.training.epochs = 1;
-  on.node.training.sgd.learning_rate = 0.05;
-  on.node.num_tips = 2;
-  on.node.tip_sample_size = 4;
-  on.seed = 7;
-  AsyncSimulationConfig off = on;
-  off.use_eval_cache = false;
-
-  AsyncTangleSimulation a(dataset, small_factory(), on);
-  AsyncTangleSimulation b(dataset, small_factory(), off);
-  const RunResult ra = a.run();
-  const RunResult rb = b.run();
-  expect_identical_runs(a.tangle(), b.tangle(), ra, rb);
-}
-
-TEST(EvalEngine, GossipSimulationByteIdenticalCacheOnVsOff) {
-  const auto dataset = small_dataset();
-  GossipConfig on;
-  on.rounds = 8;
-  on.nodes_per_round = 4;
-  on.peers_per_node = 3;
-  on.gossip_exchanges = 2;
-  on.eval_every = 4;
-  on.eval_nodes_fraction = 0.5;
-  on.node.training.epochs = 1;
-  on.node.training.sgd.learning_rate = 0.05;
-  on.node.num_tips = 2;
-  on.node.tip_sample_size = 4;
-  on.node.reference.confidence.sample_rounds = 6;
-  on.seed = 7;
-  GossipConfig off = on;
-  off.use_eval_cache = false;
-
-  GossipSimulation a(dataset, small_factory(), on);
-  GossipSimulation b(dataset, small_factory(), off);
   const RunResult ra = a.run();
   const RunResult rb = b.run();
   expect_identical_runs(a.tangle(), b.tangle(), ra, rb);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "data/femnist_synth.hpp"
 #include "nn/model_zoo.hpp"
 
@@ -86,6 +88,25 @@ TEST(FedAvg, HistoryAtCadence) {
       run_fedavg(dataset, small_factory(), fast_config(6));
   ASSERT_EQ(result.history.size(), 3u);
   EXPECT_EQ(result.label, "fedavg");
+}
+
+TEST(FedAvg, RejectsInvalidConfig) {
+  // The engines' validation rules: a zero cadence would divide by zero and
+  // a fraction above 1 would sample more users than exist.
+  const auto dataset = small_dataset();
+  FedAvgConfig zero_cadence = fast_config();
+  zero_cadence.eval_every = 0;
+  EXPECT_THROW(FedAvgServer(dataset, small_factory(), zero_cadence),
+               std::invalid_argument);
+  FedAvgConfig too_malicious = fast_config();
+  too_malicious.attack = core::AttackType::kRandomPoison;
+  too_malicious.malicious_fraction = 1.5;
+  EXPECT_THROW(FedAvgServer(dataset, small_factory(), too_malicious),
+               std::invalid_argument);
+  FedAvgConfig no_eval_users = fast_config();
+  no_eval_users.eval_nodes_fraction = 0.0;
+  EXPECT_THROW(FedAvgServer(dataset, small_factory(), no_eval_users),
+               std::invalid_argument);
 }
 
 TEST(FedAvg, AccuracyImprovesOverTraining) {

@@ -43,32 +43,6 @@ GossipConfig fast_config() {
   return config;
 }
 
-TEST(GossipSimulation, ViewCacheIsBitIdenticalToForcedRecompute) {
-  // Replica (masked) views go through the membership-keyed cache; results
-  // must match the forced-recompute path exactly.
-  const auto dataset = small_dataset();
-  GossipConfig cached = fast_config();
-  cached.use_view_cache = true;
-  GossipConfig direct = fast_config();
-  direct.use_view_cache = false;
-  GossipSimulation a(dataset, small_factory(), cached);
-  GossipSimulation b(dataset, small_factory(), direct);
-  const RunResult ra = a.run();
-  const RunResult rb = b.run();
-  ASSERT_EQ(a.tangle().size(), b.tangle().size());
-  for (tangle::TxIndex i = 0; i < a.tangle().size(); ++i) {
-    EXPECT_EQ(to_hex(a.tangle().transaction(i).id),
-              to_hex(b.tangle().transaction(i).id));
-  }
-  ASSERT_EQ(ra.history.size(), rb.history.size());
-  for (std::size_t i = 0; i < ra.history.size(); ++i) {
-    EXPECT_DOUBLE_EQ(ra.history[i].accuracy, rb.history[i].accuracy);
-    EXPECT_EQ(ra.history[i].tip_count, rb.history[i].tip_count);
-  }
-  EXPECT_EQ(a.stats().published, b.stats().published);
-  EXPECT_EQ(a.stats().suppressed, b.stats().suppressed);
-}
-
 TEST(MaskedView, RejectsNonClosedMembership) {
   tangle::ModelStore store;
   const auto genesis = store.add({0.0f});

@@ -124,32 +124,6 @@ TEST(Simulation, DeterministicAcrossKernelPoolSizes) {
   }
 }
 
-TEST(Simulation, ViewCacheIsBitIdenticalToForcedRecompute) {
-  // The cone cache must be a pure memoization: cache-enabled and
-  // forced-recompute runs of the same seed produce byte-identical ledgers
-  // and evaluation histories.
-  const auto dataset = small_dataset();
-  SimulationConfig cached = fast_config();
-  cached.use_view_cache = true;
-  SimulationConfig direct = fast_config();
-  direct.use_view_cache = false;
-  TangleSimulation a(dataset, small_factory(), cached);
-  TangleSimulation b(dataset, small_factory(), direct);
-  const RunResult ra = a.run();
-  const RunResult rb = b.run();
-  ASSERT_EQ(a.tangle().size(), b.tangle().size());
-  for (tangle::TxIndex i = 0; i < a.tangle().size(); ++i) {
-    EXPECT_EQ(to_hex(a.tangle().transaction(i).id),
-              to_hex(b.tangle().transaction(i).id));
-  }
-  ASSERT_EQ(ra.history.size(), rb.history.size());
-  for (std::size_t i = 0; i < ra.history.size(); ++i) {
-    EXPECT_DOUBLE_EQ(ra.history[i].accuracy, rb.history[i].accuracy);
-    EXPECT_DOUBLE_EQ(ra.history[i].loss, rb.history[i].loss);
-    EXPECT_EQ(ra.history[i].tip_count, rb.history[i].tip_count);
-  }
-}
-
 TEST(Simulation, ViewCacheBoundsConeRecomputesPerRound) {
   // The point of the shared cache: cone recomputations scale with rounds,
   // not rounds x participants. One build (2 passes) per training round
