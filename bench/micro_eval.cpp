@@ -28,12 +28,6 @@ struct EvalFixture {
   data::DataSplit split;
 };
 
-core::EvalEngineConfig no_cache_config() {
-  core::EvalEngineConfig config;
-  config.use_cache = false;
-  return config;
-}
-
 // FEMNIST shape: 28x28 grayscale, 62 classes (Table I).
 EvalFixture make_cnn_fixture(std::size_t samples) {
   EvalFixture fixture;
@@ -89,7 +83,7 @@ EvalFixture make_fixture(bool lstm, std::size_t samples) {
 }
 
 // The pre-engine probe: a fresh model instance and per-batch gathers each
-// iteration, exactly what params_loss used to do per candidate.
+// iteration: the data::evaluate reference the engine's results match.
 void params_loss_cold_loop(benchmark::State& state, bool lstm) {
   const EvalFixture fixture = make_fixture(lstm, 64);
   for (auto _ : state) {
@@ -111,11 +105,12 @@ void BM_ParamsLossColdLSTM(benchmark::State& state) {
 BENCHMARK(BM_ParamsLossColdLSTM)->Unit(benchmark::kMillisecond);
 
 // Engine probe without cache reuse: pooled model instance + pre-batched
-// split, but a full forward sweep per iteration (cache disabled so every
-// probe pays its forwards, isolating the pool + batching win).
+// split, but a full forward sweep per iteration (EvalEngine::evaluate never
+// caches, so every probe pays its forwards, isolating the pool + batching
+// win).
 void params_loss_pooled_loop(benchmark::State& state, bool lstm) {
   const EvalFixture fixture = make_fixture(lstm, 64);
-  core::EvalEngine engine(fixture.factory, no_cache_config());
+  core::EvalEngine engine(fixture.factory);
   const auto prepared = engine.prepare(fixture.split);
   for (auto _ : state) {
     core::EvalEngine::ModelLease lease = engine.acquire();
@@ -140,7 +135,7 @@ BENCHMARK(BM_ParamsLossPooledLSTM)->Unit(benchmark::kMillisecond);
 // candidate tips were already scored in earlier rounds.
 void eval_cache_hit_loop(benchmark::State& state, bool lstm) {
   const EvalFixture fixture = make_fixture(lstm, 64);
-  core::EvalEngine engine(fixture.factory, core::EvalEngineConfig{});
+  core::EvalEngine engine(fixture.factory);
   const auto prepared = engine.prepare(fixture.split);
   const core::ParamsKey key{{42}};
   engine.params_eval(key, fixture.params, *prepared);  // warm the cache
@@ -166,10 +161,11 @@ BENCHMARK(BM_EvalCacheHitLSTM);
 // Robust tip selection's per-step workload: k same-architecture candidate
 // models scored on the paper CNN shape. Cold is the pre-engine path per
 // candidate; SerialMiss is the pre-batching engine path (one standalone
-// pooled forward per candidate, cache disabled so every probe pays its
-// forwards); Fused is one evaluate_many group, which shares each batch's
-// conv im2col + panel pack across the k models and drives the k×batches
-// grid through a kernel ThreadPool. All three produce bit-identical losses.
+// pooled forward per candidate); Fused is one evaluate_many group, which
+// shares each batch's conv im2col + panel pack across the k models and
+// drives the k×batches grid through a kernel ThreadPool. The engine
+// requests are keyless, so they are never cached and every iteration pays
+// its forwards. All three produce bit-identical losses.
 
 std::vector<nn::ParamVector> make_candidates(const EvalFixture& fixture,
                                              std::size_t k) {
@@ -206,14 +202,16 @@ void BM_MultiEvalSerialMiss(benchmark::State& state) {
   const EvalFixture fixture = make_cnn_fixture(64);
   const auto candidates =
       make_candidates(fixture, static_cast<std::size_t>(state.range(0)));
-  core::EvalEngine engine(fixture.factory, no_cache_config());
+  core::EvalEngine engine(fixture.factory);
   const auto prepared = engine.prepare(fixture.split);
   for (auto _ : state) {
     double sum = 0.0;
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
+    for (const auto& params : candidates) {
+      const core::EvalRequest request{params, std::nullopt};
       sum += engine
-                 .params_eval(core::ParamsKey::single(1000 + i),
-                              candidates[i], *prepared)
+                 .evaluate_many(std::span<const core::EvalRequest>(&request, 1),
+                                *prepared)
+                 .front()
                  .result.loss;
     }
     benchmark::DoNotOptimize(sum);
@@ -230,13 +228,12 @@ void BM_MultiEvalFused(benchmark::State& state) {
   const EvalFixture fixture = make_cnn_fixture(64);
   const auto candidates =
       make_candidates(fixture, static_cast<std::size_t>(state.range(0)));
-  core::EvalEngine engine(fixture.factory, no_cache_config());
+  core::EvalEngine engine(fixture.factory);
   const auto prepared = engine.prepare(fixture.split);
   ThreadPool pool;  // hardware concurrency, as the sim harness kernel pool
   std::vector<core::EvalRequest> requests(candidates.size());
   for (std::size_t i = 0; i < candidates.size(); ++i) {
     requests[i].params = candidates[i];
-    requests[i].key = core::ParamsKey::single(1000 + i);
   }
   for (auto _ : state) {
     double sum = 0.0;

@@ -22,16 +22,17 @@ using namespace tanglefl;
 using namespace tanglefl::tangle;
 
 /// Builds a tangle of `n` transactions grown with 2-parent random-walk
-/// attachment, the structure the simulation produces.
+/// attachment over the (incremental) view cache, the structure and the
+/// code path the simulation uses.
 struct GrownTangle {
   ModelStore store;
   Tangle tangle;
 
   explicit GrownTangle(std::size_t n) : tangle(make_genesis(store)) {
     Rng rng(1);
+    ViewCache cache(1);
     for (std::size_t i = 1; i < n; ++i) {
-      const TangleView view = tangle.view();
-      const auto tips = select_tips(view, 2, rng, {});
+      const auto tips = select_tips(*cache.get(tangle.view()), 2, rng, {});
       const auto added =
           store.add({static_cast<float>(i), static_cast<float>(i % 7)});
       tangle.add_transaction(tips, added.id, added.hash,
@@ -76,13 +77,12 @@ BENCHMARK(BM_PastConeSizes)->Arg(200)->Arg(1000)->Arg(4000);
 
 void BM_RandomWalkTip(benchmark::State& state) {
   GrownTangle grown(static_cast<std::size_t>(state.range(0)));
-  const TangleView view = grown.tangle.view();
-  const auto cones = view.future_cone_sizes();
+  const auto cones = ViewCacheEntry::build(grown.tangle.view());
   Rng rng(2);
   TipSelectionConfig config;
   config.alpha = 0.01;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(random_walk_tip(view, cones, rng, config));
+    benchmark::DoNotOptimize(random_walk_tip(*cones, rng, config));
   }
 }
 BENCHMARK(BM_RandomWalkTip)->Arg(200)->Arg(1000);
@@ -114,13 +114,16 @@ void BM_ViewCacheHit(benchmark::State& state) {
 BENCHMARK(BM_ViewCacheHit)->Arg(200)->Arg(1000)->Arg(4000);
 
 void BM_ConfidenceSampling(benchmark::State& state) {
+  // 35 walks plus their past-cone marking over a prebuilt entry; the entry
+  // build itself is BM_ViewCacheBuild.
   GrownTangle grown(static_cast<std::size_t>(state.range(0)));
   const TangleView view = grown.tangle.view();
+  const auto cones = ViewCacheEntry::build(view);
   Rng rng(3);
   ConfidenceConfig config;
   config.sample_rounds = 35;  // the paper's setting
   for (auto _ : state) {
-    auto confidence = compute_confidences(view, rng, config);
+    auto confidence = compute_confidences(view, *cones, rng, config);
     benchmark::DoNotOptimize(confidence.data());
   }
 }

@@ -122,7 +122,7 @@ int main(int argc, char** argv) {
         const std::shared_ptr<const ViewCacheEntry> full_cones =
             cache.get(full_view);
         Rng health_rng = master.split(1u << 20).split(round);
-        health.sample(full_view, full_cones.get(), round, health_rng);
+        health.sample(full_view, *full_cones, round, health_rng);
         sampler.sample(*run.timeline(), round);
       }
     }

@@ -17,6 +17,7 @@
 #include "support/log.hpp"
 #include "support/table.hpp"
 #include "tangle/dot_export.hpp"
+#include "tangle/view_cache.hpp"
 
 int main(int argc, char** argv) {
   using namespace tanglefl;
@@ -62,11 +63,13 @@ int main(int argc, char** argv) {
             << " transactions, " << view.tips().size() << " tips, "
             << simulation.store().size() << " distinct payloads\n\n";
 
-  // Consensus quantities of Section III-A.
+  // Consensus quantities of Section III-A, read off the view's cone cache
+  // entry as the engines do.
+  const auto cones = tangle::ViewCacheEntry::build(view);
   Rng rng(seed);
   const auto confidences = tangle::compute_confidences(
-      view, rng, {.sample_rounds = 64, .tip_selection = {}});
-  const auto ratings = tangle::compute_ratings(view);
+      view, *cones, rng, {.sample_rounds = 64, .tip_selection = {}});
+  const auto ratings = tangle::compute_ratings(*cones);
 
   // The Algorithm 1 priority ordering, highest first.
   std::vector<tangle::TxIndex> order(view.size());

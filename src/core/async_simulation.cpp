@@ -140,8 +140,9 @@ RunResult AsyncTangleSimulation::run() {
                            core_.is_malicious(event.user);
     // Wakes clustered between publishes see identical prefixes, so the
     // keyed cache turns their cone computations into hits.
-    NodeContext context = core_.node_context(view, core_.cones(view),
-                                             to_micros(event.time), event.user);
+    const auto cones = core_.cones(view);
+    NodeContext context =
+        core_.node_context(view, *cones, to_micros(event.time), event.user);
     std::optional<PublishRequest> publish =
         core_.step_node(context, event.user, malicious);
 

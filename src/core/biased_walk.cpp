@@ -37,27 +37,15 @@ double LocalLossCache::loss(const tangle::TangleView& view,
   if (const auto it = cache_.find(index); it != cache_.end()) {
     return it->second;
   }
-  double value = 0.0;
-  if (engine_ != nullptr) {
-    if (batched_ != nullptr) {
-      const EvalOutcome outcome = engine_->payload_eval(
-          *store_, view.tangle().transaction(index).payload, *batched_);
-      value = outcome.result.loss;
-      if (!outcome.cache_hit) {
-        ++evaluations_;
-        walk_loss_eval_counter().increment();
-      }
+  double value = 0.0;  // no data to bias with: the structural walk
+  if (batched_ != nullptr) {
+    const EvalOutcome outcome = engine_->payload_eval(
+        *store_, view.tangle().transaction(index).payload, *batched_);
+    value = outcome.result.loss;
+    if (!outcome.cache_hit) {
+      ++evaluations_;
+      walk_loss_eval_counter().increment();
     }
-    // else: no data to bias with; degenerate to structural walk
-  } else if (validation_->empty()) {
-    value = 0.0;  // no data to bias with; degenerate to structural walk
-  } else {
-    nn::Model model = (*factory_)();
-    model.set_parameters(
-        store_->get(view.tangle().transaction(index).payload));
-    value = data::evaluate(model, *validation_).loss;
-    ++evaluations_;
-    walk_loss_eval_counter().increment();
   }
   cache_.emplace(index, value);
   return value;
@@ -65,7 +53,7 @@ double LocalLossCache::loss(const tangle::TangleView& view,
 
 void LocalLossCache::prefetch(const tangle::TangleView& view,
                               std::span<const tangle::TxIndex> indices) {
-  if (engine_ == nullptr || batched_ == nullptr) return;
+  if (batched_ == nullptr) return;
   std::vector<tangle::TxIndex> pending;
   std::vector<tangle::PayloadId> payloads;
   for (const tangle::TxIndex index : indices) {
@@ -88,27 +76,22 @@ void LocalLossCache::prefetch(const tangle::TangleView& view,
   }
 }
 
-namespace {
-
-/// Core biased walk; `approvers_of(index)` must yield in-view approvers in
-/// ascending order so the cached and direct paths consume the RNG
-/// identically (see tangle/tip_selection.cpp for the same pattern).
-template <typename ApproversFn>
-tangle::TxIndex biased_walk_to_tip(const tangle::TangleView& view,
-                                   tangle::TxIndex start,
-                                   std::span<const std::uint32_t> future_cones,
-                                   ApproversFn&& approvers_of,
-                                   LocalLossCache& cache, Rng& rng,
-                                   const BiasedWalkConfig& config) {
+tangle::TxIndex biased_random_walk_tip(const tangle::TangleView& view,
+                                       const tangle::ViewCacheEntry& cones,
+                                       LocalLossCache& cache, Rng& rng,
+                                       const BiasedWalkConfig& config) {
   biased_walk_counter().increment();
   // Prune frontier under milestone pruning, genesis otherwise; loss probes
   // only ever touch approvers of walked nodes, which all lie in the live
   // window, so released payloads are never fetched.
-  tangle::TxIndex current = start;
+  const std::span<const std::uint32_t> future_cones =
+      cones.future_cone_sizes();
+  tangle::TxIndex current = cones.root();
   std::vector<double> weights;
   std::uint64_t steps = 0;
   for (;;) {
-    const auto approvers = approvers_of(current);
+    const std::span<const tangle::TxIndex> approvers =
+        cones.approvers(current);
     if (approvers.empty()) {
       biased_walk_length_histogram().record(static_cast<double>(steps));
       return current;
@@ -142,41 +125,6 @@ tangle::TxIndex biased_walk_to_tip(const tangle::TangleView& view,
     }
     current = approvers[rng.weighted_choice(weights)];
   }
-}
-
-}  // namespace
-
-tangle::TxIndex biased_random_walk_tip(
-    const tangle::TangleView& view,
-    std::span<const std::uint32_t> future_cones, LocalLossCache& cache,
-    Rng& rng, const BiasedWalkConfig& config) {
-  return biased_walk_to_tip(
-      view, view.tangle().prune_floor(), future_cones,
-      [&view](tangle::TxIndex i) { return view.approvers(i); }, cache, rng,
-      config);
-}
-
-tangle::TxIndex biased_random_walk_tip(const tangle::TangleView& view,
-                                       const tangle::ViewCacheEntry& cones,
-                                       LocalLossCache& cache, Rng& rng,
-                                       const BiasedWalkConfig& config) {
-  return biased_walk_to_tip(
-      view, cones.root(), cones.future_cone_sizes(),
-      [&cones](tangle::TxIndex i) { return cones.approvers(i); }, cache, rng,
-      config);
-}
-
-std::vector<tangle::TxIndex> biased_select_tips(
-    const tangle::TangleView& view, std::size_t count, LocalLossCache& cache,
-    Rng& rng, const BiasedWalkConfig& config) {
-  const std::vector<std::uint32_t> future_cones = view.future_cone_sizes();
-  std::vector<tangle::TxIndex> tips;
-  tips.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    tips.push_back(
-        biased_random_walk_tip(view, future_cones, cache, rng, config));
-  }
-  return tips;
 }
 
 std::vector<tangle::TxIndex> biased_select_tips(

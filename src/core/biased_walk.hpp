@@ -20,9 +20,6 @@
 #include <memory>
 #include <unordered_map>
 
-#include "data/dataset.hpp"
-#include "data/training.hpp"
-#include "nn/model.hpp"
 #include "support/rng.hpp"
 #include "tangle/model_store.hpp"
 #include "tangle/tip_selection.hpp"
@@ -38,19 +35,13 @@ class EvalEngine;
 
 /// Memoized evaluation of transaction payloads on one validation split.
 /// The per-step memo (keyed by transaction) bounds walk-bias probes to one
-/// per transaction regardless of walk count; with an eval engine attached
-/// the probe itself also hits the engine's cross-round payload cache.
+/// per transaction regardless of walk count; the probe itself also hits
+/// the eval engine's cross-round payload cache.
 class LocalLossCache {
  public:
-  /// Legacy mode: a throwaway model instance per distinct transaction.
-  LocalLossCache(const tangle::ModelStore& store,
-                 const nn::ModelFactory& factory,
-                 const data::DataSplit& validation)
-      : store_(&store), factory_(&factory), validation_(&validation) {}
-
-  /// Engine mode: probes go through `engine`'s payload cache and model
-  /// pool. A null `batched` (empty validation) degenerates to the
-  /// structural walk, as in legacy mode. `pool` (optional, not owned)
+  /// Probes go through `engine`'s payload cache and model pool. A null
+  /// `batched` (empty validation) scores every transaction 0, which
+  /// degenerates to the structural walk. `pool` (optional, not owned)
   /// drives the fused multi-model pass of prefetch().
   LocalLossCache(EvalEngine& engine, const tangle::ModelStore& store,
                  std::shared_ptr<const BatchedSplit> batched,
@@ -67,7 +58,7 @@ class LocalLossCache {
   /// multi-model pass, so a walk branch pays one grouped evaluation instead
   /// of one standalone forward per approver. Memo contents, counters, and
   /// subsequent loss() results are identical to probing serially in
-  /// `indices` order. No-op in legacy mode.
+  /// `indices` order.
   void prefetch(const tangle::TangleView& view,
                 std::span<const tangle::TxIndex> indices);
 
@@ -77,9 +68,7 @@ class LocalLossCache {
 
  private:
   const tangle::ModelStore* store_;
-  const nn::ModelFactory* factory_ = nullptr;
-  const data::DataSplit* validation_ = nullptr;
-  EvalEngine* engine_ = nullptr;
+  EvalEngine* engine_;
   std::shared_ptr<const BatchedSplit> batched_;
   ThreadPool* pool_ = nullptr;
   std::unordered_map<tangle::TxIndex, double> cache_;
@@ -91,14 +80,8 @@ struct BiasedWalkConfig {
   double beta = 1.0;    // local-performance bias; 0 = standard walk
 };
 
-/// One biased walk over `view`; returns the reached tip.
-tangle::TxIndex biased_random_walk_tip(
-    const tangle::TangleView& view,
-    std::span<const std::uint32_t> future_cones, LocalLossCache& cache,
-    Rng& rng, const BiasedWalkConfig& config);
-
-/// Same walk over a shared cone cache entry (see tangle/view_cache.hpp);
-/// consumes the RNG identically to the direct overload. The view is still
+/// One biased walk over the view `cones` describes (see
+/// tangle/view_cache.hpp); returns the reached tip. The view is still
 /// needed for loss lookups, which are keyed by transaction payload.
 tangle::TxIndex biased_random_walk_tip(const tangle::TangleView& view,
                                        const tangle::ViewCacheEntry& cones,
@@ -106,11 +89,6 @@ tangle::TxIndex biased_random_walk_tip(const tangle::TangleView& view,
                                        const BiasedWalkConfig& config);
 
 /// Runs `count` biased walks sharing one loss cache.
-std::vector<tangle::TxIndex> biased_select_tips(
-    const tangle::TangleView& view, std::size_t count, LocalLossCache& cache,
-    Rng& rng, const BiasedWalkConfig& config);
-
-/// Same, over a shared cone cache entry (no per-call cone recompute).
 std::vector<tangle::TxIndex> biased_select_tips(
     const tangle::TangleView& view, const tangle::ViewCacheEntry& cones,
     std::size_t count, LocalLossCache& cache, Rng& rng,

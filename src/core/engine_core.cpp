@@ -79,13 +79,12 @@ std::shared_ptr<const tangle::ViewCacheEntry> EngineCore::cones(
   return view_cache_.get(view, cone_pool_);
 }
 
-NodeContext EngineCore::node_context(
-    const tangle::TangleView& view,
-    std::shared_ptr<const tangle::ViewCacheEntry> cones, std::uint64_t now,
-    std::size_t user) {
+NodeContext EngineCore::node_context(const tangle::TangleView& view,
+                                     const tangle::ViewCacheEntry& cones,
+                                     std::uint64_t now, std::size_t user) {
   Rng rng = master_rng_.split(streams::kNode).split(now).split(user + 1);
-  return NodeContext{view, store_, factory_, now, rng, std::move(cones),
-                     kernel_pool_, &eval_engine_};
+  return NodeContext{view, cones, store_, factory_, eval_engine_, now, rng,
+                     kernel_pool_};
 }
 
 bool EngineCore::is_malicious(std::size_t user) const noexcept {
@@ -149,7 +148,7 @@ void EngineCore::timeline_barrier(std::uint64_t now, std::uint64_t row) {
   // Dedicated stream: probing must never perturb simulation randomness, so
   // timeline runs stay bit-identical to probe-free runs.
   Rng rng = master_rng_.split(streams::kHealth).split(now);
-  health_->sample(full, cones(full).get(), now, rng);
+  health_->sample(full, *cones(full), now, rng);
   timeline_sampler_->sample(*config_.timeline, row);
 }
 

@@ -126,10 +126,10 @@ class EngineCore {
       const tangle::TangleView& view);
 
   /// Context for one node step of `user` at scheduler time `now` (round or
-  /// microseconds); `cones` must describe `view`, which must outlive it.
+  /// microseconds); `cones` must describe `view`, and both must outlive it.
   /// Safe to call concurrently.
   NodeContext node_context(const tangle::TangleView& view,
-                           std::shared_ptr<const tangle::ViewCacheEntry> cones,
+                           const tangle::ViewCacheEntry& cones,
                            std::uint64_t now, std::size_t user);
 
   bool is_malicious(std::size_t user) const noexcept;

@@ -1,5 +1,6 @@
 #include "core/eval_engine.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 #include <stdexcept>
@@ -374,7 +375,7 @@ std::shared_ptr<const BatchedSplit> EvalEngine::prepare(
     const data::DataSplit& split) {
   assert(!split.empty());
   const SplitKey key = split_key_of(split);
-  if (config_.use_cache) {
+  {
     const MutexLock lock(split_mutex_);
     if (auto resident = find_split(key)) {
       split_reuse_counter().increment();
@@ -384,7 +385,6 @@ std::shared_ptr<const BatchedSplit> EvalEngine::prepare(
   split_build_counter().increment();
   auto batched =
       std::make_shared<const BatchedSplit>(split, config_.batch_size, key);
-  if (!config_.use_cache) return batched;
 
   // Evicted splits are parked here and freed after the lock releases: a
   // pooled-test split can be tens of MB, and running its destructor under
@@ -444,20 +444,6 @@ data::EvalResult EvalEngine::evaluate(nn::Model& model,
   return result;
 }
 
-EvalOutcome EvalEngine::evaluate_cached(const ParamsKey& key, nn::Model& model,
-                                        const BatchedSplit& batched) {
-  const ResultKey result_key{key, batched.key()};
-  data::EvalResult cached;
-  if (lookup(result_key, cached)) {
-    cache_hit_counter().increment();
-    return EvalOutcome{cached, true};
-  }
-  cache_miss_counter().increment();
-  const data::EvalResult result = evaluate(model, batched);
-  insert(result_key, result);
-  return EvalOutcome{result, false};
-}
-
 EvalOutcome EvalEngine::payload_eval(const tangle::ModelStore& store,
                                      tangle::PayloadId payload,
                                      const BatchedSplit& batched) {
@@ -495,22 +481,6 @@ std::vector<EvalOutcome> EvalEngine::evaluate_many(
   std::vector<EvalOutcome> outcomes(requests.size());
   if (requests.empty()) return outcomes;
 
-  if (!config_.use_batched) {
-    // Off-switch: replay the exact standalone probe per request, in order —
-    // byte-identical results and counter sequences to the pre-batched code.
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      const EvalRequest& request = requests[i];
-      if (request.key.has_value()) {
-        outcomes[i] = params_eval(*request.key, request.params, batched);
-      } else {
-        outcomes[i] =
-            EvalOutcome{backend_->eval(request.params, batched, nullptr),
-                        false};
-      }
-    }
-    return outcomes;
-  }
-
   batched_group_counter().increment();
 
   // Resolve cache hits up front so only misses enter the fused pass. A key
@@ -534,18 +504,14 @@ std::vector<EvalOutcome> EvalEngine::evaluate_many(
       outcomes[i] = EvalOutcome{cached, true};
       continue;
     }
-    if (config_.use_cache) {
-      bool aliased = false;
-      for (std::size_t slot = 0; slot < miss_requests.size(); ++slot) {
-        const EvalRequest& prior = requests[miss_requests[slot]];
-        if (prior.key.has_value() && *prior.key == *request.key) {
-          cache_hit_counter().increment();
-          aliases.emplace_back(i, slot);
-          aliased = true;
-          break;
-        }
-      }
-      if (aliased) continue;
+    const auto prior = std::find_if(
+        miss_requests.begin(), miss_requests.end(),
+        [&](std::size_t j) { return requests[j].key == request.key; });
+    if (prior != miss_requests.end()) {
+      cache_hit_counter().increment();
+      aliases.emplace_back(
+          i, static_cast<std::size_t>(prior - miss_requests.begin()));
+      continue;
     }
     cache_miss_counter().increment();
     miss_requests.push_back(i);
@@ -600,7 +566,6 @@ EvalEngine::Shard& EvalEngine::shard_for(const ResultKey& key) const {
 }
 
 bool EvalEngine::lookup(const ResultKey& key, data::EvalResult& out) const {
-  if (!config_.use_cache) return false;
   Shard& shard = shard_for(key);
   const ReaderLock lock(shard.mutex);
   const auto it = shard.results.find(key);
@@ -610,7 +575,6 @@ bool EvalEngine::lookup(const ResultKey& key, data::EvalResult& out) const {
 }
 
 void EvalEngine::insert(const ResultKey& key, const data::EvalResult& result) {
-  if (!config_.use_cache) return;
   Shard& shard = shard_for(key);
   const WriterLock lock(shard.mutex);
   shard.results.emplace(key, result);

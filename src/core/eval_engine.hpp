@@ -26,7 +26,7 @@
 // (training=false; Dropout is identity, no layer keeps running statistics),
 // so an EvalResult is a pure function of (parameters, split contents,
 // batch size). The batch size is pinned to data::evaluate's default, hence
-// the cached and uncached paths share batch boundaries bit-exactly.
+// engine results share data::evaluate's batch boundaries bit-exactly.
 //
 // Concurrency: all members are internally locked; node steps running under
 // ThreadPool::parallel_for may probe concurrently. Distinct users carry
@@ -59,14 +59,6 @@ class EvalBackend;
 class EvalEngine;
 
 struct EvalEngineConfig {
-  // Master switch for the (params, split) result cache and the cross-call
-  // BatchedSplit reuse. Off still pools model instances and pre-batches
-  // once per probe site — outputs are byte-identical either way.
-  bool use_cache = true;
-  // Routes evaluate_many() groups through the backend's fused multi-model
-  // pass (shared input packs + grid parallelism). Off replays the exact
-  // per-item serial path; results are byte-identical either way.
-  bool use_batched = true;
   // Evaluation minibatch size. Must equal data::kEvalBatchSize so cached
   // and direct paths accumulate losses over identical batches; the engine
   // constructor rejects any other value.
@@ -229,12 +221,6 @@ class EvalEngine {
   /// Uncached — for freshly trained parameters with no payload identity.
   data::EvalResult evaluate(nn::Model& model, const BatchedSplit& batched);
 
-  /// Cached evaluation for a model whose parameters have identity `key`
-  /// (the caller already set them on `model`). On a hit the forward passes
-  /// are skipped entirely.
-  EvalOutcome evaluate_cached(const ParamsKey& key, nn::Model& model,
-                              const BatchedSplit& batched);
-
   /// Cached evaluation of one store payload on `batched`.
   EvalOutcome payload_eval(const tangle::ModelStore& store,
                            tangle::PayloadId payload,
@@ -250,8 +236,7 @@ class EvalEngine {
   /// as hits, mirroring the serial probe order) and only the misses enter
   /// the backend's fused pass, whose k×batches work grid runs on `pool`.
   /// outcomes[i] is bit-identical to probing requests[i] alone, including
-  /// the hit/miss flags and counter totals. With config.use_batched off the
-  /// group degenerates to the exact per-item serial path.
+  /// the hit/miss flags and counter totals.
   std::vector<EvalOutcome> evaluate_many(std::span<const EvalRequest> requests,
                                          const BatchedSplit& batched,
                                          ThreadPool* pool = nullptr);
@@ -263,7 +248,6 @@ class EvalEngine {
       std::span<const tangle::PayloadId> payloads, const BatchedSplit& batched,
       ThreadPool* pool = nullptr);
 
-  bool cache_enabled() const noexcept { return config_.use_cache; }
   const EvalEngineConfig& config() const noexcept { return config_; }
 
   /// Diagnostics (exact; used by tests).

@@ -111,8 +111,8 @@ std::size_t GossipSimulation::run_round(std::uint64_t round) {
     const tangle::TangleView view = replica_view(user_index);
     // Participants whose replicas converged to the same membership share
     // one cone computation through the keyed cache.
-    NodeContext context =
-        core_.node_context(view, core_.cones(view), round, user_index);
+    const auto cones = core_.cones(view);
+    NodeContext context = core_.node_context(view, *cones, round, user_index);
     auto publish = core_.step_node(context, user_index, /*malicious=*/false);
     if (!publish) {
       ++stats_.suppressed;

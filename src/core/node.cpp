@@ -14,15 +14,6 @@
 namespace tanglefl::core {
 namespace {
 
-/// Loss of a parameter vector on `split`, via a throwaway model instance.
-double params_loss(const nn::ModelFactory& factory,
-                   const nn::ParamVector& params,
-                   const data::DataSplit& split) {
-  nn::Model model = factory();
-  model.set_parameters(params);
-  return data::evaluate(model, split).loss;
-}
-
 // Publish/suppress accounting (Algorithm 2's outcomes) plus the candidate
 // statistics from the Section III-E robust selection step. All pure counts
 // and value histograms — deterministic for a given seed and config.
@@ -45,10 +36,9 @@ obs::Counter& suppressed_no_data_counter() {
 }
 
 // Distinct candidates whose loss a node *needed* this step (probed) vs the
-// subset that actually cost forward passes (evaluated — an eval-cache miss,
-// or every probe on the legacy path). Without the cache the two counters
-// are equal; with it, `evaluated` scales with distinct new payloads rather
-// than rounds × participants.
+// subset that actually cost forward passes (evaluated — an eval-cache
+// miss), so `evaluated` scales with distinct new payloads rather than
+// rounds × participants.
 obs::Counter& candidate_probe_counter() {
   static obs::Counter& counter =
       obs::MetricsRegistry::global().counter("node.candidates.probed");
@@ -101,15 +91,12 @@ obs::Histogram& validate_timing() {
 
 std::vector<tangle::TxIndex> HonestNode::choose_parents(
     NodeContext& context, const data::DataSplit& validation) {
-  std::shared_ptr<const BatchedSplit> prepared;
-  if (context.eval != nullptr && !validation.empty()) {
-    prepared = context.eval->prepare(validation);
-  }
-  return choose_parents(context, validation, prepared);
+  return choose_parents(
+      context, validation.empty() ? nullptr : context.eval.prepare(validation));
 }
 
 std::vector<tangle::TxIndex> HonestNode::choose_parents(
-    NodeContext& context, const data::DataSplit& validation,
+    NodeContext& context,
     const std::shared_ptr<const BatchedSplit>& prepared) {
   const std::size_t num_tips = std::max<std::size_t>(1, config_.num_tips);
   const std::size_t sample_size =
@@ -118,28 +105,18 @@ std::vector<tangle::TxIndex> HonestNode::choose_parents(
   Rng walk_rng = context.rng.split(streams::kWalk);
   std::vector<tangle::TxIndex> candidates;
   if (config_.use_biased_walk) {
-    LocalLossCache cache =
-        context.eval != nullptr
-            ? LocalLossCache(*context.eval, context.store, prepared,
-                             context.kernel_pool)
-            : LocalLossCache(context.store, context.factory, validation);
+    LocalLossCache cache(context.eval, context.store, prepared,
+                         context.kernel_pool);
     const BiasedWalkConfig walk_config{config_.tip_selection.alpha,
                                        config_.walk_loss_beta};
-    candidates = context.cones
-                     ? biased_select_tips(context.view, *context.cones,
-                                          sample_size, cache, walk_rng,
-                                          walk_config)
-                     : biased_select_tips(context.view, sample_size, cache,
-                                          walk_rng, walk_config);
+    candidates = biased_select_tips(context.view, context.cones, sample_size,
+                                    cache, walk_rng, walk_config);
   } else {
-    candidates = context.cones
-                     ? tangle::select_tips(*context.cones, sample_size,
-                                           walk_rng, config_.tip_selection)
-                     : tangle::select_tips(context.view, sample_size, walk_rng,
-                                           config_.tip_selection);
+    candidates = tangle::select_tips(context.cones, sample_size, walk_rng,
+                                     config_.tip_selection);
   }
 
-  if (sample_size == num_tips || validation.empty()) {
+  if (sample_size == num_tips || prepared == nullptr) {
     candidates.resize(num_tips);
     return candidates;
   }
@@ -151,35 +128,22 @@ std::vector<tangle::TxIndex> HonestNode::choose_parents(
   distinct.erase(std::unique(distinct.begin(), distinct.end()),
                  distinct.end());
 
+  // One batched group scores every distinct candidate: cache hits resolve up
+  // front and the misses share input packs in the engine's fused pass.
+  std::vector<tangle::PayloadId> payloads;
+  payloads.reserve(distinct.size());
+  for (const tangle::TxIndex tip : distinct) {
+    payloads.push_back(context.view.tangle().transaction(tip).payload);
+  }
+  const std::vector<EvalOutcome> outcomes = context.eval.payloads_eval_many(
+      context.store, payloads, *prepared, context.kernel_pool);
   std::vector<std::pair<double, tangle::TxIndex>> scored;
   scored.reserve(distinct.size());
-  if (prepared != nullptr) {
-    // One batched group scores every distinct candidate: cache hits resolve
-    // up front and the misses share input packs in the engine's fused pass.
-    std::vector<tangle::PayloadId> payloads;
-    payloads.reserve(distinct.size());
-    for (const tangle::TxIndex tip : distinct) {
-      payloads.push_back(context.view.tangle().transaction(tip).payload);
-    }
-    const std::vector<EvalOutcome> outcomes = context.eval->payloads_eval_many(
-        context.store, payloads, *prepared, context.kernel_pool);
-    for (std::size_t i = 0; i < distinct.size(); ++i) {
-      candidate_probe_counter().increment();
-      if (!outcomes[i].cache_hit) candidate_eval_counter().increment();
-      candidate_loss_histogram().record(outcomes[i].result.loss);
-      scored.emplace_back(outcomes[i].result.loss, distinct[i]);
-    }
-  } else {
-    for (const tangle::TxIndex tip : distinct) {
-      const tangle::PayloadId payload =
-          context.view.tangle().transaction(tip).payload;
-      candidate_probe_counter().increment();
-      const double loss = params_loss(context.factory,
-                                      context.store.get(payload), validation);
-      candidate_eval_counter().increment();
-      candidate_loss_histogram().record(loss);
-      scored.emplace_back(loss, tip);
-    }
+  for (std::size_t i = 0; i < distinct.size(); ++i) {
+    candidate_probe_counter().increment();
+    if (!outcomes[i].cache_hit) candidate_eval_counter().increment();
+    candidate_loss_histogram().record(outcomes[i].result.loss);
+    scored.emplace_back(outcomes[i].result.loss, distinct[i]);
   }
   std::sort(scored.begin(), scored.end());
 
@@ -205,28 +169,24 @@ std::optional<PublishRequest> HonestNode::step(NodeContext& context,
   // users without one so tiny users can still participate.
   const data::DataSplit& validation =
       user.test.empty() ? user.train : user.test;
-  // Batch the validation split once; every loss probe of this step (walk
-  // bias, candidate scoring, publish gate) reuses the gathered tensors.
-  std::shared_ptr<const BatchedSplit> prepared;
-  if (context.eval != nullptr && !validation.empty()) {
-    prepared = context.eval->prepare(validation);
-  }
+  // Batch the validation split once (never empty: `train` is not); every
+  // loss probe of this step (walk bias, candidate scoring, publish gate)
+  // reuses the gathered tensors.
+  const std::shared_ptr<const BatchedSplit> prepared =
+      context.eval.prepare(validation);
 
   // w_r <- ChooseReferenceWeights(G)
   Rng reference_rng = context.rng.split(streams::kReference);
   ReferenceResult reference = [&] {
     obs::TraceScope span("node.choose_reference", &reference_timing());
-    return context.cones
-               ? choose_reference(context.view, context.store, *context.cones,
-                                  reference_rng, config_.reference)
-               : choose_reference(context.view, context.store, reference_rng,
-                                  config_.reference);
+    return choose_reference(context.view, context.store, context.cones,
+                            reference_rng, config_.reference);
   }();
 
   // (w_1, .., w_n) <- TipSelection(G); w_avg <- mean
   const std::vector<tangle::TxIndex> parents = [&] {
     obs::TraceScope span("node.tip_selection", &tip_selection_timing());
-    return choose_parents(context, validation, prepared);
+    return choose_parents(context, prepared);
   }();
   std::vector<const nn::ParamVector*> parent_params;
   parent_params.reserve(parents.size());
@@ -257,31 +217,20 @@ std::optional<PublishRequest> HonestNode::step(NodeContext& context,
   if (config_.quantize_payloads) {
     outgoing = nn::quantize_roundtrip(outgoing);
   }
-  if (config_.use_dp || config_.quantize_payloads) {
-    model.set_parameters(outgoing);
-  }
 
   // if ValidationLoss(w_new) < ValidationLoss(w_r): Broadcast(w_new)
   obs::TraceScope validate_span("node.validate", &validate_timing());
-  double new_loss = 0.0;
-  double reference_loss = 0.0;
-  if (prepared != nullptr) {
-    // One group fuses the publish gate's two forwards. The freshly trained
-    // parameters have no payload identity yet — keyless, so uncached
-    // (`outgoing` is exactly what the model holds, transformed or not). The
-    // reference average is identified by its ordered payload list, so its
-    // loss caches across steps and rounds.
-    const std::array<EvalRequest, 2> requests{
-        EvalRequest{outgoing, std::nullopt},
-        EvalRequest{reference.params, ParamsKey{reference.payloads}}};
-    const std::vector<EvalOutcome> outcomes =
-        context.eval->evaluate_many(requests, *prepared, context.kernel_pool);
-    new_loss = outcomes[0].result.loss;
-    reference_loss = outcomes[1].result.loss;
-  } else {
-    new_loss = data::evaluate(model, validation).loss;
-    reference_loss = params_loss(context.factory, reference.params, validation);
-  }
+  // One group fuses the publish gate's two forwards. The outgoing
+  // parameters have no payload identity yet — keyless, so uncached. The
+  // reference average is identified by its ordered payload list, so its
+  // loss caches across steps and rounds.
+  const std::array<EvalRequest, 2> requests{
+      EvalRequest{outgoing, std::nullopt},
+      EvalRequest{reference.params, ParamsKey{reference.payloads}}};
+  const std::vector<EvalOutcome> outcomes =
+      context.eval.evaluate_many(requests, *prepared, context.kernel_pool);
+  const double new_loss = outcomes[0].result.loss;
+  const double reference_loss = outcomes[1].result.loss;
   if (new_loss >= reference_loss) {
     suppressed_no_improvement_counter().increment();
     return std::nullopt;
@@ -299,11 +248,7 @@ std::optional<PublishRequest> RandomPoisonNode::step(
   Rng walk_rng = context.rng.split(streams::kWalk);
   const std::size_t tips = std::max<std::size_t>(1, config_.num_tips);
   std::vector<tangle::TxIndex> parents =
-      context.cones
-          ? tangle::select_tips(*context.cones, tips, walk_rng,
-                                config_.tip_selection)
-          : tangle::select_tips(context.view, tips, walk_rng,
-                                config_.tip_selection);
+      tangle::select_tips(context.cones, tips, walk_rng, config_.tip_selection);
 
   nn::Model model = context.factory();
   nn::ParamVector params(model.parameter_count());
@@ -321,11 +266,7 @@ std::optional<PublishRequest> BackdoorNode::step(
   Rng walk_rng = context.rng.split(streams::kWalk);
   const std::size_t tips = std::max<std::size_t>(1, config_.num_tips);
   std::vector<tangle::TxIndex> parents =
-      context.cones
-          ? tangle::select_tips(*context.cones, tips, walk_rng,
-                                config_.tip_selection)
-          : tangle::select_tips(context.view, tips, walk_rng,
-                                config_.tip_selection);
+      tangle::select_tips(context.cones, tips, walk_rng, config_.tip_selection);
   std::vector<const nn::ParamVector*> parent_params;
   parent_params.reserve(parents.size());
   for (const tangle::TxIndex p : parents) {

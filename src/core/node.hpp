@@ -62,25 +62,24 @@ struct PublishRequest {
 };
 
 /// Read-only view of the world a node sees during its training round, plus
-/// its private random stream.
+/// its private random stream. Borrows everything; the caller keeps the
+/// referents alive for the step.
 struct NodeContext {
   const tangle::TangleView& view;
+  // Shared per-view cone cache entry for `view` (see tangle/view_cache.hpp):
+  // every walk, confidence and rating query of the step reads it.
+  const tangle::ViewCacheEntry& cones;
   const tangle::ModelStore& store;
   const nn::ModelFactory& factory;
+  // Shared evaluation engine (core/eval_engine.hpp): every loss probe of
+  // the step goes through it.
+  EvalEngine& eval;
   std::uint64_t round = 0;
   Rng rng;
-  // Shared per-view cone cache entry for `view` (see tangle/view_cache.hpp).
-  // Null means the node computes its own cones — results are bit-identical
-  // either way; the entry only removes redundant recomputation.
-  std::shared_ptr<const tangle::ViewCacheEntry> cones{};
   // Optional intra-node pool for local-training kernels. Row-partitioned,
   // so the published parameters are bit-identical for any pool size. Not
   // owned; null trains serially.
   ThreadPool* kernel_pool = nullptr;
-  // Shared evaluation engine (core/eval_engine.hpp). Null routes every loss
-  // probe through the legacy factory()-per-probe path; results are
-  // bit-identical either way. Not owned; must outlive the step.
-  EvalEngine* eval = nullptr;
 };
 
 class NodeBehavior {
@@ -112,10 +111,10 @@ class HonestNode final : public NodeBehavior {
                                               const data::DataSplit& validation);
 
  private:
-  /// Same, probing candidate losses through `prepared` (the engine-batched
-  /// form of `validation`) when the context carries an eval engine.
+  /// Same, probing candidate losses through `prepared`, the engine-batched
+  /// validation split (null when the split is empty).
   std::vector<tangle::TxIndex> choose_parents(
-      NodeContext& context, const data::DataSplit& validation,
+      NodeContext& context,
       const std::shared_ptr<const BatchedSplit>& prepared);
 
   NodeConfig config_;

@@ -35,13 +35,14 @@ std::vector<tangle::TxIndex> top_priority_indices(
   return indices;
 }
 
-namespace {
-
-ReferenceResult choose_reference_impl(const tangle::TangleView& view,
-                                      const tangle::ModelStore& store,
-                                      std::vector<double> confidences,
-                                      std::vector<double> ratings,
-                                      const ReferenceConfig& config) {
+ReferenceResult choose_reference(const tangle::TangleView& view,
+                                 const tangle::ModelStore& store,
+                                 const tangle::ViewCacheEntry& cones, Rng& rng,
+                                 const ReferenceConfig& config) {
+  assert(view.size() > 0);
+  const std::vector<double> confidences =
+      tangle::compute_confidences(view, cones, rng, config.confidence);
+  const std::vector<double> ratings = tangle::compute_ratings(cones);
   // Top-k over confidence * rating, exactly as in Algorithm 1. Ties (e.g.
   // the all-zero priorities right after genesis) resolve to the newest
   // transaction so early rounds track fresh training results.
@@ -72,28 +73,6 @@ ReferenceResult choose_reference_impl(const tangle::TangleView& view,
   }
   result.params = nn::average_params(payloads);
   return result;
-}
-
-}  // namespace
-
-ReferenceResult choose_reference(const tangle::TangleView& view,
-                                 const tangle::ModelStore& store, Rng& rng,
-                                 const ReferenceConfig& config) {
-  assert(view.size() > 0);
-  return choose_reference_impl(
-      view, store, tangle::compute_confidences(view, rng, config.confidence),
-      tangle::compute_ratings(view), config);
-}
-
-ReferenceResult choose_reference(const tangle::TangleView& view,
-                                 const tangle::ModelStore& store,
-                                 const tangle::ViewCacheEntry& cones, Rng& rng,
-                                 const ReferenceConfig& config) {
-  assert(view.size() > 0);
-  return choose_reference_impl(
-      view, store,
-      tangle::compute_confidences(view, cones, rng, config.confidence),
-      tangle::compute_ratings(cones), config);
 }
 
 }  // namespace tanglefl::core

@@ -39,15 +39,10 @@ struct ReferenceResult {
 std::vector<tangle::TxIndex> top_priority_indices(
     std::span<const double> priorities, std::size_t take);
 
-/// Runs Algorithm 1 over `view`. The view always contains at least the
-/// genesis transaction, so a result always exists.
-ReferenceResult choose_reference(const tangle::TangleView& view,
-                                 const tangle::ModelStore& store, Rng& rng,
-                                 const ReferenceConfig& config);
-
-/// Same, scoring against a shared cone cache entry instead of recomputing
-/// the view's cones (see tangle/view_cache.hpp). Bit-identical to the
-/// direct overload for the same RNG state.
+/// Runs Algorithm 1 over `view`, scoring against the shared cone cache
+/// entry `cones` (see tangle/view_cache.hpp), which must describe exactly
+/// `view`. The view always contains at least the genesis transaction, so a
+/// result always exists.
 ReferenceResult choose_reference(const tangle::TangleView& view,
                                  const tangle::ModelStore& store,
                                  const tangle::ViewCacheEntry& cones, Rng& rng,

@@ -66,7 +66,7 @@ std::size_t TangleSimulation::run_round(std::uint64_t round) {
     SlotResult& result = results[slot];
     const std::size_t user_index = chosen[slot];
     result.malicious = attacking && core_.is_malicious(user_index);
-    NodeContext context = core_.node_context(view, cones, round, user_index);
+    NodeContext context = core_.node_context(view, *cones, round, user_index);
     result.publish = core_.step_node(context, user_index, result.malicious);
     // The whole codec step runs here in the lane: the delta base comes from
     // parents in the round's prefix view, which nothing mutates before the

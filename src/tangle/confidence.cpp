@@ -30,13 +30,11 @@ obs::Histogram& confidence_timing_histogram() {
   return hist;
 }
 
-/// Shared sampling loop: `sample_tip` runs one tip-selection walk. Both
-/// callers mark the sampled tip's past cone via the tangle's parent lists,
-/// so cached and direct paths hit the same transactions.
-template <typename SampleTip>
-std::vector<double> sample_confidences(const TangleView& view,
-                                       SampleTip&& sample_tip,
-                                       const ConfidenceConfig& config) {
+}  // namespace
+
+std::vector<double> compute_confidences(const TangleView& view,
+                                        const ViewCacheEntry& cones, Rng& rng,
+                                        const ConfidenceConfig& config) {
   obs::TraceScope span("tangle.compute_confidences",
                        &confidence_timing_histogram());
   confidence_run_counter().increment();
@@ -54,7 +52,7 @@ std::vector<double> sample_confidences(const TangleView& view,
   const TxIndex floor = view.tangle().prune_floor();
 
   for (std::size_t round = 0; round < config.sample_rounds; ++round) {
-    const TxIndex tip = sample_tip();
+    const TxIndex tip = random_walk_tip(cones, rng, config.tip_selection);
     // Mark the tip's entire (live) past cone as hit this round.
     std::fill(seen.begin(), seen.end(), false);
     stack.assign(1, tip);
@@ -86,38 +84,6 @@ std::vector<double> sample_confidences(const TangleView& view,
                       violations.empty() ? std::string{} : violations.front());
 #endif
   return confidence;
-}
-
-}  // namespace
-
-std::vector<double> compute_confidences(const TangleView& view, Rng& rng,
-                                        const ConfidenceConfig& config) {
-  if (view.size() == 0 || config.sample_rounds == 0) {
-    return sample_confidences(view, [] { return TxIndex{0}; }, config);
-  }
-  const std::vector<std::uint32_t> future_cones = view.future_cone_sizes();
-  return sample_confidences(
-      view,
-      [&] { return random_walk_tip(view, future_cones, rng,
-                                   config.tip_selection); },
-      config);
-}
-
-std::vector<double> compute_confidences(const TangleView& view,
-                                        const ViewCacheEntry& cones, Rng& rng,
-                                        const ConfidenceConfig& config) {
-  return sample_confidences(
-      view, [&] { return random_walk_tip(cones, rng, config.tip_selection); },
-      config);
-}
-
-std::vector<double> compute_ratings(const TangleView& view) {
-  const std::vector<std::uint32_t> past = view.past_cone_sizes();
-  std::vector<double> ratings(past.size());
-  for (std::size_t i = 0; i < past.size(); ++i) {
-    ratings[i] = static_cast<double>(past[i]);
-  }
-  return ratings;
 }
 
 std::vector<double> compute_ratings(const ViewCacheEntry& cones) {

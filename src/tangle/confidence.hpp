@@ -20,24 +20,17 @@ struct ConfidenceConfig {
 
 class ViewCacheEntry;
 
-/// Per-transaction confidence over `view`, indexed by TxIndex.
-std::vector<double> compute_confidences(const TangleView& view, Rng& rng,
-                                        const ConfidenceConfig& config);
-
-/// Same, sampling walks over a shared cone cache entry instead of
-/// recomputing the view's future cones (see tangle/view_cache.hpp).
-/// Bit-identical to the direct overload for the same RNG state.
+/// Per-transaction confidence over `view`, indexed by TxIndex. The walks
+/// run over `cones`, which must describe exactly `view`.
 std::vector<double> compute_confidences(const TangleView& view,
                                         const ViewCacheEntry& cones, Rng& rng,
                                         const ConfidenceConfig& config);
 
 /// Per-transaction rating (Section III-A): the number of transactions each
-/// one directly or indirectly approves. In IOTA transactions may contribute
-/// in different degrees depending on proof-of-work hardness; here all
-/// transactions contribute equally, matching the paper's prototype.
-std::vector<double> compute_ratings(const TangleView& view);
-
-/// Same, from a shared cone cache entry's past cones.
+/// one directly or indirectly approves — the entry's past cone sizes. In
+/// IOTA transactions may contribute in different degrees depending on
+/// proof-of-work hardness; here all transactions contribute equally,
+/// matching the paper's prototype.
 std::vector<double> compute_ratings(const ViewCacheEntry& cones);
 
 }  // namespace tanglefl::tangle

@@ -66,7 +66,7 @@ double nearest_rank(const std::vector<std::uint32_t>& sorted, double q) {
 HealthTracker::HealthTracker(HealthConfig config) : config_(config) {}
 
 HealthSample HealthTracker::sample(const TangleView& view,
-                                   const ViewCacheEntry* cones,
+                                   const ViewCacheEntry& cones,
                                    std::uint64_t now, Rng& rng) {
   const Tangle& tangle = view.tangle();
   const std::size_t n = view.size();
@@ -89,20 +89,10 @@ HealthSample HealthTracker::sample(const TangleView& view,
     if (!view.contains(i)) continue;
     bool approved = false;
     TxIndex first_approver = 0;
-    if (cones != nullptr) {
-      const auto approvers = cones->approvers(i);
-      for (const TxIndex a : approvers) {
-        if (!approved) first_approver = a;
-        approved = true;
-        depths[i] = std::max(depths[i], depths[a] + 1);
-      }
-    } else {
-      for (const TxIndex a : tangle.approvers(i)) {
-        if (!view.contains(a)) continue;
-        if (!approved) first_approver = a;
-        approved = true;
-        depths[i] = std::max(depths[i], depths[a] + 1);
-      }
+    for (const TxIndex a : cones.approvers(i)) {
+      if (!approved) first_approver = a;
+      approved = true;
+      depths[i] = std::max(depths[i], depths[a] + 1);
     }
 
     if (i != tangle.genesis()) {
@@ -149,9 +139,7 @@ HealthSample HealthTracker::sample(const TangleView& view,
 
   if (config_.track_confirmation) {
     const std::vector<double> confidences =
-        cones != nullptr
-            ? compute_confidences(view, *cones, rng, config_.confidence)
-            : compute_confidences(view, rng, config_.confidence);
+        compute_confidences(view, cones, rng, config_.confidence);
     for (TxIndex i = 1; i < n; ++i) {
       if (!view.contains(i) || confirmed_[i]) continue;
       if (confidences[i] >= config_.confirmation_threshold) {

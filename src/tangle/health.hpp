@@ -65,11 +65,10 @@ class HealthTracker {
  public:
   explicit HealthTracker(HealthConfig config);
 
-  /// Probes `view` at time `now`. `cones` may be null (gossip / uncached
-  /// paths); when present it must describe exactly `view`. `rng` drives the
-  /// confirmation confidence walks and must come from a dedicated stream so
-  /// probing never perturbs simulation randomness.
-  HealthSample sample(const TangleView& view, const ViewCacheEntry* cones,
+  /// Probes `view` at time `now`; `cones` must describe exactly `view`.
+  /// `rng` drives the confirmation confidence walks and must come from a
+  /// dedicated stream so probing never perturbs simulation randomness.
+  HealthSample sample(const TangleView& view, const ViewCacheEntry& cones,
                       std::uint64_t now, Rng& rng);
 
   const HealthConfig& config() const noexcept { return config_; }

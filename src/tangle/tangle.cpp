@@ -28,21 +28,6 @@ obs::Histogram& approval_depth_histogram() {
   return hist;
 }
 
-// Cumulative-weight recomputation is the O(n^2/64) hot spot of tip
-// selection and confidence; count invocations and (timing-only) wall cost.
-obs::Counter& cone_recompute_counter() {
-  static obs::Counter& counter =
-      obs::MetricsRegistry::global().counter("tangle.cone_recompute.count");
-  return counter;
-}
-
-obs::Histogram& cone_recompute_timing_histogram() {
-  static obs::Histogram& hist = obs::MetricsRegistry::global().histogram(
-      "tangle.cone_recompute_us", obs::BucketLayout::exponential(4.0, 4.0, 12),
-      /*timing=*/true);
-  return hist;
-}
-
 // Re-audits the whole structure after a mutation when the build opts into
 // debug checks; compiles to nothing otherwise. Kept out of line so the
 // mutation paths stay readable.
@@ -136,9 +121,6 @@ std::vector<TxIndex> TangleView::approvers(TxIndex index) const {
 }
 
 std::vector<std::uint32_t> TangleView::past_cone_sizes() const {
-  obs::TraceScope span("tangle.past_cone_sizes",
-                       &cone_recompute_timing_histogram());
-  cone_recompute_counter().increment();
   BitMatrix reach(count_);
   std::vector<std::uint32_t> sizes(count_, 0);
   // Parents always precede children in insertion order, so one ascending
@@ -157,9 +139,6 @@ std::vector<std::uint32_t> TangleView::past_cone_sizes() const {
 }
 
 std::vector<std::uint32_t> TangleView::future_cone_sizes() const {
-  obs::TraceScope span("tangle.future_cone_sizes",
-                       &cone_recompute_timing_histogram());
-  cone_recompute_counter().increment();
   BitMatrix reach(count_);
   std::vector<std::uint32_t> sizes(count_, 0);
   for (TxIndex ii = count_; ii > 0; --ii) {

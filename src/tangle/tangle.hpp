@@ -63,7 +63,10 @@ class TangleView {
   std::vector<TxIndex> approvers(TxIndex index) const;
 
   /// Number of transactions each transaction directly or indirectly
-  /// approves (excluding itself), indexed by TxIndex.
+  /// approves (excluding itself), indexed by TxIndex. One BitMatrix pass;
+  /// consensus queries read cones from a ViewCacheEntry instead, so this
+  /// and future_cone_sizes() serve the invariant audit and the tests as
+  /// an independent reference.
   std::vector<std::uint32_t> past_cone_sizes() const;
 
   /// Number of transactions directly or indirectly approving each

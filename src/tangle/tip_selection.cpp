@@ -37,24 +37,29 @@ obs::Counter& uniform_counter() {
   return counter;
 }
 
-/// Core MCMC walk, shared by the allocation-free cached path and the
-/// direct TangleView path. `approvers_of(index)` must yield the in-view
-/// approvers of `index` in ascending order — both providers do, so the two
-/// paths consume the RNG identically and return identical tips.
-template <typename ApproversFn>
-TxIndex walk_to_tip(TxIndex start, std::span<const std::uint32_t> future_cones,
-                    ApproversFn&& approvers_of, Rng& rng,
-                    const TipSelectionConfig& config) {
+/// Uniform draw from a precomputed tip set (URTS hot path).
+TxIndex uniform_from(std::span<const TxIndex> tips, Rng& rng) {
+  uniform_counter().increment();
+  if (tips.empty()) return 0;  // genesis
+  return tips[rng.uniform_index(tips.size())];
+}
+
+}  // namespace
+
+TxIndex random_walk_tip(const ViewCacheEntry& cones, Rng& rng,
+                        const TipSelectionConfig& config) {
   walk_counter().increment();
   // The prune frontier when milestone pruning is active (the milestone is
   // in the past cone of every tip, so rooting here reaches the same tip
   // set); index 0 == Tangle::genesis() otherwise.
-  TxIndex current = start;
+  const std::span<const std::uint32_t> future_cones =
+      cones.future_cone_sizes();
+  TxIndex current = cones.root();
   std::vector<double> weights;
   std::uint64_t steps = 0;
   std::uint64_t branch_steps = 0;
   for (;;) {
-    const auto approvers = approvers_of(current);
+    const std::span<const TxIndex> approvers = cones.approvers(current);
     if (approvers.empty()) {
       // reached a tip
       walk_length_histogram().record(static_cast<double>(steps));
@@ -80,54 +85,6 @@ TxIndex walk_to_tip(TxIndex start, std::span<const std::uint32_t> future_cones,
     }
     current = approvers[rng.weighted_choice(weights)];
   }
-}
-
-/// Uniform draw from a precomputed tip set (URTS hot path).
-template <typename Tips>
-TxIndex uniform_from(const Tips& tips, Rng& rng) {
-  uniform_counter().increment();
-  if (tips.empty()) return 0;  // genesis
-  return tips[rng.uniform_index(tips.size())];
-}
-
-}  // namespace
-
-TxIndex random_walk_tip(const TangleView& view,
-                        std::span<const std::uint32_t> future_cones, Rng& rng,
-                        const TipSelectionConfig& config) {
-  return walk_to_tip(
-      view.tangle().prune_floor(), future_cones,
-      [&view](TxIndex i) { return view.approvers(i); }, rng, config);
-}
-
-TxIndex random_walk_tip(const ViewCacheEntry& cones, Rng& rng,
-                        const TipSelectionConfig& config) {
-  return walk_to_tip(
-      cones.root(), cones.future_cone_sizes(),
-      [&cones](TxIndex i) { return cones.approvers(i); }, rng, config);
-}
-
-TxIndex uniform_random_tip(const TangleView& view, Rng& rng) {
-  return uniform_from(view.tips(), rng);
-}
-
-std::vector<TxIndex> select_tips(const TangleView& view, std::size_t count,
-                                 Rng& rng, const TipSelectionConfig& config) {
-  std::vector<TxIndex> tips;
-  tips.reserve(count);
-  if (config.method == TipSelectionMethod::kUniform) {
-    // One O(n * deg) tip scan per call, not per draw.
-    const std::vector<TxIndex> tip_set = view.tips();
-    for (std::size_t i = 0; i < count; ++i) {
-      tips.push_back(uniform_from(tip_set, rng));
-    }
-    return tips;
-  }
-  const std::vector<std::uint32_t> future_cones = view.future_cone_sizes();
-  for (std::size_t i = 0; i < count; ++i) {
-    tips.push_back(random_walk_tip(view, future_cones, rng, config));
-  }
-  return tips;
 }
 
 std::vector<TxIndex> select_tips(const ViewCacheEntry& cones,

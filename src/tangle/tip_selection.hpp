@@ -8,7 +8,9 @@
 // large alpha to a deterministic heaviest-subtangle descent.
 //
 // As in the paper's prototype, walks always start at genesis rather than at
-// a depth-windowed particle (Section IV).
+// a depth-windowed particle (Section IV). Walks run over a prebuilt cone
+// cache entry (tangle/view_cache.hpp), which carries the cumulative
+// weights, tip set and approver lists of one view.
 #pragma once
 
 #include <vector>
@@ -30,33 +32,16 @@ struct TipSelectionConfig {
   double alpha = 0.01;  // walk bias towards heavier branches
 };
 
-/// Uniformly random member of view.tips() — URTS. Cheap but offers no
-/// protection against lazy/parasite chains, which is why IOTA (and the
-/// paper) use the weighted walk; exposed for comparison experiments.
-TxIndex uniform_random_tip(const TangleView& view, Rng& rng);
-
-/// One weighted random walk over `view`; returns the reached tip.
-/// `future_cones` must be view.future_cone_sizes() (passed in so repeated
-/// walks over the same view share the computation).
-TxIndex random_walk_tip(const TangleView& view,
-                        std::span<const std::uint32_t> future_cones, Rng& rng,
-                        const TipSelectionConfig& config);
-
-/// Allocation-free walk over a prebuilt cone cache entry (see
-/// tangle/view_cache.hpp). Consumes the RNG identically to the TangleView
-/// overload, so cached and direct runs are bit-identical.
+/// One weighted random walk over the view `cones` describes, from its root
+/// (the prune frontier, or the genesis); returns the reached tip.
+/// Allocation-free apart from the per-walk weight buffer.
 TxIndex random_walk_tip(const ViewCacheEntry& cones, Rng& rng,
                         const TipSelectionConfig& config);
 
 /// Runs `count` independent walks and returns the reached tips (duplicates
 /// possible — two walks may end at the same tip, and the paper allows the
-/// two chosen tips to coincide). Under kUniform the tip set is scanned
-/// once per call, not once per draw.
-std::vector<TxIndex> select_tips(const TangleView& view, std::size_t count,
-                                 Rng& rng, const TipSelectionConfig& config);
-
-/// Same, over a shared cone cache entry (no per-call cone recompute or tip
-/// scan).
+/// two chosen tips to coincide). Under kUniform each draw is a uniform
+/// member of the entry's tip set.
 std::vector<TxIndex> select_tips(const ViewCacheEntry& cones,
                                  std::size_t count, Rng& rng,
                                  const TipSelectionConfig& config);

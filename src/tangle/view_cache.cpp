@@ -31,9 +31,8 @@ obs::Counter& eviction_counter() {
   return counter;
 }
 
-// An entry build performs one past- and one future-cone pass; it feeds the
-// same counter TangleView::{past,future}_cone_sizes() use, so the PR-2
-// metric keeps meaning "full cone recomputations" across both paths.
+// An entry build performs one past- and one future-cone pass and counts
+// both here, so the counter means "full ViewCacheEntry builds" x 2.
 obs::Counter& cone_recompute_counter() {
   static obs::Counter& counter =
       obs::MetricsRegistry::global().counter("tangle.cone_recompute.count");
@@ -312,8 +311,7 @@ std::shared_ptr<const ViewCacheEntry> ViewCache::get(const TangleView& view,
     // full-ledger eval) fall back to the full BitMatrix build — the state
     // only ever moves forward, so a later growing request resumes the
     // delta path where it left off.
-    if (incremental_ && mask_words.empty() &&
-        cone_state_.processed() <= view.size()) {
+    if (mask_words.empty() && cone_state_.processed() <= view.size()) {
       slot.entry = ViewCacheEntry::build_incremental(view, cone_state_);
     } else {
       slot.entry = ViewCacheEntry::build(view, pool);

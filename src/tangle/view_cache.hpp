@@ -128,12 +128,10 @@ class ViewCacheEntry {
 /// round. One instance per engine (and per Tangle).
 class ViewCache {
  public:
-  /// `incremental` enables the delta build path (ViewCacheEntry::
-  /// build_incremental) for monotonically growing prefix views; masked and
-  /// shrinking views always fall back to the full BitMatrix build. Off, the
-  /// cache behaves exactly as before (every miss is a full build).
-  explicit ViewCache(std::size_t capacity = 8, bool incremental = true)
-      : capacity_(capacity), incremental_(incremental) {}
+  /// Misses on monotonically growing prefix views take the delta build
+  /// (ViewCacheEntry::build_incremental); masked and shrinking views fall
+  /// back to the full BitMatrix build.
+  explicit ViewCache(std::size_t capacity = 8) : capacity_(capacity) {}
 
   /// Returns the entry for `view`, building it on a miss. Hits and misses
   /// are counted in the tangle.view_cache.{hit,miss} metrics.
@@ -182,7 +180,6 @@ class ViewCache {
   const Tangle* tangle_ TANGLEFL_GUARDED_BY(mutex_) = nullptr;
   IncrementalConeState cone_state_ TANGLEFL_GUARDED_BY(mutex_);
   const std::size_t capacity_;  // lint:allow(unannotated-guard) immutable
-  const bool incremental_;      // lint:allow(unannotated-guard) immutable
 };
 
 }  // namespace tanglefl::tangle

@@ -5,6 +5,7 @@
 #include "data/poison.hpp"
 #include "data/training.hpp"
 #include "nn/model_zoo.hpp"
+#include "tangle/view_cache.hpp"
 
 namespace tanglefl {
 namespace {
@@ -195,7 +196,8 @@ TEST(UniformTipSelection, ReturnsOnlyTips) {
   Rng rng(1);
   tangle::TipSelectionConfig config;
   config.method = tangle::TipSelectionMethod::kUniform;
-  const auto tips = tangle::select_tips(tangle.view(), 100, rng, config);
+  const auto tips = tangle::select_tips(
+      *tangle::ViewCacheEntry::build(tangle.view()), 100, rng, config);
   const auto tip_set = tangle.view().tips();
   std::vector<int> hits(tangle.size(), 0);
   for (const auto t : tips) {

@@ -5,6 +5,7 @@
 #include "core/node.hpp"
 #include "data/femnist_synth.hpp"
 #include "nn/model_zoo.hpp"
+#include "node_harness.hpp"
 
 namespace tanglefl::core {
 namespace {
@@ -16,6 +17,7 @@ struct Fixture {
   tangle::ModelStore store;
   tangle::Tangle tangle;
   data::DataSplit validation;
+  NodeHarness harness{store, factory};
 
   Fixture() : tangle(make_genesis(store, factory)) {
     validation.features = nn::Tensor({8, 2});
@@ -63,12 +65,27 @@ struct Fixture {
     const auto added = store.add(std::move(params));
     return tangle.add_transaction(parents, added.id, added.hash, round);
   }
+
+  /// Loss cache probing `split` through the harness's eval engine.
+  LocalLossCache loss_cache(const data::DataSplit& split) {
+    return LocalLossCache(harness.eval(), store,
+                          split.empty() ? nullptr
+                                        : harness.eval().prepare(split));
+  }
+
+  /// `count` biased walks over the whole ledger.
+  std::vector<tangle::TxIndex> walk(std::size_t count, LocalLossCache& cache,
+                                    Rng& rng, const BiasedWalkConfig& config) {
+    const tangle::TangleView view = tangle.view();
+    return biased_select_tips(view, *tangle::ViewCacheEntry::build(view),
+                              count, cache, rng, config);
+  }
 };
 
 TEST(LocalLossCache, MemoizesEvaluations) {
   Fixture f;
   const tangle::TxIndex a = f.add({0}, f.good_params(), 1);
-  LocalLossCache cache(f.store, f.factory, f.validation);
+  LocalLossCache cache = f.loss_cache(f.validation);
   const tangle::TangleView view = f.tangle.view();
   const double first = cache.loss(view, a);
   const double second = cache.loss(view, a);
@@ -80,7 +97,7 @@ TEST(LocalLossCache, GoodModelScoresLower) {
   Fixture f;
   const tangle::TxIndex good = f.add({0}, f.good_params(), 1);
   const tangle::TxIndex bad = f.add({0}, f.bad_params(), 1);
-  LocalLossCache cache(f.store, f.factory, f.validation);
+  LocalLossCache cache = f.loss_cache(f.validation);
   const tangle::TangleView view = f.tangle.view();
   EXPECT_LT(cache.loss(view, good), cache.loss(view, bad));
 }
@@ -89,7 +106,7 @@ TEST(LocalLossCache, EmptyValidationIsZero) {
   Fixture f;
   const tangle::TxIndex a = f.add({0}, f.bad_params(), 1);
   const data::DataSplit empty;
-  LocalLossCache cache(f.store, f.factory, empty);
+  LocalLossCache cache = f.loss_cache(empty);
   EXPECT_DOUBLE_EQ(cache.loss(f.tangle.view(), a), 0.0);
   EXPECT_EQ(cache.evaluations(), 0u);
 }
@@ -100,14 +117,13 @@ TEST(BiasedWalk, StrongBiasPrefersFittingBranch) {
   const tangle::TxIndex bad = f.add({0}, f.bad_params(), 1);
   (void)bad;
 
-  LocalLossCache cache(f.store, f.factory, f.validation);
+  LocalLossCache cache = f.loss_cache(f.validation);
   Rng rng(5);
   BiasedWalkConfig config;
   config.alpha = 0.0;
   config.beta = 10.0;
   int good_hits = 0;
-  const auto tips =
-      biased_select_tips(f.tangle.view(), 200, cache, rng, config);
+  const auto tips = f.walk(200, cache, rng, config);
   for (const tangle::TxIndex t : tips) {
     if (t == good) ++good_hits;
   }
@@ -119,14 +135,13 @@ TEST(BiasedWalk, ZeroBetaMatchesStructuralWalkDistribution) {
   f.add({0}, f.good_params(), 1);
   f.add({0}, f.bad_params(), 1);
 
-  LocalLossCache cache(f.store, f.factory, f.validation);
+  LocalLossCache cache = f.loss_cache(f.validation);
   Rng rng(6);
   BiasedWalkConfig config;
   config.alpha = 0.0;
   config.beta = 0.0;
   int first_hits = 0;
-  const auto tips =
-      biased_select_tips(f.tangle.view(), 600, cache, rng, config);
+  const auto tips = f.walk(600, cache, rng, config);
   for (const tangle::TxIndex t : tips) {
     if (t == 1) ++first_hits;
   }
@@ -142,11 +157,10 @@ TEST(BiasedWalk, ReachesTipsOnly) {
   f.add({a}, f.bad_params(), 2);
   f.add({a}, f.good_params(), 2);
 
-  LocalLossCache cache(f.store, f.factory, f.validation);
+  LocalLossCache cache = f.loss_cache(f.validation);
   Rng rng(7);
   const auto tip_set = f.tangle.view().tips();
-  const auto tips =
-      biased_select_tips(f.tangle.view(), 50, cache, rng, {0.0, 2.0});
+  const auto tips = f.walk(50, cache, rng, {0.0, 2.0});
   for (const tangle::TxIndex t : tips) {
     EXPECT_TRUE(std::find(tip_set.begin(), tip_set.end(), t) !=
                 tip_set.end());
@@ -174,7 +188,7 @@ TEST(BiasedWalk, NodeConfigIntegration) {
 
   HonestNode node(config);
   const tangle::TangleView view = f.tangle.view();
-  NodeContext context{view, f.store, f.factory, 2, Rng(9)};
+  NodeContext context = f.harness.context(view, 2, 9);
   const auto publish = node.step(context, user);
   ASSERT_TRUE(publish.has_value());
 }

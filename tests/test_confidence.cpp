@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "tangle/model_store.hpp"
+#include "tangle/view_cache.hpp"
 
 namespace tanglefl::tangle {
 namespace {
@@ -22,6 +23,18 @@ struct Fixture {
     const auto added = store.add({value});
     return tangle.add_transaction(parents, added.id, added.hash, round);
   }
+
+  /// Confidences over the whole ledger, walked over a fresh cone entry.
+  std::vector<double> confidences(Rng& rng,
+                                  const ConfidenceConfig& config) const {
+    const TangleView view = tangle.view();
+    return compute_confidences(view, *ViewCacheEntry::build(view), rng,
+                               config);
+  }
+
+  std::vector<double> ratings() const {
+    return compute_ratings(*ViewCacheEntry::build(tangle.view()));
+  }
 };
 
 TEST(Confidence, GenesisAlwaysFullConfidence) {
@@ -29,7 +42,7 @@ TEST(Confidence, GenesisAlwaysFullConfidence) {
   f.add({0}, 1.0f, 1);
   f.add({0}, 2.0f, 1);
   Rng rng(1);
-  const auto confidence = compute_confidences(f.tangle.view(), rng, {});
+  const auto confidence = f.confidences(rng, {});
   EXPECT_DOUBLE_EQ(confidence[0], 1.0);
 }
 
@@ -39,7 +52,7 @@ TEST(Confidence, ValuesInUnitInterval) {
   f.add({0}, 2.0f, 1);
   f.add({a}, 3.0f, 2);
   Rng rng(2);
-  const auto confidence = compute_confidences(f.tangle.view(), rng, {});
+  const auto confidence = f.confidences(rng, {});
   for (const double c : confidence) {
     EXPECT_GE(c, 0.0);
     EXPECT_LE(c, 1.0);
@@ -55,7 +68,7 @@ TEST(Confidence, TransactionApprovedByAllTipsHasFullConfidence) {
   Rng rng(3);
   ConfidenceConfig config;
   config.sample_rounds = 64;
-  const auto confidence = compute_confidences(f.tangle.view(), rng, config);
+  const auto confidence = f.confidences(rng, config);
   EXPECT_DOUBLE_EQ(confidence[mid], 1.0);
 }
 
@@ -67,7 +80,7 @@ TEST(Confidence, ForkSplitsConfidence) {
   ConfidenceConfig config;
   config.sample_rounds = 400;
   config.tip_selection.alpha = 0.0;
-  const auto confidence = compute_confidences(f.tangle.view(), rng, config);
+  const auto confidence = f.confidences(rng, config);
   EXPECT_NEAR(confidence[a], 0.5, 0.1);
   EXPECT_NEAR(confidence[b], 0.5, 0.1);
   EXPECT_NEAR(confidence[a] + confidence[b], 1.0, 1e-9);
@@ -79,7 +92,7 @@ TEST(Confidence, ZeroSampleRoundsGiveZeros) {
   Rng rng(5);
   ConfidenceConfig config;
   config.sample_rounds = 0;
-  const auto confidence = compute_confidences(f.tangle.view(), rng, config);
+  const auto confidence = f.confidences(rng, config);
   for (const double c : confidence) EXPECT_DOUBLE_EQ(c, 0.0);
 }
 
@@ -87,8 +100,7 @@ TEST(Confidence, DeterministicInRng) {
   Fixture f;
   for (int i = 0; i < 5; ++i) f.add({0}, static_cast<float>(i), 1);
   Rng rng_a(6), rng_b(6);
-  EXPECT_EQ(compute_confidences(f.tangle.view(), rng_a, {}),
-            compute_confidences(f.tangle.view(), rng_b, {}));
+  EXPECT_EQ(f.confidences(rng_a, {}), f.confidences(rng_b, {}));
 }
 
 TEST(Ratings, MatchPastConeSizes) {
@@ -96,7 +108,7 @@ TEST(Ratings, MatchPastConeSizes) {
   const TxIndex a = f.add({0}, 1.0f, 1);
   const TxIndex b = f.add({0}, 2.0f, 1);
   const TxIndex c = f.add({a, b}, 3.0f, 2);
-  const auto ratings = compute_ratings(f.tangle.view());
+  const auto ratings = f.ratings();
   EXPECT_DOUBLE_EQ(ratings[0], 0.0);
   EXPECT_DOUBLE_EQ(ratings[a], 1.0);
   EXPECT_DOUBLE_EQ(ratings[c], 3.0);
@@ -110,7 +122,7 @@ TEST(Ratings, AllTransactionsContributeEqually) {
   for (int i = 0; i < 6; ++i) {
     tip = f.add({tip}, static_cast<float>(i), static_cast<std::uint64_t>(i) + 1);
   }
-  const auto ratings = compute_ratings(f.tangle.view());
+  const auto ratings = f.ratings();
   EXPECT_DOUBLE_EQ(ratings[tip], 6.0);
 }
 

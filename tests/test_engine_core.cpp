@@ -61,8 +61,6 @@ void enable_services(Config& config, obs::Timeline& timeline) {
   config.timeline = &timeline;
 }
 
-constexpr const char* kDebugCheckCounter = "tangle.cone_recompute.count";
-
 struct Digests {
   std::string tx_ids;
   std::string history;
@@ -93,25 +91,14 @@ Digests digests(const tangle::Tangle& tangle, const RunResult& result,
                   r.ledger_bytes);
     history += line;
   }
-  // TANGLEFL_DEBUG_CHECKS builds (the asan/tsan presets) recompute cones
-  // to check the incremental state; those recomputes are the only counter
-  // they add, so it stays out of both digests.
   obs::MetricsSnapshot snapshot = obs::MetricsRegistry::global().snapshot(
       obs::SnapshotKind::kDeterministic);
-  std::erase_if(snapshot.counters, [](const auto& c) {
-    return c.value == 0 || c.name == kDebugCheckCounter;
-  });
+  std::erase_if(snapshot.counters, [](const auto& c) { return c.value == 0; });
   std::erase_if(snapshot.gauges, [](const auto& g) { return g.value == 0.0; });
   std::erase_if(snapshot.histograms,
                 [](const auto& h) { return h.count == 0; });
-  std::string rows = timeline.to_jsonl();
-  const std::string key = std::string(",\"") + kDebugCheckCounter + "\":";
-  for (auto at = rows.find(key); at != std::string::npos;
-       at = rows.find(key, at)) {
-    rows.erase(at, rows.find_first_of(",}", at + key.size()) - at);
-  }
   return {digest_of(ids), digest_of(history), digest_of(snapshot.to_json(0)),
-          digest_of(rows)};
+          digest_of(timeline.to_jsonl())};
 }
 
 void expect_digests(const Digests& actual, const Digests& golden) {
@@ -168,8 +155,8 @@ TEST(EngineCore, AsyncLabelFlipGoldenDigests) {
       digests(sim.tangle(), result, timeline),
       {"5693653de31e45b40bdeba5c5bcc80e1020a0ed8f9dce623d79381b2b6ba7f37",
        "2a90570db098f25add366db981e7e243bdca04ed938eb4c040ce4a36c12ec415",
-       "e688ae2d3c6098952d30a405cc4d8b2dcfa39d4f831bfebb9e58015a7fbb2c1c",
-       "40d636cf81457665179934f3eb2e4755014cb20d9a0496abb419d17c3860fb42"});
+       "9cb397205bb7057b08dff3e63a52fcaa8fee786dc416d1fa321bec8dfcbaf91e",
+       "d7e0b5e90694aa093bdf1396a2da52c7e04b3521d36797486d744bbeb3044fb0"});
 }
 
 TEST(EngineCore, GossipPullFailureGoldenDigests) {
@@ -192,8 +179,8 @@ TEST(EngineCore, GossipPullFailureGoldenDigests) {
       digests(sim.tangle(), result, timeline),
       {"f2de07a2910a7ff5753e503a16d36982b9024347d002510e4a50fb41054cdcc8",
        "7e248a46439d5a37a143d23d95c526afa4650f1b71050f2fbb5a25079c359e43",
-       "64308a3484e6453d0a9b31bb2d194a3ef9e7804f9b42d70ef9de769cae0878ca",
-       "6aaf9265c8d812ce87b8017b0e2e2a57c4c420d2ac1f257b1b2cb21c7e949528"});
+       "6dc3a1a0bf32d900f7c35a8ec36c03de16bc7f1fab6c479160bd5c8ba57cadd0",
+       "d4bc1b31c69ed0e2d6f8f28977b4e48d743d0c2b54aee3182b22e4f3dd8f2636"});
 }
 
 // Config validation: every engine rejects a bad value at construction with

@@ -1,7 +1,7 @@
 // Tests for the shared evaluation engine (core/eval_engine): content-keyed
-// split identity, bit-exact cached evaluation, model pooling under
-// concurrent probes, and end-to-end byte-identity of all three simulation
-// engines with the loss cache on versus off.
+// split identity, cached and fused evaluation bit-exact against
+// data::evaluate on a fresh model, model pooling under concurrent probes,
+// and end-to-end byte-identity of the simulation across thread counts.
 #include "core/eval_engine.hpp"
 
 #include <gtest/gtest.h>
@@ -17,6 +17,8 @@
 #include "core/simulation.hpp"
 #include "data/femnist_synth.hpp"
 #include "nn/model_zoo.hpp"
+#include "node_harness.hpp"
+#include "obs/metrics.hpp"
 #include "support/thread_pool.hpp"
 #include "tangle/model_store.hpp"
 
@@ -121,6 +123,8 @@ TEST(EvalEngine, PayloadEvalCachesAcrossProbesAndDedupedPayloads) {
   const auto other = engine.prepare(make_split(40, 14));
   EXPECT_FALSE(engine.payload_eval(store, first.id, *other).cache_hit);
   EXPECT_EQ(engine.cached_results(), 2u);
+  // Sequential probes reuse a single pooled instance.
+  EXPECT_EQ(engine.models_created(), 1u);
 }
 
 TEST(EvalEngine, ParamsEvalKeyedByOrderedPayloadList) {
@@ -154,26 +158,6 @@ TEST(EvalEngine, ParamsEvalKeyedByOrderedPayloadList) {
   const data::EvalResult direct = data::evaluate(model, split);
   EXPECT_EQ(hit.result.loss, direct.loss);
   EXPECT_EQ(hit.result.accuracy, direct.accuracy);
-}
-
-TEST(EvalEngine, CacheOffStillPoolsAndMatches) {
-  EvalEngineConfig config;
-  config.use_cache = false;
-  EvalEngine engine(mlp_factory(), config);
-  ModelStore store;
-  const auto added = store.add(random_params(mlp_factory(), 41));
-  const data::DataSplit split = make_split(40, 16);
-  const auto prepared = engine.prepare(split);
-
-  const EvalOutcome one = engine.payload_eval(store, added.id, *prepared);
-  const EvalOutcome two = engine.payload_eval(store, added.id, *prepared);
-  EXPECT_FALSE(one.cache_hit);
-  EXPECT_FALSE(two.cache_hit);
-  EXPECT_EQ(one.result.loss, two.result.loss);
-  EXPECT_EQ(engine.cached_results(), 0u);
-  EXPECT_EQ(engine.cached_splits(), 0u);
-  // Sequential probes reuse a single pooled instance.
-  EXPECT_EQ(engine.models_created(), 1u);
 }
 
 TEST(EvalEngine, BatchSizeContractEnforcedAtConstruction) {
@@ -340,34 +324,6 @@ TEST(EvalEngine, EvaluateManyCacheInterleavings) {
   EXPECT_EQ(engine.cached_results(), 2u);
 }
 
-TEST(EvalEngine, EvaluateManyBatchedOffReplaysSerialPath) {
-  const nn::ModelFactory factory = conv_factory();
-  EvalEngineConfig off_config;
-  off_config.use_batched = false;
-  EvalEngine batched(factory);
-  EvalEngine serial(factory, off_config);
-  const data::DataSplit split = make_image_split(90, 74);
-  const auto prepared_batched = batched.prepare(split);
-  const auto prepared_serial = serial.prepare(split);
-
-  ModelStore store;
-  std::vector<tangle::PayloadId> ids;
-  for (std::size_t i = 0; i < 4; ++i) {
-    ids.push_back(store.add(random_params(factory, 600 + i)).id);
-  }
-  ThreadPool pool(2);
-  const auto a = batched.payloads_eval_many(store, ids, *prepared_batched,
-                                            &pool);
-  const auto b = serial.payloads_eval_many(store, ids, *prepared_serial,
-                                           nullptr);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].cache_hit, b[i].cache_hit);
-    EXPECT_EQ(a[i].result.loss, b[i].result.loss);  // bitwise
-    EXPECT_EQ(a[i].result.accuracy, b[i].result.accuracy);
-  }
-}
-
 // A forwarding backend that counts how many evaluations it served — enough
 // to prove the engine routes every miss through the configured backend.
 class CountingBackend final : public EvalBackend {
@@ -422,12 +378,11 @@ TEST(EvalEngine, BackendSelectableViaConfig) {
 }
 
 TEST(EvalEngine, PoolReusesInstancesUnderParallelFor) {
-  // With the cache off every probe runs a forward pass and needs a model.
-  // parallel_for runs at most (workers + caller) lanes, so the pool must
-  // not create more instances than that — and far fewer than probes.
-  EvalEngineConfig config;
-  config.use_cache = false;
-  EvalEngine engine(mlp_factory(), config);
+  // Keyless probes are never cached, so every one runs a forward pass and
+  // needs a model. parallel_for runs at most (workers + caller) lanes, so
+  // the pool must not create more instances than that — and far fewer than
+  // probes.
+  EvalEngine engine(mlp_factory());
   ModelStore store;
   constexpr std::size_t kPayloads = 8;
   std::vector<tangle::PayloadId> ids;
@@ -448,14 +403,19 @@ TEST(EvalEngine, PoolReusesInstancesUnderParallelFor) {
   std::vector<double> losses(kProbes, 0.0);
   ThreadPool pool(3);
   pool.parallel_for(kProbes, [&](std::size_t i) {
-    losses[i] =
-        engine.payload_eval(store, ids[i % kPayloads], *prepared).result.loss;
+    const EvalRequest request{store.get(ids[i % kPayloads]), std::nullopt};
+    losses[i] = engine
+                    .evaluate_many(std::span<const EvalRequest>(&request, 1),
+                                   *prepared)
+                    .front()
+                    .result.loss;
   });
   for (std::size_t i = 0; i < kProbes; ++i) {
     EXPECT_EQ(losses[i], expected[i % kPayloads]) << "probe " << i;
   }
   EXPECT_LE(engine.models_created(), 4u);  // 3 workers + the caller lane
   EXPECT_EQ(engine.pool_size(), engine.models_created());  // all returned
+  EXPECT_EQ(engine.cached_results(), 0u);  // keyless: nothing cached
 }
 
 TEST(EvalEngine, SplitLruEvictsOverBudgetAndKeepsOutstandingEntries) {
@@ -605,10 +565,11 @@ TEST(EvalEngine, SimulationByteIdenticalAcrossThreadCounts) {
   expect_identical_runs(a.tangle(), b.tangle(), ra, rb);
 }
 
-TEST(EvalEngine, NodeStepBitIdenticalWithAndWithoutEngine) {
-  // A node step routed through the engine (prepared batches, pooled
-  // models, cached probes) must publish exactly what the legacy
-  // factory-per-probe path publishes.
+TEST(EvalEngine, NodeStepProbesReplayFromCache) {
+  // Every loss probe of a node step goes through the engine. A repeat step
+  // with the same stream publishes the same bits while its candidate and
+  // reference probes all resolve from the cache; only the publish gate's
+  // keyless fresh model costs forwards again.
   nn::ModelFactory factory = mlp_factory();
   ModelStore store;
   nn::Model genesis_model = factory();
@@ -635,19 +596,27 @@ TEST(EvalEngine, NodeStepBitIdenticalWithAndWithoutEngine) {
   HonestNode node(config);
 
   const tangle::TangleView view = tangle.view();
-  NodeContext legacy{view, store, factory, 5, Rng(9)};
-  const auto without = node.step(legacy, user);
+  NodeHarness harness(store, factory);
+  obs::Counter& evaluated =
+      obs::MetricsRegistry::global().counter("node.candidates.evaluated");
+  obs::Counter& forwards =
+      obs::MetricsRegistry::global().counter("eval.forwards");
+  NodeContext first_context = harness.context(view, 5, 9);
+  const auto first = node.step(first_context, user);
+  const std::uint64_t evaluated_after_first = evaluated.value();
+  const std::uint64_t forwards_after_first = forwards.value();
+  NodeContext second_context = harness.context(view, 5, 9);
+  const auto second = node.step(second_context, user);
 
-  EvalEngine engine(factory);
-  NodeContext engined{view, store, factory, 5, Rng(9)};
-  engined.eval = &engine;
-  const auto with = node.step(engined, user);
-
-  ASSERT_EQ(without.has_value(), with.has_value());
-  if (without.has_value()) {
-    EXPECT_EQ(without->parents, with->parents);
-    EXPECT_EQ(without->params, with->params);  // bitwise ParamVector
+  ASSERT_EQ(first.has_value(), second.has_value());
+  if (first.has_value()) {
+    EXPECT_EQ(first->parents, second->parents);
+    EXPECT_EQ(first->params, second->params);  // bitwise ParamVector
   }
+  EXPECT_EQ(evaluated.value(), evaluated_after_first);
+  // One batch of 20 validation samples: the gate's fresh model is the only
+  // forward the repeat step pays.
+  EXPECT_EQ(forwards.value() - forwards_after_first, 1u);
 }
 
 }  // namespace

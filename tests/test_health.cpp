@@ -7,6 +7,7 @@
 #include "support/rng.hpp"
 #include "tangle/model_store.hpp"
 #include "tangle/tangle.hpp"
+#include "tangle/view_cache.hpp"
 
 namespace tanglefl::tangle {
 namespace {
@@ -30,6 +31,12 @@ struct Fixture {
   }
 };
 
+/// Probes `view` with `tracker` over a freshly built cone cache entry.
+HealthSample probe(HealthTracker& tracker, const TangleView& view,
+                   std::uint64_t now, Rng& rng) {
+  return tracker.sample(view, *ViewCacheEntry::build(view), now, rng);
+}
+
 HealthConfig no_confirmation(std::uint64_t orphan_age = 5) {
   HealthConfig config;
   config.orphan_age = orphan_age;
@@ -41,8 +48,7 @@ TEST(HealthTracker, GenesisOnlyIsHealthy) {
   Fixture f;
   HealthTracker tracker(no_confirmation());
   Rng rng(1);
-  const HealthSample sample =
-      tracker.sample(f.tangle.view(), nullptr, 100, rng);
+  const HealthSample sample = probe(tracker, f.tangle.view(), 100, rng);
   EXPECT_EQ(sample.tangle_size, 1u);
   EXPECT_EQ(sample.tip_count, 1u);  // genesis is the sole tip...
   EXPECT_EQ(sample.orphan_count, 0u);  // ...but never an orphan
@@ -58,7 +64,7 @@ TEST(HealthTracker, DepthsTipsAndDiamond) {
   f.add({a, b}, 3.0f, 2);
   HealthTracker tracker(no_confirmation());
   Rng rng(1);
-  const HealthSample sample = tracker.sample(f.tangle.view(), nullptr, 2, rng);
+  const HealthSample sample = probe(tracker, f.tangle.view(), 2, rng);
   EXPECT_EQ(sample.tangle_size, 4u);
   EXPECT_EQ(sample.tip_count, 1u);
   EXPECT_EQ(sample.approval_depth_max, 2u);  // genesis: two hops below c
@@ -75,10 +81,10 @@ TEST(HealthTracker, OrphanAgingAgainstNow) {
   HealthTracker tracker(no_confirmation(/*orphan_age=*/2));
   Rng rng(1);
   // At now=2, a is only 1 old: not yet an orphan.
-  HealthSample sample = tracker.sample(f.tangle.view(), nullptr, 2, rng);
+  HealthSample sample = probe(tracker, f.tangle.view(), 2, rng);
   EXPECT_EQ(sample.orphan_count, 0u);
   // At now=3, a's age reaches the threshold; c (age 0) stays healthy.
-  sample = tracker.sample(f.tangle.view(), nullptr, 3, rng);
+  sample = probe(tracker, f.tangle.view(), 3, rng);
   EXPECT_EQ(sample.tip_count, 2u);
   EXPECT_EQ(sample.orphan_count, 1u);
   EXPECT_DOUBLE_EQ(sample.orphan_rate, 1.0 / 3.0);  // 3 non-genesis txs
@@ -94,7 +100,7 @@ TEST(HealthTracker, MaxOrphanAgeNeverFlagsOrphans) {
       no_confirmation(std::numeric_limits<std::uint64_t>::max()));
   Rng rng(1);
   const HealthSample sample =
-      tracker.sample(f.tangle.view(), nullptr, /*now=*/1'000'000, rng);
+      probe(tracker, f.tangle.view(), /*now=*/1'000'000, rng);
   EXPECT_EQ(sample.orphan_count, 0u);
   EXPECT_DOUBLE_EQ(sample.orphan_rate, 0.0);
 }
@@ -106,17 +112,17 @@ TEST(HealthTracker, FirstApprovalRecordedExactlyOnce) {
   HealthTracker tracker(no_confirmation());
   Rng rng(1);
   // Round 1: a and b are unapproved; nothing to record.
-  HealthSample sample = tracker.sample(f.tangle.view(), nullptr, 1, rng);
+  HealthSample sample = probe(tracker, f.tangle.view(), 1, rng);
   EXPECT_TRUE(sample.first_approval_delays.empty());
 
   f.add({a, b}, 3.0f, 3);  // c approves both at round 3
-  sample = tracker.sample(f.tangle.view(), nullptr, 3, rng);
+  sample = probe(tracker, f.tangle.view(), 3, rng);
   ASSERT_EQ(sample.first_approval_delays.size(), 2u);
   EXPECT_EQ(sample.first_approval_delays[0], 2u);  // 3 - 1, for a
   EXPECT_EQ(sample.first_approval_delays[1], 2u);  // 3 - 1, for b
 
   // Re-sampling must not re-report the same events.
-  sample = tracker.sample(f.tangle.view(), nullptr, 4, rng);
+  sample = probe(tracker, f.tangle.view(), 4, rng);
   EXPECT_TRUE(sample.first_approval_delays.empty());
 }
 
@@ -130,7 +136,7 @@ TEST(HealthTracker, ConfirmationOnChain) {
   config.confidence.sample_rounds = 8;
   HealthTracker tracker(config);
   Rng rng(1);
-  HealthSample sample = tracker.sample(f.tangle.view(), nullptr, 3, rng);
+  HealthSample sample = probe(tracker, f.tangle.view(), 3, rng);
   EXPECT_GE(sample.confirmed_count, 1u);
   ASSERT_FALSE(sample.confirmation_delays.empty());
   // a published at round 1, confirmed when first observed at now=3.
@@ -138,7 +144,7 @@ TEST(HealthTracker, ConfirmationOnChain) {
 
   // Confirmation is cumulative and recorded once.
   const std::size_t confirmed = sample.confirmed_count;
-  sample = tracker.sample(f.tangle.view(), nullptr, 4, rng);
+  sample = probe(tracker, f.tangle.view(), 4, rng);
   EXPECT_GE(sample.confirmed_count, confirmed);
   EXPECT_TRUE(sample.confirmation_delays.empty());
 }
@@ -153,7 +159,7 @@ TEST(HealthTracker, PartialViewRestrictsStats) {
   const TangleView view(f.tangle, members);
   HealthTracker tracker(no_confirmation());
   Rng rng(1);
-  const HealthSample sample = tracker.sample(view, nullptr, 2, rng);
+  const HealthSample sample = probe(tracker, view, 2, rng);
   EXPECT_EQ(sample.tangle_size, 3u);
   EXPECT_EQ(sample.tip_count, 2u);
   EXPECT_EQ(sample.approval_depth_max, 1u);  // genesis is one hop below a/b
@@ -170,8 +176,8 @@ TEST(HealthTracker, DeterministicAcrossTrackers) {
   HealthTracker t2(config);
   Rng r1(9);
   Rng r2(9);
-  const HealthSample s1 = t1.sample(f.tangle.view(), nullptr, 4, r1);
-  const HealthSample s2 = t2.sample(f.tangle.view(), nullptr, 4, r2);
+  const HealthSample s1 = probe(t1, f.tangle.view(), 4, r1);
+  const HealthSample s2 = probe(t2, f.tangle.view(), 4, r2);
   EXPECT_EQ(s1.tip_count, s2.tip_count);
   EXPECT_EQ(s1.confirmed_count, s2.confirmed_count);
   EXPECT_EQ(s1.first_approval_delays, s2.first_approval_delays);

@@ -15,6 +15,7 @@
 #include "tangle/confidence.hpp"
 #include "tangle/model_store.hpp"
 #include "tangle/tangle.hpp"
+#include "tangle/view_cache.hpp"
 
 namespace tanglefl::tangle {
 namespace {
@@ -159,7 +160,8 @@ TEST(ConfidenceInvariants, HealthyConfidencesPass) {
   Rng rng(42);
   ConfidenceConfig config;
   config.sample_rounds = 16;
-  const std::vector<double> conf = compute_confidences(view, rng, config);
+  const std::vector<double> conf =
+      compute_confidences(view, *ViewCacheEntry::build(view), rng, config);
   EXPECT_TRUE(find_confidence_violations(view, conf).empty());
 }
 

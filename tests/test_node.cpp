@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "nn/model_zoo.hpp"
+#include "node_harness.hpp"
 #include "tangle/model_store.hpp"
 
 namespace tanglefl::core {
@@ -32,6 +33,7 @@ struct Fixture {
   ModelStore store;
   Tangle tangle;
   data::UserData user;
+  NodeHarness harness{store, factory};
 
   Fixture() : tangle(make_genesis(store, factory)) {
     Rng rng(100);
@@ -82,7 +84,7 @@ struct Fixture {
 
   NodeContext context(std::uint64_t round, const tangle::TangleView& view,
                       std::uint64_t seed = 9) {
-    return NodeContext{view, store, factory, round, Rng(seed)};
+    return harness.context(view, round, seed);
   }
 };
 

@@ -7,6 +7,7 @@
 
 #include "core/node.hpp"
 #include "nn/model_zoo.hpp"
+#include "node_harness.hpp"
 
 namespace tanglefl::nn {
 namespace {
@@ -199,7 +200,8 @@ TEST(PrivacyNodeIntegration, DpNodeStillPublishesAndImproves) {
 
   core::HonestNode node(config);
   const tangle::TangleView view = tangle.view();
-  core::NodeContext context{view, store, factory, 1, Rng(3)};
+  core::NodeHarness harness(store, factory);
+  core::NodeContext context = harness.context(view, 1, 3);
   const auto publish = node.step(context, user);
   ASSERT_TRUE(publish.has_value());
   // Published parameters differ from the base by at most clip + noise.
@@ -237,7 +239,8 @@ TEST(PrivacyNodeIntegration, QuantizedNodePublishesQuantizedGrid) {
 
   core::HonestNode node(config);
   const tangle::TangleView view = tangle.view();
-  core::NodeContext context{view, store, factory, 1, Rng(3)};
+  core::NodeHarness harness(store, factory);
+  core::NodeContext context = harness.context(view, 1, 3);
   const auto publish = node.step(context, user);
   ASSERT_TRUE(publish.has_value());
   // Every published value lies exactly on an 8-bit grid.

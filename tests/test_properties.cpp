@@ -11,6 +11,7 @@
 #include "tangle/confidence.hpp"
 #include "tangle/model_store.hpp"
 #include "tangle/tip_selection.hpp"
+#include "tangle/view_cache.hpp"
 
 namespace tanglefl {
 namespace {
@@ -40,7 +41,8 @@ class TangleInvariants : public ::testing::TestWithParam<TangleParams> {
       const tangle::TangleView view = tangle_.view();
       const std::size_t parents =
           1 + rng.uniform_index(p.max_parents);
-      const auto tips = tangle::select_tips(view, parents, rng, config);
+      const auto tips = tangle::select_tips(
+          *tangle::ViewCacheEntry::build(view), parents, rng, config);
       const auto added = store_.add({static_cast<float>(i)});
       tangle_.add_transaction(tips, added.id, added.hash, 1 + i / 5);
     }
@@ -112,14 +114,13 @@ TEST_P(TangleInvariants, ApprovesAgreesWithFutureCones) {
 
 TEST_P(TangleInvariants, WalksTerminateAtTips) {
   const tangle::TangleView view = tangle_.view();
-  const auto cones = view.future_cone_sizes();
+  const auto cones = tangle::ViewCacheEntry::build(view);
   const auto tips = view.tips();
   Rng rng(GetParam().seed + 1);
   tangle::TipSelectionConfig config;
   config.alpha = GetParam().alpha;
   for (int i = 0; i < 32; ++i) {
-    const tangle::TxIndex tip =
-        tangle::random_walk_tip(view, cones, rng, config);
+    const tangle::TxIndex tip = tangle::random_walk_tip(*cones, rng, config);
     EXPECT_TRUE(std::find(tips.begin(), tips.end(), tip) != tips.end());
   }
 }
@@ -128,8 +129,9 @@ TEST_P(TangleInvariants, ConfidencesAreProbabilities) {
   Rng rng(GetParam().seed + 2);
   tangle::ConfidenceConfig config;
   config.sample_rounds = 16;
-  const auto confidences =
-      tangle::compute_confidences(tangle_.view(), rng, config);
+  const tangle::TangleView view = tangle_.view();
+  const auto confidences = tangle::compute_confidences(
+      view, *tangle::ViewCacheEntry::build(view), rng, config);
   for (const double c : confidences) {
     EXPECT_GE(c, 0.0);
     EXPECT_LE(c, 1.0);

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "tangle/model_store.hpp"
+#include "tangle/view_cache.hpp"
 
 namespace tanglefl::core {
 namespace {
@@ -31,13 +32,19 @@ struct Fixture {
     const auto added = store.add(std::move(params));
     return tangle.add_transaction(parents, added.id, added.hash, round);
   }
+
+  /// Algorithm 1 over `view`, scored against a freshly built cone entry.
+  ReferenceResult reference(const tangle::TangleView& view, Rng& rng,
+                            const ReferenceConfig& config) const {
+    return choose_reference(view, store, *tangle::ViewCacheEntry::build(view),
+                            rng, config);
+  }
 };
 
 TEST(Reference, GenesisOnlyReturnsGenesisPayload) {
   Fixture f;
   Rng rng(1);
-  const ReferenceResult result =
-      choose_reference(f.tangle.view(), f.store, rng, {});
+  const ReferenceResult result = f.reference(f.tangle.view(), rng, {});
   ASSERT_EQ(result.transactions.size(), 1u);
   EXPECT_EQ(result.transactions[0], 0u);
   EXPECT_EQ(result.params, (nn::ParamVector{0.0f, 0.0f}));
@@ -53,8 +60,7 @@ TEST(Reference, PicksDeepConsensusTransaction) {
                 static_cast<std::uint64_t>(i));
   }
   Rng rng(2);
-  const ReferenceResult result =
-      choose_reference(f.tangle.view(), f.store, rng, {});
+  const ReferenceResult result = f.reference(f.tangle.view(), rng, {});
   EXPECT_EQ(result.transactions[0], tip);
   EXPECT_EQ(result.params[0], 5.0f);
 }
@@ -72,8 +78,7 @@ TEST(Reference, AbandonedBranchLosesToConsensusBranch) {
   ReferenceConfig config;
   config.confidence.sample_rounds = 64;
   config.confidence.tip_selection.alpha = 1.0;  // favor the heavy branch
-  const ReferenceResult result =
-      choose_reference(f.tangle.view(), f.store, rng, config);
+  const ReferenceResult result = f.reference(f.tangle.view(), rng, config);
   EXPECT_NE(result.transactions[0], orphan);
   EXPECT_EQ(result.params[0], 6.0f);
 }
@@ -88,8 +93,7 @@ TEST(Reference, TopNAveragesPayloads) {
   Rng rng(4);
   ReferenceConfig config;
   config.num_reference_models = 2;
-  const ReferenceResult result =
-      choose_reference(f.tangle.view(), f.store, rng, config);
+  const ReferenceResult result = f.reference(f.tangle.view(), rng, config);
   ASSERT_EQ(result.transactions.size(), 2u);
   // Top two by confidence * rating are the two newest chain elements.
   EXPECT_EQ(result.params[0], (4.0f + 3.0f) / 2.0f);
@@ -101,8 +105,7 @@ TEST(Reference, TopNClampedToViewSize) {
   Rng rng(5);
   ReferenceConfig config;
   config.num_reference_models = 50;
-  const ReferenceResult result =
-      choose_reference(f.tangle.view(), f.store, rng, config);
+  const ReferenceResult result = f.reference(f.tangle.view(), rng, config);
   EXPECT_EQ(result.transactions.size(), 2u);  // genesis + one transaction
 }
 
@@ -112,8 +115,8 @@ TEST(Reference, DeterministicInRng) {
     f.add({0}, {static_cast<float>(i), 0.0f}, 1);
   }
   Rng rng_a(6), rng_b(6);
-  const ReferenceResult a = choose_reference(f.tangle.view(), f.store, rng_a, {});
-  const ReferenceResult b = choose_reference(f.tangle.view(), f.store, rng_b, {});
+  const ReferenceResult a = f.reference(f.tangle.view(), rng_a, {});
+  const ReferenceResult b = f.reference(f.tangle.view(), rng_b, {});
   EXPECT_EQ(a.transactions, b.transactions);
   EXPECT_EQ(a.params, b.params);
 }
@@ -153,8 +156,7 @@ TEST(Reference, RespectsViewPrefix) {
   const TxIndex a = f.add({0}, {1.0f, 0.0f}, 1);
   f.add({a}, {2.0f, 0.0f}, 2);
   Rng rng(7);
-  const ReferenceResult result = choose_reference(
-      f.tangle.view_prefix(2), f.store, rng, {});
+  const ReferenceResult result = f.reference(f.tangle.view_prefix(2), rng, {});
   EXPECT_LE(result.transactions[0], 1u);
   EXPECT_NE(result.params[0], 2.0f);
 }

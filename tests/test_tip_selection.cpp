@@ -5,6 +5,7 @@
 #include <map>
 
 #include "tangle/model_store.hpp"
+#include "tangle/view_cache.hpp"
 
 namespace tanglefl::tangle {
 namespace {
@@ -24,12 +25,17 @@ struct Fixture {
     const auto added = store.add({value});
     return tangle.add_transaction(parents, added.id, added.hash, round);
   }
+
+  /// Cone cache entry for the whole ledger as it stands.
+  std::shared_ptr<const ViewCacheEntry> cones() const {
+    return ViewCacheEntry::build(tangle.view());
+  }
 };
 
 TEST(TipSelection, GenesisOnlyReturnsGenesis) {
   Fixture f;
   Rng rng(1);
-  const auto tips = select_tips(f.tangle.view(), 3, rng, {});
+  const auto tips = select_tips(*f.cones(), 3, rng, {});
   EXPECT_EQ(tips, (std::vector<TxIndex>{0, 0, 0}));
 }
 
@@ -39,7 +45,7 @@ TEST(TipSelection, SingleChainReachesTip) {
   const TxIndex b = f.add({a}, 2.0f, 2);
   const TxIndex c = f.add({b}, 3.0f, 3);
   Rng rng(1);
-  const auto tips = select_tips(f.tangle.view(), 5, rng, {});
+  const auto tips = select_tips(*f.cones(), 5, rng, {});
   for (const TxIndex t : tips) EXPECT_EQ(t, c);
 }
 
@@ -51,7 +57,7 @@ TEST(TipSelection, ReachesOnlyActualTips) {
   (void)c;
   Rng rng(2);
   const auto tip_set = f.tangle.view().tips();
-  const auto tips = select_tips(f.tangle.view(), 50, rng, {});
+  const auto tips = select_tips(*f.cones(), 50, rng, {});
   for (const TxIndex t : tips) {
     EXPECT_TRUE(std::find(tip_set.begin(), tip_set.end(), t) !=
                 tip_set.end());
@@ -68,8 +74,9 @@ TEST(TipSelection, ZeroAlphaIsRoughlyUniformOnSymmetricFork) {
   TipSelectionConfig config;
   config.alpha = 0.0;
   std::map<TxIndex, int> counts;
+  const auto cones = f.cones();
   for (int i = 0; i < 2000; ++i) {
-    const auto tips = select_tips(f.tangle.view(), 1, rng, config);
+    const auto tips = select_tips(*cones, 1, rng, config);
     ++counts[tips[0]];
   }
   EXPECT_NEAR(counts[a], 1000, 120);
@@ -89,8 +96,9 @@ TEST(TipSelection, HighAlphaFollowsHeavyBranch) {
   TipSelectionConfig config;
   config.alpha = 10.0;  // near-greedy
   int heavy_hits = 0;
+  const auto cones = f.cones();
   for (int i = 0; i < 200; ++i) {
-    const auto tips = select_tips(f.tangle.view(), 1, rng, config);
+    const auto tips = select_tips(*cones, 1, rng, config);
     if (tips[0] == heavy_tip) ++heavy_hits;
   }
   EXPECT_GT(heavy_hits, 195);
@@ -109,8 +117,9 @@ TEST(TipSelection, ModerateAlphaStillExplores) {
   TipSelectionConfig config;
   config.alpha = 0.1;
   int light_hits = 0;
+  const auto cones = f.cones();
   for (int i = 0; i < 1000; ++i) {
-    const auto tips = select_tips(f.tangle.view(), 1, rng, config);
+    const auto tips = select_tips(*cones, 1, rng, config);
     if (tips[0] == light) ++light_hits;
   }
   EXPECT_GT(light_hits, 50);
@@ -124,7 +133,7 @@ TEST(TipSelection, RespectsViewPrefix) {
   (void)later;
   Rng rng(6);
   const TangleView view = f.tangle.view_prefix(2);
-  const auto tips = select_tips(view, 10, rng, {});
+  const auto tips = select_tips(*ViewCacheEntry::build(view), 10, rng, {});
   for (const TxIndex t : tips) EXPECT_EQ(t, a);
 }
 
@@ -134,8 +143,8 @@ TEST(TipSelection, DeterministicInRng) {
     f.add({0}, static_cast<float>(i) + 1.0f, 1);
   }
   Rng rng_a(7), rng_b(7);
-  const auto tips_a = select_tips(f.tangle.view(), 10, rng_a, {});
-  const auto tips_b = select_tips(f.tangle.view(), 10, rng_b, {});
+  const auto tips_a = select_tips(*f.cones(), 10, rng_a, {});
+  const auto tips_b = select_tips(*f.cones(), 10, rng_b, {});
   EXPECT_EQ(tips_a, tips_b);
 }
 
@@ -146,7 +155,7 @@ TEST(TipSelection, WalkVisitsIntermediateNode) {
   const TxIndex t1 = f.add({mid}, 2.0f, 2);
   const TxIndex t2 = f.add({mid}, 3.0f, 2);
   Rng rng(8);
-  const auto tips = select_tips(f.tangle.view(), 20, rng, {});
+  const auto tips = select_tips(*f.cones(), 20, rng, {});
   for (const TxIndex t : tips) {
     EXPECT_TRUE(t == t1 || t == t2);
   }
