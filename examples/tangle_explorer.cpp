@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
   Rng rng(seed);
   const auto confidences = tangle::compute_confidences(
       view, *cones, rng, {.sample_rounds = 64, .tip_selection = {}});
-  const auto ratings = tangle::compute_ratings(*cones);
+  const auto ratings = cones->past_cone_sizes();
 
   // The Algorithm 1 priority ordering, highest first.
   std::vector<tangle::TxIndex> order(view.size());

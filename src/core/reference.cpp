@@ -40,29 +40,30 @@ ReferenceResult choose_reference(const tangle::TangleView& view,
                                  const tangle::ViewCacheEntry& cones, Rng& rng,
                                  const ReferenceConfig& config) {
   assert(view.size() > 0);
-  const std::vector<double> confidences =
+  const tangle::ConfidenceWindow confidences =
       tangle::compute_confidences(view, cones, rng, config.confidence);
-  const std::vector<double> ratings = tangle::compute_ratings(cones);
-  // Top-k over confidence * rating, exactly as in Algorithm 1. Ties (e.g.
-  // the all-zero priorities right after genesis) resolve to the newest
-  // transaction so early rounds track fresh training results.
+  // Top-k over confidence * rating (the past cone size; every transaction
+  // counts equally, as in the paper's prototype), exactly as in Algorithm
+  // 1. Ties (e.g. the all-zero priorities right after genesis) resolve to
+  // the newest transaction so early rounds track fresh training results.
   //
   // Milestone pruning: frozen history is excluded from candidacy — its
   // payloads may have been released and its confidence/rating are pinned
-  // approximations. Zeroed priorities plus the newest-index tie-breaking
-  // keep every selected index in the live window; `take` is clamped to the
-  // window so a frozen transaction can never be forced in.
-  const tangle::TxIndex floor = view.tangle().prune_floor();
-  std::vector<double> priorities(view.size());
-  for (tangle::TxIndex i = 0; i < view.size(); ++i) {
-    priorities[i] = i < floor ? 0.0 : confidences[i] * ratings[i];
+  // approximations. Ranking the window alone matches a full-ledger ranking
+  // with frozen priorities zeroed: window entries outrank them (priority
+  // >= 0, newer index), and `take` never exceeds the window.
+  const tangle::TxIndex floor = confidences.floor;
+  const std::span<const std::uint32_t> ratings = cones.past_cone_sizes();
+  std::vector<double> priorities(confidences.values.size());
+  for (std::size_t i = 0; i < priorities.size(); ++i) {
+    priorities[i] = confidences.values[i] * ratings[floor + i];
   }
   const std::size_t take = std::max<std::size_t>(
-      1, std::min({config.num_reference_models, view.size(),
-                   view.size() - floor}));
+      1, std::min(config.num_reference_models, priorities.size()));
 
   ReferenceResult result;
   result.transactions = top_priority_indices(priorities, take);
+  for (tangle::TxIndex& index : result.transactions) index += floor;
   std::vector<const nn::ParamVector*> payloads;
   result.payloads.reserve(result.transactions.size());
   payloads.reserve(result.transactions.size());

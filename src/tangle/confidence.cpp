@@ -1,6 +1,7 @@
 #include "tangle/confidence.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -32,67 +33,55 @@ obs::Histogram& confidence_timing_histogram() {
 
 }  // namespace
 
-std::vector<double> compute_confidences(const TangleView& view,
-                                        const ViewCacheEntry& cones, Rng& rng,
-                                        const ConfidenceConfig& config) {
+ConfidenceWindow compute_confidences(const TangleView& view,
+                                     const ViewCacheEntry& cones, Rng& rng,
+                                     const ConfidenceConfig& config) {
   obs::TraceScope span("tangle.compute_confidences",
                        &confidence_timing_histogram());
   confidence_run_counter().increment();
   confidence_sample_counter().add(config.sample_rounds);
-  std::vector<double> confidence(view.size(), 0.0);
-  if (view.size() == 0 || config.sample_rounds == 0) return confidence;
+  // Milestone pruning: the window starts at the frontier, which is in the
+  // past cone of every tip, so frozen history below it reads 1.0.
+  const std::size_t n = view.size();
+  ConfidenceWindow result;
+  result.floor = std::min<TxIndex>(view.tangle().prune_floor(), n);
+  result.values.assign(n - result.floor, 0.0);
+  if (result.values.empty() || config.sample_rounds == 0) return result;
 
-  std::vector<std::uint32_t> hits(view.size(), 0);
-  std::vector<TxIndex> stack;
-  std::vector<bool> seen(view.size());
-  // Milestone pruning: the DFS never descends below the frontier, and
-  // everything beneath it is pinned to confidence 1.0 afterwards — the
-  // frontier is in the past cone of every tip, so frozen history is
-  // confirmed by construction. floor == 0 (pruning off) changes nothing.
-  const TxIndex floor = view.tangle().prune_floor();
-
-  for (std::size_t round = 0; round < config.sample_rounds; ++round) {
+  // Draw every walk in sampling order (the same RNG stream as one walk
+  // per sample) and give sample k bit k of its tip's reach row. One
+  // descending pass then ORs every approver's row into i's: bit k of
+  // reach[i] is set iff i lies in sample k's past cone. A path from a tip
+  // down to i never dips below i, so stopping at the floor loses nothing,
+  // and the CSR lists in-view approvers only, so masked views need no
+  // membership test. An entry rooted below the floor (a prefix view built
+  // before the prune) can end a walk below it; that tip's past cone lies
+  // wholly in frozen history, so it adds no hit inside the window.
+  const TxIndex floor = result.floor;
+  const std::size_t words = (config.sample_rounds + 63) / 64;
+  std::vector<std::uint64_t> reach(result.values.size() * words, 0);
+  for (std::size_t k = 0; k < config.sample_rounds; ++k) {
     const TxIndex tip = random_walk_tip(cones, rng, config.tip_selection);
-    // Mark the tip's entire (live) past cone as hit this round.
-    std::fill(seen.begin(), seen.end(), false);
-    stack.assign(1, tip);
-    seen[tip] = true;
-    while (!stack.empty()) {
-      const TxIndex current = stack.back();
-      stack.pop_back();
-      ++hits[current];
-      if (current == view.tangle().genesis()) continue;
-      for (const TxIndex p : view.tangle().parent_indices(current)) {
-        if (p >= floor && !seen[p]) {
-          seen[p] = true;
-          stack.push_back(p);
-        }
-      }
-    }
+    if (tip < floor) continue;
+    reach[(tip - floor) * words + k / 64] |= std::uint64_t{1} << (k % 64);
   }
-
   const double inv = 1.0 / static_cast<double>(config.sample_rounds);
-  for (std::size_t i = 0; i < hits.size(); ++i) {
-    confidence[i] = static_cast<double>(hits[i]) * inv;
-  }
-  for (TxIndex i = 0; i < floor && i < confidence.size(); ++i) {
-    confidence[i] = 1.0;
+  for (TxIndex i = n; i-- > floor;) {
+    std::uint64_t* row = &reach[(i - floor) * words];
+    for (const TxIndex a : cones.approvers(i)) {
+      const std::uint64_t* from = &reach[(a - floor) * words];
+      for (std::size_t w = 0; w < words; ++w) row[w] |= from[w];
+    }
+    int hits = 0;
+    for (std::size_t w = 0; w < words; ++w) hits += std::popcount(row[w]);
+    result.values[i - floor] = static_cast<double>(hits) * inv;
   }
 #if defined(TANGLEFL_DEBUG_CHECKS)
-  const auto violations = find_confidence_violations(view, confidence);
+  const auto violations = find_confidence_violations(view, result);
   TANGLEFL_DCHECK_MSG(violations.empty(),
                       violations.empty() ? std::string{} : violations.front());
 #endif
-  return confidence;
-}
-
-std::vector<double> compute_ratings(const ViewCacheEntry& cones) {
-  const std::span<const std::uint32_t> past = cones.past_cone_sizes();
-  std::vector<double> ratings(past.size());
-  for (std::size_t i = 0; i < past.size(); ++i) {
-    ratings[i] = static_cast<double>(past[i]);
-  }
-  return ratings;
+  return result;
 }
 
 }  // namespace tanglefl::tangle

@@ -20,17 +20,23 @@ struct ConfidenceConfig {
 
 class ViewCacheEntry;
 
-/// Per-transaction confidence over `view`, indexed by TxIndex. The walks
-/// run over `cones`, which must describe exactly `view`.
-std::vector<double> compute_confidences(const TangleView& view,
-                                        const ViewCacheEntry& cones, Rng& rng,
-                                        const ConfidenceConfig& config);
+/// Confidences over a view's live window [floor, size()). Frozen history
+/// below the prune floor is in the past cone of every tip, so it is
+/// confirmed by construction and reads 1.0 without being stored.
+struct ConfidenceWindow {
+  TxIndex floor = 0;
+  std::vector<double> values;  // values[i - floor] for i in [floor, size())
 
-/// Per-transaction rating (Section III-A): the number of transactions each
-/// one directly or indirectly approves — the entry's past cone sizes. In
-/// IOTA transactions may contribute in different degrees depending on
-/// proof-of-work hardness; here all transactions contribute equally,
-/// matching the paper's prototype.
-std::vector<double> compute_ratings(const ViewCacheEntry& cones);
+  std::size_t size() const noexcept { return floor + values.size(); }
+  double operator[](TxIndex index) const {
+    return index < floor ? 1.0 : values[index - floor];
+  }
+};
+
+/// Per-transaction confidence over `view`, windowed at the tangle's prune
+/// floor. The walks run over `cones`, which must describe exactly `view`.
+ConfidenceWindow compute_confidences(const TangleView& view,
+                                     const ViewCacheEntry& cones, Rng& rng,
+                                     const ConfidenceConfig& config);
 
 }  // namespace tanglefl::tangle

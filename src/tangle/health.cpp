@@ -138,7 +138,7 @@ HealthSample HealthTracker::sample(const TangleView& view,
   out.approval_depth_p90 = nearest_rank(member_depths, 0.90);
 
   if (config_.track_confirmation) {
-    const std::vector<double> confidences =
+    const ConfidenceWindow confidences =
         compute_confidences(view, cones, rng, config_.confidence);
     for (TxIndex i = 1; i < n; ++i) {
       if (!view.contains(i) || confirmed_[i]) continue;

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "support/check.hpp"
+#include "tangle/confidence.hpp"
 
 namespace tanglefl::tangle {
 namespace {
@@ -162,14 +163,14 @@ std::vector<std::string> find_invariant_violations(const Tangle& tangle) {
 }
 
 std::vector<std::string> find_confidence_violations(
-    const TangleView& view, std::span<const double> confidence) {
+    const TangleView& view, const ConfidenceWindow& confidence) {
   std::vector<std::string> violations;
   if (confidence.size() != view.size()) {
-    report(violations, "confidence vector has ", confidence.size(),
+    report(violations, "confidence window covers ", confidence.size(),
            " entries for a view of size ", view.size());
     return violations;
   }
-  for (TxIndex i = 0; i < confidence.size(); ++i) {
+  for (TxIndex i = confidence.floor; i < confidence.size(); ++i) {
     if (!view.contains(i)) continue;
     const double c = confidence[i];
     if (!(c >= 0.0 && c <= 1.0) || std::isnan(c)) {

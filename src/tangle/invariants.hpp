@@ -25,7 +25,6 @@
 // re-validates the structure and a violation raises tanglefl::CheckFailure.
 #pragma once
 
-#include <span>
 #include <string>
 #include <vector>
 
@@ -38,11 +37,14 @@ namespace tanglefl::tangle {
 /// plus one SHA-256 per transaction for header integrity.
 std::vector<std::string> find_invariant_violations(const Tangle& tangle);
 
-/// Confidence-vector audit against the view it was computed for: size
+struct ConfidenceWindow;
+
+/// Confidence-window audit against the view it was computed for: size
 /// match, range [0, 1], and monotonicity along approval edges
-/// (confidence(parent) >= confidence(child) for every in-view edge).
+/// (confidence(parent) >= confidence(child) for every in-view edge), with
+/// values below the window's floor read as 1.0.
 std::vector<std::string> find_confidence_violations(
-    const TangleView& view, std::span<const double> confidence);
+    const TangleView& view, const ConfidenceWindow& confidence);
 
 /// Throws tanglefl::CheckFailure listing every violation if the tangle is
 /// corrupt; no-op when healthy. Called from mutation paths when

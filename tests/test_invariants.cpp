@@ -160,7 +160,7 @@ TEST(ConfidenceInvariants, HealthyConfidencesPass) {
   Rng rng(42);
   ConfidenceConfig config;
   config.sample_rounds = 16;
-  const std::vector<double> conf =
+  const ConfidenceWindow conf =
       compute_confidences(view, *ViewCacheEntry::build(view), rng, config);
   EXPECT_TRUE(find_confidence_violations(view, conf).empty());
 }
@@ -169,11 +169,12 @@ TEST(ConfidenceInvariants, OutOfRangeReported) {
   Fixture f;
   f.build_diamond();
   const TangleView view = f.tangle.view();
-  std::vector<double> conf(view.size(), 0.5);
-  conf[1] = 1.5;
+  ConfidenceWindow conf{.floor = 0,
+                        .values = std::vector<double>(view.size(), 0.5)};
+  conf.values[1] = 1.5;
   EXPECT_TRUE(any_violation_mentions(
       find_confidence_violations(view, conf), "outside [0, 1]"));
-  conf[1] = -0.25;
+  conf.values[1] = -0.25;
   EXPECT_FALSE(find_confidence_violations(view, conf).empty());
 }
 
@@ -183,7 +184,20 @@ TEST(ConfidenceInvariants, NonMonotoneAlongEdgeReported) {
   const TangleView view = f.tangle.view();
   // Child (tx 3) more confident than its parent (tx 1): impossible, every
   // sampled walk hitting tx 3 also hits tx 1 via the past cone.
-  std::vector<double> conf = {1.0, 0.2, 0.9, 0.8};
+  const ConfidenceWindow conf{.floor = 0, .values = {1.0, 0.2, 0.9, 0.8}};
+  EXPECT_TRUE(any_violation_mentions(
+      find_confidence_violations(view, conf), "monotonicity"));
+}
+
+TEST(ConfidenceInvariants, FrozenHistoryReadsAsFullConfidence) {
+  Fixture f;
+  f.build_diamond();
+  const TangleView view = f.tangle.view();
+  // Window [2, 4): frozen tx 1 reads 1.0, above its approver tx 3.
+  ConfidenceWindow conf{.floor = 2, .values = {0.9, 0.8}};
+  EXPECT_TRUE(find_confidence_violations(view, conf).empty());
+  // Inside the window the edge 2 <- 3 is still audited.
+  conf.values = {0.7, 0.8};
   EXPECT_TRUE(any_violation_mentions(
       find_confidence_violations(view, conf), "monotonicity"));
 }
@@ -191,7 +205,7 @@ TEST(ConfidenceInvariants, NonMonotoneAlongEdgeReported) {
 TEST(ConfidenceInvariants, SizeMismatchReported) {
   Fixture f;
   f.build_diamond();
-  const std::vector<double> conf(2, 0.5);
+  const ConfidenceWindow conf{.floor = 1, .values = {0.5, 0.5}};
   EXPECT_FALSE(
       find_confidence_violations(f.tangle.view(), conf).empty());
 }

@@ -132,7 +132,8 @@ TEST_P(TangleInvariants, ConfidencesAreProbabilities) {
   const tangle::TangleView view = tangle_.view();
   const auto confidences = tangle::compute_confidences(
       view, *tangle::ViewCacheEntry::build(view), rng, config);
-  for (const double c : confidences) {
+  ASSERT_EQ(confidences.size(), view.size());
+  for (const double c : confidences.values) {
     EXPECT_GE(c, 0.0);
     EXPECT_LE(c, 1.0);
   }

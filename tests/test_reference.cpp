@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "tangle/milestones.hpp"
 #include "tangle/model_store.hpp"
 #include "tangle/view_cache.hpp"
 
@@ -147,6 +148,52 @@ TEST(Reference, TopPriorityIndicesMatchesPriorityQueuePopOrder) {
       }
       EXPECT_EQ(top_priority_indices(priorities, take), expected)
           << "count=" << count << " take=" << take;
+    }
+  }
+}
+
+TEST(Reference, WindowTopKMatchesFullLedgerTopK) {
+  // On a pruned ledger, ranking only the live window must pick what a
+  // full-ledger top-k over confidence * rating (frozen priorities zeroed,
+  // `take` clamped to the window) picks.
+  Fixture f;
+  Rng grow(21);
+  for (std::uint64_t round = 1; round <= 150; ++round) {
+    const std::size_t n = f.tangle.size();
+    const std::size_t lo = n > 6 ? n - 6 : 0;
+    const TxIndex a = static_cast<TxIndex>(lo + grow.uniform_index(n - lo));
+    const TxIndex b = static_cast<TxIndex>(lo + grow.uniform_index(n - lo));
+    f.add({a, b}, {static_cast<float>(round), 0.0f}, round);
+  }
+  const tangle::TangleView view = f.tangle.view();
+  {
+    const auto full = tangle::ViewCacheEntry::build(view);
+    f.tangle.set_prune_floor(tangle::find_milestone(*full, full->tips(), 0,
+                                                    /*keep_recent=*/30));
+  }
+  const TxIndex floor = f.tangle.prune_floor();
+  ASSERT_GT(floor, 0u);
+  const auto cones = tangle::ViewCacheEntry::build(view);
+  for (const std::size_t k : {1u, 3u, 10u}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      ReferenceConfig config;
+      config.num_reference_models = k;
+      config.confidence.sample_rounds = 35;
+      Rng rng_window(seed), rng_full(seed);
+      const ReferenceResult result =
+          choose_reference(view, f.store, *cones, rng_window, config);
+      const tangle::ConfidenceWindow confidence =
+          tangle::compute_confidences(view, *cones, rng_full,
+                                      config.confidence);
+      const auto ratings = cones->past_cone_sizes();
+      std::vector<double> priorities(view.size(), 0.0);
+      for (TxIndex i = floor; i < view.size(); ++i) {
+        priorities[i] = confidence[i] * ratings[i];
+      }
+      const std::size_t take =
+          std::max<std::size_t>(1, std::min(k, view.size() - floor));
+      EXPECT_EQ(result.transactions, top_priority_indices(priorities, take))
+          << "k=" << k << " seed=" << seed;
     }
   }
 }
