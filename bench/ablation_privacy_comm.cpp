@@ -128,11 +128,11 @@ int main(int argc, char** argv) {
     // byte counts come from per-run deltas of the global codec counters.
     const std::vector<std::string> specs = {
         "off",
-        "delta,entropy,chunk",
+        "delta,entropy",
         "delta,quantize,entropy",
-        "topk:0.1,entropy",
-        "topk:0.05,quantize,entropy",
-        "topk:0.01,quantize,entropy",
+        "delta,topk:0.1,entropy",
+        "delta,topk:0.05,quantize,entropy",
+        "delta,topk:0.01,quantize,entropy",
     };
     obs::Counter& raw_counter =
         obs::MetricsRegistry::global().counter("ledger.codec.raw_bytes");

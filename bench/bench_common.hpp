@@ -31,15 +31,15 @@ namespace tanglefl::bench {
 
 /// Registers the shared --payload-codec flag and parses it. Spec grammar
 /// (tangle/payload_codec.hpp): "off" (the default — byte-identical to
-/// pre-codec harness output), "default" (the lossless
-/// delta+entropy+chunk preset), or a comma list of
-/// delta,topk[:fraction],quantize,entropy,chunk. A malformed spec is
-/// reported through args.should_exit() with the offending token named.
+/// pre-codec harness output), "default" (the lossless delta+entropy
+/// preset), or a comma list of delta,topk[:fraction],quantize,entropy
+/// (topk requires delta). A malformed spec is reported through
+/// args.should_exit() with the offending token named.
 inline tangle::PayloadCodecConfig parse_payload_codec_flag(ArgParser& args) {
   const std::string spec = args.get_string(
       "payload-codec", "off",
-      "payload codec stages: off | default | comma list of "
-      "delta,topk[:fraction],quantize,entropy,chunk");
+      "payload codec stages: off | default (delta,entropy) | comma list of "
+      "delta,topk[:fraction],quantize,entropy (topk requires delta)");
   try {
     return tangle::parse_codec_spec(spec);
   } catch (const std::invalid_argument& error) {

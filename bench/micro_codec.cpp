@@ -1,6 +1,6 @@
-// Micro-benchmarks for the payload codec pipeline and the chunked
-// ModelStore: per-stage encode/decode throughput on realistic model-delta
-// shapes, content-defined chunking, and chunk-dedup insertion cost.
+// Micro-benchmarks for the payload codec pipeline and the ModelStore:
+// per-stage encode/decode throughput on realistic model-delta shapes, and
+// store insertion cost.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -47,7 +47,7 @@ const std::vector<std::string>& codec_specs() {
       "delta",
       "delta,entropy",
       "delta,quantize,entropy",
-      "topk:0.05,quantize,entropy",
+      "delta,topk:0.05,quantize,entropy",
   };
   return specs;
 }
@@ -77,44 +77,8 @@ void BM_PayloadCodec(benchmark::State& state) {
 BENCHMARK(BM_PayloadCodec)
     ->ArgsProduct({{4096, 33000}, {0, 1, 2, 3}});
 
-void BM_ChunkBoundaries(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const PayloadFixture fixture(n);
-  const std::span<const std::uint8_t> bytes(
-      reinterpret_cast<const std::uint8_t*>(fixture.params.data()),
-      fixture.params.size() * sizeof(float));
-  for (auto _ : state) {
-    auto ends = chunk_boundaries(bytes, ChunkParams{});
-    benchmark::DoNotOptimize(ends.data());
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(bytes.size()));
-}
-BENCHMARK(BM_ChunkBoundaries)->Arg(4096)->Arg(33000);
-
 /// Insert a stream of near-identical payloads (shared prefix, distinct
-/// tail) into a chunking store — the ledger-growth pattern chunk dedup is
-/// built for.
-void BM_ChunkStore(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const PayloadFixture fixture(n);
-  for (auto _ : state) {
-    ModelStore store;
-    store.configure_chunking(ChunkParams{});
-    for (std::size_t k = 0; k < 8; ++k) {
-      nn::ParamVector params = fixture.params;
-      params[n - 1] = static_cast<float>(k + 1);
-      store.add(std::move(params));
-    }
-    benchmark::DoNotOptimize(store.chunk_count());
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 8 *
-                          static_cast<std::int64_t>(n * sizeof(float)));
-}
-BENCHMARK(BM_ChunkStore)->Arg(4096)->Arg(33000);
-
-/// Flat-store baseline for the same insertion stream (whole-payload
-/// hashing only), isolating the chunking overhead.
+/// tail): whole-payload hashing plus one copy per insert.
 void BM_FlatStore(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const PayloadFixture fixture(n);

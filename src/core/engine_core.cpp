@@ -34,10 +34,6 @@ EngineCore::EngineCore(const data::FederatedDataset& dataset,
       kernel_pool_(options.kernel_pool),
       master_rng_(config.seed),
       tangle_([&] {
-        // Chunking must be configured before the first payload lands.
-        if (config.codec.chunk) {
-          store_.configure_chunking(tangle::ChunkParams{});
-        }
         // Genesis payload: a randomly initialized model every node starts
         // from.
         nn::Model model = factory_();

@@ -48,9 +48,8 @@ struct EngineConfig {
   // Publish-path payload codec (see tangle/payload_codec.hpp): every
   // published payload is replaced by its canonical decoded form
   // decode(encode(payload)), so the ledger holds exactly the bytes any
-  // decoder reconstructs, and codec.chunk switches the ModelStore to
-  // content-defined chunk dedup. Every stage defaults off; with only
-  // lossless stages on, outputs stay byte-identical to codec-off runs.
+  // decoder reconstructs. Every stage defaults off; with only lossless
+  // stages on, outputs stay byte-identical to codec-off runs.
   tangle::PayloadCodecConfig codec;
 
   // Milestone pruning (see tangle/milestones.hpp): at every prune.interval

@@ -5,6 +5,7 @@
 
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
 #include <string_view>
@@ -13,6 +14,16 @@ namespace tanglefl {
 
 /// 32-byte SHA-256 digest.
 using Sha256Digest = std::array<std::uint8_t, 32>;
+
+/// Hash-table hasher for digests: SHA-256 output is already uniformly
+/// distributed, so its first 8 bytes make a perfectly good table hash.
+struct Sha256DigestHash {
+  std::size_t operator()(const Sha256Digest& digest) const noexcept {
+    std::uint64_t h = 0;
+    std::memcpy(&h, digest.data(), sizeof(h));
+    return static_cast<std::size_t>(h);
+  }
+};
 
 class Sha256 {
  public:

@@ -8,8 +8,8 @@ namespace {
 
 constexpr std::uint32_t kMagic = 0x544e474c;  // "TNGL"
 constexpr std::uint32_t kVersionLegacy = 1;   // flag-less store, no frontier
-constexpr std::uint32_t kVersionFlat = 2;     // liveness flags, no chunk table
-constexpr std::uint32_t kVersion = 3;         // chunked-store capable
+constexpr std::uint32_t kVersionFlat = 2;     // liveness flags, no store flag
+constexpr std::uint32_t kVersion = 3;         // store flag byte (always 0)
 
 /// Satellite integrity check: every transaction's payload handle must
 /// resolve in the restored store and hash to what the header recorded.

@@ -5,7 +5,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "tangle/payload_codec.hpp"
 
 namespace tanglefl::tangle {
 namespace {
@@ -34,18 +33,6 @@ obs::Counter& released_counter() {
   return counter;
 }
 
-obs::Counter& chunks_counter() {
-  static obs::Counter& counter =
-      obs::MetricsRegistry::global().counter("ledger.codec.chunks");
-  return counter;
-}
-
-obs::Counter& chunk_dedup_counter() {
-  static obs::Counter& counter =
-      obs::MetricsRegistry::global().counter("ledger.codec.chunk_dedup_hits");
-  return counter;
-}
-
 obs::Histogram& add_timing_histogram() {
   static obs::Histogram& hist = obs::MetricsRegistry::global().histogram(
       "store.add_us", obs::BucketLayout::exponential(1.0, 4.0, 12),
@@ -53,15 +40,12 @@ obs::Histogram& add_timing_histogram() {
   return hist;
 }
 
-std::span<const std::uint8_t> param_bytes(std::span<const float> params) {
-  return {reinterpret_cast<const std::uint8_t*>(params.data()),
-          params.size() * sizeof(float)};
-}
-
 }  // namespace
 
 Sha256Digest ModelStore::hash_params(std::span<const float> params) {
-  return Sha256::hash(param_bytes(params));
+  return Sha256::hash(std::span<const std::uint8_t>(
+      reinterpret_cast<const std::uint8_t*>(params.data()),
+      params.size() * sizeof(float)));
 }
 
 ModelStore::AddResult ModelStore::add(nn::ParamVector params) {
@@ -69,10 +53,9 @@ ModelStore::AddResult ModelStore::add(nn::ParamVector params) {
   add_counter().increment();
   AddResult result;
   result.hash = hash_params(params);
-  const std::string key = to_hex(result.hash);
 
   WriterLock lock(mutex_);
-  if (const auto it = by_hash_.find(key); it != by_hash_.end()) {
+  if (const auto it = by_hash_.find(result.hash); it != by_hash_.end()) {
     result.id = it->second;
     result.deduplicated = true;
     dedup_counter().increment();
@@ -80,60 +63,9 @@ ModelStore::AddResult ModelStore::add(nn::ParamVector params) {
   }
   result.id = entries_.size();
   live_floats_ += params.size();
-  entries_.push_back({std::move(params), result.hash, /*released=*/false, {}});
-  by_hash_.emplace(key, result.id);
-  if (chunking_) chunk_payload_locked(entries_.back());
+  entries_.push_back({std::move(params), result.hash, /*released=*/false});
+  by_hash_.emplace(result.hash, result.id);
   return result;
-}
-
-void ModelStore::chunk_payload_locked(Entry& entry) {
-  const std::span<const std::uint8_t> bytes = param_bytes(entry.params);
-  std::size_t begin = 0;
-  for (const std::size_t end : chunk_boundaries(bytes, chunk_params_)) {
-    const std::span<const std::uint8_t> chunk =
-        bytes.subspan(begin, end - begin);
-    begin = end;
-    const Sha256Digest digest = Sha256::hash(chunk);
-    const std::string chunk_key = to_hex(digest);
-    if (const auto it = chunk_by_hash_.find(chunk_key);
-        it != chunk_by_hash_.end()) {
-      ++chunks_[it->second].refcount;
-      entry.chunk_ids.push_back(it->second);
-      chunk_dedup_counter().increment();
-      continue;
-    }
-    std::uint32_t slot = 0;
-    if (!free_chunk_slots_.empty()) {
-      slot = free_chunk_slots_.back();
-      free_chunk_slots_.pop_back();
-    } else {
-      slot = static_cast<std::uint32_t>(chunks_.size());
-      chunks_.emplace_back();
-    }
-    ChunkSlot& stored = chunks_[slot];
-    stored.bytes.assign(chunk.begin(), chunk.end());
-    stored.hash = digest;
-    stored.refcount = 1;
-    chunk_by_hash_.emplace(chunk_key, slot);
-    entry.chunk_ids.push_back(slot);
-    ++live_chunks_;
-    chunks_counter().increment();
-  }
-}
-
-void ModelStore::release_chunks_locked(Entry& entry) {
-  for (const std::uint32_t slot : entry.chunk_ids) {
-    ChunkSlot& chunk = chunks_[slot];
-    if (--chunk.refcount == 0) {
-      chunk_by_hash_.erase(to_hex(chunk.hash));
-      chunk.bytes.clear();
-      chunk.bytes.shrink_to_fit();
-      free_chunk_slots_.push_back(slot);
-      --live_chunks_;
-    }
-  }
-  entry.chunk_ids.clear();
-  entry.chunk_ids.shrink_to_fit();
 }
 
 const nn::ParamVector& ModelStore::get(PayloadId id) const {
@@ -156,12 +88,11 @@ void ModelStore::release(PayloadId id) {
   }
   Entry& entry = entries_[id];
   if (entry.released) return;
-  by_hash_.erase(to_hex(entry.hash));
+  by_hash_.erase(entry.hash);
   live_floats_ -= entry.params.size();
   entry.params.clear();
   entry.params.shrink_to_fit();
   entry.released = true;
-  release_chunks_locked(entry);
 }
 
 bool ModelStore::is_released(PayloadId id) const {
@@ -175,7 +106,7 @@ bool ModelStore::is_released(PayloadId id) const {
 PayloadId ModelStore::add_released(const Sha256Digest& hash) {
   WriterLock lock(mutex_);
   const PayloadId id = entries_.size();
-  entries_.push_back({nn::ParamVector{}, hash, /*released=*/true, {}});
+  entries_.push_back({nn::ParamVector{}, hash, /*released=*/true});
   return id;
 }
 
@@ -192,129 +123,27 @@ std::size_t ModelStore::size() const {
   return entries_.size();
 }
 
-void ModelStore::configure_chunking(const ChunkParams& params) {
-  WriterLock lock(mutex_);
-  if (!entries_.empty()) {
-    throw std::logic_error(
-        "ModelStore::configure_chunking: store is not empty");
-  }
-  if (params.min_bytes == 0 || params.max_bytes < params.min_bytes ||
-      params.mask_bits >= 64) {
-    throw std::invalid_argument(
-        "ModelStore::configure_chunking: bad chunk parameters");
-  }
-  chunking_ = true;
-  chunk_params_ = params;
-}
-
-bool ModelStore::chunking_enabled() const {
-  ReaderLock lock(mutex_);
-  return chunking_;
-}
-
-ChunkParams ModelStore::chunk_params() const {
-  ReaderLock lock(mutex_);
-  return chunk_params_;
-}
-
-std::size_t ModelStore::chunk_count() const {
-  ReaderLock lock(mutex_);
-  return live_chunks_;
-}
-
 void ModelStore::serialize(ByteWriter& writer) const {
   ReaderLock lock(mutex_);
-  writer.write_u8(chunking_ ? 1 : 0);
-  if (!chunking_) {
-    // Flat body: byte-identical to the v2 store section.
-    writer.write_u64(entries_.size());
-    for (const auto& entry : entries_) {
-      // Liveness flag per entry: released payloads persist hash-only, so a
-      // pruned ledger's dump shrinks with its store.
-      writer.write_u8(entry.released ? 0 : 1);
-      if (entry.released) {
-        writer.write_bytes(entry.hash);
-      } else {
-        writer.write_f32_span(entry.params);
-      }
-    }
-    return;
-  }
-  writer.write_u64(chunk_params_.min_bytes);
-  writer.write_u64(chunk_params_.max_bytes);
-  writer.write_u32(chunk_params_.mask_bits);
-  // Each unique chunk's bytes are written once; freed slots persist as
-  // empty byte strings so live entries' slot ids stay meaningful.
-  writer.write_u64(chunks_.size());
-  for (const auto& chunk : chunks_) writer.write_bytes(chunk.bytes);
+  writer.write_u8(0);  // store flag: 0 = flat, the only body written
   writer.write_u64(entries_.size());
   for (const auto& entry : entries_) {
+    // Liveness flag per entry: released payloads persist hash-only, so a
+    // pruned ledger's dump shrinks with its store.
     writer.write_u8(entry.released ? 0 : 1);
     if (entry.released) {
       writer.write_bytes(entry.hash);
     } else {
-      writer.write_u32_span(entry.chunk_ids);
+      writer.write_f32_span(entry.params);
     }
   }
 }
 
 void ModelStore::deserialize_into(ByteReader& reader, ModelStore& store) {
-  const std::uint8_t chunked = reader.read_u8();
-  if (chunked == 0) {
-    deserialize_into_v2(reader, store);
-    return;
+  if (reader.read_u8() != 0) {
+    throw SerializeError("ModelStore: unsupported store flag");
   }
-  if (chunked != 1) {
-    throw SerializeError("ModelStore: bad chunked flag");
-  }
-  ChunkParams params;
-  params.min_bytes = reader.read_u64();
-  params.max_bytes = reader.read_u64();
-  params.mask_bits = reader.read_u32();
-  store.configure_chunking(params);  // validates; store must be empty
-  const std::uint64_t chunk_slots = reader.read_u64();
-  std::vector<std::vector<std::uint8_t>> slots;
-  slots.reserve(chunk_slots);
-  for (std::uint64_t i = 0; i < chunk_slots; ++i) {
-    slots.push_back(reader.read_bytes());
-  }
-  const std::uint64_t count = reader.read_u64();
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::uint8_t live = reader.read_u8();
-    if (live == 1) {
-      // Reassemble the payload bytes from its chunk ids; add() re-chunks
-      // deterministically (same content, same cutter parameters).
-      std::vector<std::uint8_t> bytes;
-      for (const std::uint32_t slot : reader.read_u32_vector()) {
-        if (slot >= slots.size()) {
-          throw SerializeError("ModelStore: chunk id out of range");
-        }
-        bytes.insert(bytes.end(), slots[slot].begin(), slots[slot].end());
-      }
-      if (bytes.size() % sizeof(float) != 0) {
-        throw SerializeError("ModelStore: chunked payload not float-sized");
-      }
-      nn::ParamVector params_vec(bytes.size() / sizeof(float));
-      if (!bytes.empty()) {
-        std::memcpy(params_vec.data(), bytes.data(), bytes.size());
-      }
-      const auto added = store.add(std::move(params_vec));
-      if (added.id != i) {
-        throw SerializeError("ModelStore: duplicate payload in dump");
-      }
-      continue;
-    }
-    if (live != 0) {
-      throw SerializeError("ModelStore: bad payload liveness flag");
-    }
-    const std::vector<std::uint8_t> hash_bytes = reader.read_bytes();
-    Sha256Digest hash{};
-    if (hash_bytes.size() != hash.size()) {
-      throw SerializeError("ModelStore: bad released payload hash size");
-    }
-    std::memcpy(hash.data(), hash_bytes.data(), hash.size());
-    store.add_released(hash);
-  }
+  deserialize_into_v2(reader, store);
 }
 
 void ModelStore::deserialize_into_v2(ByteReader& reader, ModelStore& store) {

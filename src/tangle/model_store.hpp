@@ -4,15 +4,6 @@
 // unchanged) deduplicate to one copy. Thread-safe: reads take a shared lock,
 // inserts an exclusive one, so parallel node training can resolve parent
 // payloads concurrently.
-//
-// Optional chunk-level dedup (configure_chunking): payload bytes are split
-// at content-defined boundaries (tangle/payload_codec.hpp's gear-hash
-// cutter) and held in a SHA-256-keyed refcounted chunk table, so
-// near-identical payloads share storage beyond whole-payload dedup. Live
-// entries keep their materialized ParamVector — get()'s reference-stability
-// contract is untouched — while the chunk table is the at-rest tier:
-// serialization writes each unique chunk once, and the
-// ledger.codec.{chunks,chunk_dedup_hits} counters expose the sharing.
 #pragma once
 
 #include <cstdint>
@@ -26,15 +17,6 @@
 #include "tangle/transaction.hpp"
 
 namespace tanglefl::tangle {
-
-/// Parameters of the content-defined chunker (see
-/// tangle/payload_codec.hpp's chunk_boundaries).
-struct ChunkParams {
-  std::size_t min_bytes = 512;
-  std::size_t max_bytes = 8192;
-  // Average chunk size ~ min_bytes + 2^mask_bits.
-  unsigned mask_bits = 11;
-};
 
 class ModelStore {
  public:
@@ -64,24 +46,12 @@ class ModelStore {
 
   static Sha256Digest hash_params(std::span<const float> params);
 
-  /// Enables content-defined chunk dedup for every subsequently added
-  /// payload and switches serialization to the chunked v3 body. Only legal
-  /// on an empty store (throws std::logic_error otherwise): chunking is a
-  /// whole-ledger storage format, not a per-payload option.
-  void configure_chunking(const ChunkParams& params);
-  bool chunking_enabled() const;
-  ChunkParams chunk_params() const;
-
-  /// Unique chunks currently held (0 when chunking is off).
-  std::size_t chunk_count() const;
-
   /// Garbage collection for milestone pruning (tangle/milestones.hpp):
   /// drops a payload's parameters while keeping its id slot and hash, so
   /// frozen transaction headers stay verifiable. The id leaves the dedup
   /// index — re-adding identical params later yields a fresh id. get() on
   /// a released payload throws std::logic_error (a released payload is
   /// referenced only below the prune frontier, which no consumer reads).
-  /// Chunks referenced only by the released payload are freed too.
   void release(PayloadId id);
   bool is_released(PayloadId id) const;
 
@@ -92,12 +62,11 @@ class ModelStore {
   /// Binary round trip of all payloads (ids are preserved, so transaction
   /// payload handles stay valid across save/load). The store is not
   /// movable (it owns a mutex), so deserialization fills an existing empty
-  /// instance. The current (v3) format leads with a chunked? flag byte:
-  /// flat stores serialize exactly the v2 body after it, chunked stores a
-  /// chunk-slot table plus per-entry chunk-id spans. deserialize_into_v2
-  /// reads the v2 body (liveness flags, no chunk flag);
-  /// deserialize_into_v1 the flag-less legacy format. Loading a chunked
-  /// dump configures chunking on `store` from the recorded parameters.
+  /// instance. The current (v3) format is a store flag byte, always 0,
+  /// then exactly the v2 body; deserialize_into throws SerializeError on
+  /// any other flag before reading further. deserialize_into_v2 reads the
+  /// v2 body (liveness flags, no store flag); deserialize_into_v1 the
+  /// flag-less legacy format.
   void serialize(ByteWriter& writer) const;
   static void deserialize_into(ByteReader& reader, ModelStore& store);
   static void deserialize_into_v2(ByteReader& reader, ModelStore& store);
@@ -108,24 +77,7 @@ class ModelStore {
     nn::ParamVector params;
     Sha256Digest hash{};
     bool released = false;
-    // Slots into chunks_ covering this payload's bytes in order; empty
-    // when chunking is off or the entry was released.
-    std::vector<std::uint32_t> chunk_ids;
   };
-
-  /// One unique chunk of payload bytes. Freed slots (refcount 0) keep
-  /// their position so live entries' chunk ids stay stable; their bytes
-  /// are dropped and the slot is recycled via free_chunk_slots_.
-  struct ChunkSlot {
-    std::vector<std::uint8_t> bytes;
-    Sha256Digest hash{};
-    std::size_t refcount = 0;
-  };
-
-  void chunk_payload_locked(Entry& entry)
-      TANGLEFL_REQUIRES(mutex_);
-  void release_chunks_locked(Entry& entry)
-      TANGLEFL_REQUIRES(mutex_);
 
   mutable SharedMutex mutex_;
   // Deque, not vector: get()/hash_of() hand out references that must stay
@@ -135,19 +87,10 @@ class ModelStore {
   // entries. Handing out those references is the one sanctioned escape of
   // guarded state: entries are append-only and immutable once inserted.
   std::deque<Entry> entries_ TANGLEFL_GUARDED_BY(mutex_);
-  // hex hash -> id
-  std::unordered_map<std::string, PayloadId> by_hash_
+  // payload hash -> id (live entries only)
+  std::unordered_map<Sha256Digest, PayloadId, Sha256DigestHash> by_hash_
       TANGLEFL_GUARDED_BY(mutex_);
   std::size_t live_floats_ TANGLEFL_GUARDED_BY(mutex_) = 0;
-
-  bool chunking_ TANGLEFL_GUARDED_BY(mutex_) = false;
-  ChunkParams chunk_params_ TANGLEFL_GUARDED_BY(mutex_){};
-  std::deque<ChunkSlot> chunks_ TANGLEFL_GUARDED_BY(mutex_);
-  // hex chunk hash -> slot
-  std::unordered_map<std::string, std::uint32_t> chunk_by_hash_
-      TANGLEFL_GUARDED_BY(mutex_);
-  std::vector<std::uint32_t> free_chunk_slots_ TANGLEFL_GUARDED_BY(mutex_);
-  std::size_t live_chunks_ TANGLEFL_GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace tanglefl::tangle

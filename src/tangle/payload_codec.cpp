@@ -634,7 +634,6 @@ PayloadCodecConfig parse_codec_spec(const std::string& spec) {
   if (spec == "default") {
     config.delta = true;
     config.entropy = true;
-    config.chunk = true;
     return config;
   }
   std::size_t pos = 0;
@@ -648,8 +647,6 @@ PayloadCodecConfig parse_codec_spec(const std::string& spec) {
       config.quantize = true;
     } else if (token == "entropy") {
       config.entropy = true;
-    } else if (token == "chunk") {
-      config.chunk = true;
     } else if (token.rfind("topk", 0) == 0) {
       config.topk = true;
       if (token.size() > 4) {
@@ -675,11 +672,17 @@ PayloadCodecConfig parse_codec_spec(const std::string& spec) {
     if (comma == std::string::npos) break;
     pos = comma + 1;
   }
+  if (config.topk && !config.delta) {
+    // topk keeps the coordinates that moved furthest from the delta base;
+    // without delta that base is zero and topk degenerates to plain
+    // magnitude pruning of the model itself.
+    throw std::invalid_argument("payload codec spec: topk requires delta");
+  }
   return config;
 }
 
 std::string codec_spec_string(const PayloadCodecConfig& config) {
-  if (!config.enabled()) return "off";
+  if (!config.any_stage()) return "off";
   std::string spec;
   const auto append = [&](const std::string& stage) {
     if (!spec.empty()) spec += ',';
@@ -691,65 +694,7 @@ std::string codec_spec_string(const PayloadCodecConfig& config) {
   }
   if (config.quantize) append("quantize");
   if (config.entropy) append("entropy");
-  if (config.chunk) append("chunk");
   return spec;
-}
-
-// ---------------------------------------------------------------------------
-// Content-defined chunking
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// Deterministic pseudo-random gear table (splitmix64 on a fixed seed):
-/// the rolling hash is h = (h << 1) + gear[byte], an implicit 64-byte
-/// sliding window.
-const std::array<std::uint64_t, 256>& gear_table() {
-  static const std::array<std::uint64_t, 256> table = [] {
-    std::array<std::uint64_t, 256> t{};
-    std::uint64_t state = 0x9e3779b97f4a7c15ull;
-    for (auto& entry : t) {
-      state += 0x9e3779b97f4a7c15ull;
-      std::uint64_t z = state;
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-      entry = z ^ (z >> 31);
-    }
-    return t;
-  }();
-  return table;
-}
-
-}  // namespace
-
-std::vector<std::size_t> chunk_boundaries(std::span<const std::uint8_t> data,
-                                          const ChunkParams& params) {
-  const auto& gear = gear_table();
-  const std::uint64_t mask = (std::uint64_t{1} << params.mask_bits) - 1;
-  const std::size_t min_bytes = std::max<std::size_t>(1, params.min_bytes);
-  const std::size_t max_bytes = std::max(params.max_bytes, min_bytes);
-  std::vector<std::size_t> ends;
-  std::size_t pos = 0;
-  while (pos < data.size()) {
-    const std::size_t limit = std::min(pos + max_bytes, data.size());
-    std::size_t cut = limit;
-    std::uint64_t hash = 0;
-    std::size_t i = pos;
-    for (const std::size_t skip = std::min(pos + min_bytes, data.size());
-         i < skip; ++i) {
-      hash = (hash << 1) + gear[data[i]];
-    }
-    for (; i < limit; ++i) {
-      hash = (hash << 1) + gear[data[i]];
-      if ((hash & mask) == 0) {
-        cut = i + 1;
-        break;
-      }
-    }
-    ends.push_back(cut);
-    pos = cut;
-  }
-  return ends;
 }
 
 // ---------------------------------------------------------------------------

@@ -26,11 +26,10 @@
 // bytes any decoder would reconstruct. encode/decode are pure
 // integer-deterministic functions — results never depend on thread counts.
 //
-// Chunk-level dedup (the `chunk` toggle) lives in ModelStore: payload bytes
-// are split at content-defined boundaries (gear rolling hash) and stored in
-// a SHA-256-keyed refcounted chunk table, so near-identical payloads share
-// storage beyond whole-payload dedup. chunk_boundaries() below is the
-// shared cutter.
+// topk sparsifies the update against the delta base, so a spec naming topk
+// must also name delta (parse_codec_spec rejects it otherwise). The
+// published payload is stored in ModelStore's flat, whole-payload
+// deduplicated table; DESIGN §4j records why there is no chunk-level tier.
 #pragma once
 
 #include <cstdint>
@@ -52,25 +51,21 @@ struct PayloadCodecConfig {
   double topk_fraction = 0.01;
   bool quantize = false;
   bool entropy = false;
-  // ModelStore content-defined chunk dedup (storage tier, not a wire
-  // stage; see ModelStore::configure_chunking).
-  bool chunk = false;
 
-  /// Any wire stage on (the chunk toggle alone does not change payloads).
   bool any_stage() const noexcept {
     return delta || topk || quantize || entropy;
   }
   bool lossy() const noexcept { return topk || quantize; }
-  bool enabled() const noexcept { return any_stage() || chunk; }
 };
 
 /// Parses a --payload-codec spec: "off", "default" (the lossless
-/// delta+entropy+chunk preset), or a comma list of stage names among
-/// {delta, topk[:fraction], quantize, entropy, chunk}. Throws
-/// std::invalid_argument on unknown stages or malformed fractions.
+/// delta+entropy preset), or a comma list of stage names among
+/// {delta, topk[:fraction], quantize, entropy}. Throws
+/// std::invalid_argument on unknown stages, malformed fractions, or topk
+/// without delta.
 PayloadCodecConfig parse_codec_spec(const std::string& spec);
 
-/// Canonical spec string for manifests ("off" when no toggle is set).
+/// Canonical spec string for manifests ("off" when no stage is set).
 std::string codec_spec_string(const PayloadCodecConfig& config);
 
 /// One encoded payload. The byte stream is self-describing up to the
@@ -106,15 +101,6 @@ class PayloadCodec {
  private:
   PayloadCodecConfig config_;
 };
-
-/// Content-defined chunk boundaries over `data` (gear rolling hash): a cut
-/// lands where the hash masks to zero, clamped to [min_bytes, max_bytes].
-/// Returns the exclusive end offset of every chunk (last entry ==
-/// data.size(); empty input yields no chunks). Purely content-driven, so an
-/// unchanged region of bytes produces the same chunks whatever surrounds it.
-/// ChunkParams itself lives in tangle/model_store.hpp (the consumer).
-std::vector<std::size_t> chunk_boundaries(std::span<const std::uint8_t> data,
-                                          const ChunkParams& params);
 
 /// Publish-path driver shared by the three engines: resolves the delta base
 /// from the approved parents (average of their payloads — exactly the base

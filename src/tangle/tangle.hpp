@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <cstring>
 #include <optional>
 #include <span>
 #include <string>
@@ -163,23 +162,13 @@ class Tangle {
 
   friend struct TangleTestAccess;  // test-only corruption hooks
 
-  // Transaction ids are SHA-256 digests, already uniformly distributed, so
-  // the first 8 bytes make a perfectly good table hash.
-  struct TxIdHash {
-    std::size_t operator()(const TransactionId& id) const noexcept {
-      std::uint64_t h = 0;
-      std::memcpy(&h, id.data(), sizeof(h));
-      return static_cast<std::size_t>(h);
-    }
-  };
-
   std::vector<Transaction> transactions_;
   std::vector<std::vector<TxIndex>> parent_indices_;
   std::vector<std::vector<TxIndex>> approvers_;
   TxIndex prune_floor_ = 0;
   // id -> first index bearing it, maintained by every mutation path so
   // find() stays O(1) instead of a linear ledger scan.
-  std::unordered_map<TransactionId, TxIndex, TxIdHash> index_by_id_;
+  std::unordered_map<TransactionId, TxIndex, Sha256DigestHash> index_by_id_;
 };
 
 }  // namespace tanglefl::tangle

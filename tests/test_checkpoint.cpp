@@ -266,68 +266,6 @@ TEST(Checkpoint, SimulationLedgerRoundTrips) {
   std::remove(kPath);
 }
 
-TEST(Checkpoint, ChunkedStoreLedgerRoundTrips) {
-  // A ledger whose store runs content-defined chunk dedup must round-trip
-  // with the chunk configuration, payload bytes, and tombstones intact —
-  // and re-saving the restored ledger is byte-identical.
-  ModelStore store;
-  ChunkParams chunk_params;
-  chunk_params.min_bytes = 8;
-  chunk_params.max_bytes = 64;
-  chunk_params.mask_bits = 4;
-  store.configure_chunking(chunk_params);
-  const auto genesis = store.add({0.0f, 1.0f});
-  Tangle tangle(genesis.id, genesis.hash);
-  nn::ParamVector params(120);
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    params[i] = static_cast<float>(i) * 0.5f;
-  }
-  TxIndex last = 0;
-  for (std::uint64_t r = 1; r <= 4; ++r) {
-    params[0] = static_cast<float>(r);  // near-identical payloads: dedup
-    const auto added = store.add(params);
-    const std::vector<TxIndex> parents{last};
-    last = tangle.add_transaction(parents, added.id, added.hash, r);
-  }
-  store.release(1);
-  ASSERT_GT(store.chunk_count(), 0u);
-
-  save_ledger(kPath, tangle, store);
-  ModelStore restored_store;
-  const Tangle restored = load_ledger(kPath, restored_store);
-  ASSERT_EQ(restored.size(), tangle.size());
-  EXPECT_TRUE(restored_store.chunking_enabled());
-  EXPECT_EQ(restored_store.chunk_params().mask_bits, chunk_params.mask_bits);
-  EXPECT_EQ(restored_store.chunk_count(), store.chunk_count());
-  for (PayloadId id = 0; id < store.size(); ++id) {
-    EXPECT_EQ(restored_store.is_released(id), store.is_released(id));
-    if (!store.is_released(id)) {
-      EXPECT_EQ(restored_store.get(id), store.get(id));
-    }
-  }
-
-  // Reloading re-chunks live payloads, which compacts freed slots — so the
-  // first re-save may differ from the original dump. It must be a fixpoint
-  // after that one normalization: save(load(save(load(x)))) == save(load(x)).
-  const char* kPath2 = "/tmp/tanglefl_test_checkpoint_chunked_resave.bin";
-  const char* kPath3 = "/tmp/tanglefl_test_checkpoint_chunked_resave2.bin";
-  save_ledger(kPath2, restored, restored_store);
-  ModelStore second_store;
-  const Tangle second = load_ledger(kPath2, second_store);
-  save_ledger(kPath3, second, second_store);
-  std::ifstream a(kPath2, std::ios::binary);
-  std::ifstream b(kPath3, std::ios::binary);
-  const std::vector<char> bytes_a((std::istreambuf_iterator<char>(a)),
-                                  std::istreambuf_iterator<char>());
-  const std::vector<char> bytes_b((std::istreambuf_iterator<char>(b)),
-                                  std::istreambuf_iterator<char>());
-  ASSERT_FALSE(bytes_a.empty());
-  EXPECT_EQ(bytes_a, bytes_b);
-  std::remove(kPath);
-  std::remove(kPath2);
-  std::remove(kPath3);
-}
-
 void write_file(const char* path, const ByteWriter& writer) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   const auto& bytes = writer.bytes();
@@ -336,8 +274,8 @@ void write_file(const char* path, const ByteWriter& writer) {
 }
 
 TEST(Checkpoint, FlatV2DumpStillLoads) {
-  // Version-2 dumps (liveness flags, no chunk table) predate the chunked
-  // store and must keep loading unchanged.
+  // Version-2 dumps (liveness flags, no store flag byte) must keep loading
+  // unchanged.
   Fixture f;
   f.add({0}, {1.0f, 2.0f}, 1);
   ByteWriter writer;
@@ -356,7 +294,6 @@ TEST(Checkpoint, FlatV2DumpStillLoads) {
   ModelStore store;
   const Tangle restored = load_ledger(kPath, store);
   ASSERT_EQ(restored.size(), 2u);
-  EXPECT_FALSE(store.chunking_enabled());
   EXPECT_EQ(store.get(restored.transaction(1).payload),
             (nn::ParamVector{1.0f, 2.0f}));
   std::remove(kPath);

@@ -42,7 +42,9 @@ TEST(ConcurrencyStress, ModelStoreReadersDuringGrowth) {
   std::vector<std::thread> readers;
   for (int r = 0; r < 3; ++r) {
     readers.emplace_back([&] {
-      while (!stop.load(std::memory_order_acquire)) {
+      // do-while: every reader makes at least one pass, however late the
+      // scheduler starts it.
+      do {
         const std::size_t visible = store.size();
         for (std::size_t id = 0; id < visible; ++id) {
           // Hold the references across further concurrent adds and touch
@@ -53,7 +55,7 @@ TEST(ConcurrencyStress, ModelStoreReadersDuringGrowth) {
               static_cast<std::uint64_t>(params.size()) + digest[0],
               std::memory_order_relaxed);
         }
-      }
+      } while (!stop.load(std::memory_order_acquire));
     });
   }
 

@@ -128,8 +128,8 @@ TEST(EngineCore, SyncRandomPoisonGoldenDigests) {
       digests(sim.tangle(), result, timeline),
       {"9c43301beba6b64da81cd86a7ca974efb852fe729b69b9d014fd7b438f3103cf",
        "23923060b43791f64004d302033892f9eaf75dc7599c612c9c1ed41cb130b1b0",
-       "9b8d02a134d4a42ff3e8083c267bb3d1e3448ad589b45e022c07dc74d71f3313",
-       "ee1a974fcd2abf54b7fea97b94b878e8eeeb3585d47d2658002f421a0c916a00"});
+       "7ba789b10799abe34855d5894c929a80af26ca0a11fa65e3a76c7f5122f8b60d",
+       "225ffabca811dc54c5ef1d512f3e80b91881a30857eb302e670fa6a5facee173"});
 }
 
 TEST(EngineCore, AsyncLabelFlipGoldenDigests) {
@@ -155,8 +155,8 @@ TEST(EngineCore, AsyncLabelFlipGoldenDigests) {
       digests(sim.tangle(), result, timeline),
       {"5693653de31e45b40bdeba5c5bcc80e1020a0ed8f9dce623d79381b2b6ba7f37",
        "2a90570db098f25add366db981e7e243bdca04ed938eb4c040ce4a36c12ec415",
-       "9cb397205bb7057b08dff3e63a52fcaa8fee786dc416d1fa321bec8dfcbaf91e",
-       "d7e0b5e90694aa093bdf1396a2da52c7e04b3521d36797486d744bbeb3044fb0"});
+       "50b32e2950873e27186c6e96c7a127f83de10bc537243e89d61d8d19a559c7a7",
+       "e90a8ff8bab7940c27822b63070135b1e58d2ab0ab609a6c0479710a67b786b6"});
 }
 
 TEST(EngineCore, GossipPullFailureGoldenDigests) {
@@ -179,8 +179,8 @@ TEST(EngineCore, GossipPullFailureGoldenDigests) {
       digests(sim.tangle(), result, timeline),
       {"f2de07a2910a7ff5753e503a16d36982b9024347d002510e4a50fb41054cdcc8",
        "7e248a46439d5a37a143d23d95c526afa4650f1b71050f2fbb5a25079c359e43",
-       "6dc3a1a0bf32d900f7c35a8ec36c03de16bc7f1fab6c479160bd5c8ba57cadd0",
-       "d4bc1b31c69ed0e2d6f8f28977b4e48d743d0c2b54aee3182b22e4f3dd8f2636"});
+       "a1357bfd9bbae59126660324820ab38c1d51e528f2017c58ff2cd329fc8eb671",
+       "11c811aa18522b57860186414d10c7532c8a60175512f29ff6937372e48583a9"});
 }
 
 // Config validation: every engine rejects a bad value at construction with

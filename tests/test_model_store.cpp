@@ -142,141 +142,54 @@ TEST(ModelStore, LiveBytesTracksAddsAndReleases) {
   EXPECT_EQ(store.total_parameters(), 0u);
 }
 
-// ------------------------------------------------------------- chunked store
-
-/// Tiny chunks so a handful of floats spans several of them.
-ChunkParams tiny_chunks() {
-  ChunkParams params;
-  params.min_bytes = 8;
-  params.max_bytes = 64;
-  params.mask_bits = 4;
-  return params;
-}
-
-nn::ParamVector patterned_params(std::size_t n, float seed) {
-  nn::ParamVector params(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    params[i] = seed + static_cast<float>(i) * 0.25f;
-  }
-  return params;
-}
-
-/// Slot-table size as persisted by serialize(): chunked flag (u8), three
-/// cutter parameters (u64, u64, u32), then the u64 slot count.
-std::uint64_t serialized_chunk_slots(const ModelStore& store) {
-  ByteWriter writer;
-  store.serialize(writer);
-  ByteReader reader(writer.bytes());
-  EXPECT_EQ(reader.read_u8(), 1u);
-  (void)reader.read_u64();
-  (void)reader.read_u64();
-  (void)reader.read_u32();
-  return reader.read_u64();
-}
-
-TEST(ModelStoreChunked, ConfigureRules) {
-  ModelStore store;
-  ChunkParams bad = tiny_chunks();
-  bad.min_bytes = 0;
-  EXPECT_THROW(store.configure_chunking(bad), std::invalid_argument);
-  bad = tiny_chunks();
-  bad.max_bytes = bad.min_bytes - 1;
-  EXPECT_THROW(store.configure_chunking(bad), std::invalid_argument);
-
-  EXPECT_FALSE(store.chunking_enabled());
-  store.configure_chunking(tiny_chunks());
-  EXPECT_TRUE(store.chunking_enabled());
-  EXPECT_EQ(store.chunk_params().min_bytes, tiny_chunks().min_bytes);
-
-  ModelStore busy;
-  busy.add({1.0f});
-  EXPECT_THROW(busy.configure_chunking(tiny_chunks()), std::logic_error);
-}
-
-TEST(ModelStoreChunked, PayloadsReadBackExactly) {
-  ModelStore store;
-  store.configure_chunking(tiny_chunks());
-  const nn::ParamVector params = patterned_params(100, 1.0f);
-  const auto added = store.add(params);
-  EXPECT_EQ(store.get(added.id), params);
-  EXPECT_GT(store.chunk_count(), 1u);
-}
-
-TEST(ModelStoreChunked, SharedContentDeduplicatesChunks) {
-  // Two payloads sharing a long prefix must share its chunks: adding the
-  // second grows the chunk table by far less than a standalone copy would.
-  ModelStore store;
-  store.configure_chunking(tiny_chunks());
-  nn::ParamVector first = patterned_params(200, 1.0f);
-  nn::ParamVector second = first;
-  second.back() += 1.0f;  // distinct payload, nearly identical bytes
-
-  store.add(first);
-  const std::size_t after_first = store.chunk_count();
-  store.add(second);
-  const std::size_t after_second = store.chunk_count();
-  EXPECT_GT(after_first, 1u);
-  // Only the tail chunk(s) differ.
-  EXPECT_LT(after_second - after_first, after_first / 2 + 1);
-}
-
-TEST(ModelStoreChunked, ReleaseFreesChunksAndRecyclesSlots) {
-  ModelStore store;
-  store.configure_chunking(tiny_chunks());
-  const auto a = store.add(patterned_params(150, 1.0f));
-  const auto b = store.add(patterned_params(150, 500.0f));
-  const std::size_t live_before = store.chunk_count();
-  const std::uint64_t slots_before = serialized_chunk_slots(store);
-
-  store.release(a.id);
-  EXPECT_LT(store.chunk_count(), live_before);
-  EXPECT_THROW((void)store.get(a.id), std::logic_error);
-  EXPECT_EQ(store.get(b.id), patterned_params(150, 500.0f));
-
-  // Re-adding the released content re-chunks to the same cuts, so the
-  // freed slots are recycled and the table does not grow.
-  store.add(patterned_params(150, 1.0f));
-  EXPECT_EQ(store.chunk_count(), live_before);
-  EXPECT_EQ(serialized_chunk_slots(store), slots_before);
-}
-
-TEST(ModelStoreChunked, SerializeRoundTripsChunkedStore) {
-  ModelStore store;
-  store.configure_chunking(tiny_chunks());
-  const auto a = store.add(patterned_params(120, 1.0f));
-  const auto b = store.add(patterned_params(80, 50.0f));
-  const auto c = store.add(patterned_params(64, 75.0f));
-  store.release(b.id);
-
-  ByteWriter writer;
-  store.serialize(writer);
-  ByteReader reader(writer.bytes());
-  ModelStore restored;
-  ModelStore::deserialize_into(reader, restored);
-
-  ASSERT_EQ(restored.size(), 3u);
-  EXPECT_TRUE(restored.chunking_enabled());
-  EXPECT_EQ(restored.chunk_params().max_bytes, tiny_chunks().max_bytes);
-  EXPECT_EQ(restored.get(a.id), patterned_params(120, 1.0f));
-  EXPECT_TRUE(restored.is_released(b.id));
-  EXPECT_EQ(to_hex(restored.hash_of(b.id)), to_hex(b.hash));
-  EXPECT_EQ(restored.get(c.id), patterned_params(64, 75.0f));
-  EXPECT_EQ(restored.chunk_count(), store.chunk_count());
-  EXPECT_EQ(restored.live_bytes(), store.live_bytes());
-}
-
-TEST(ModelStoreChunked, FlatDumpLoadsIntoFlatStore) {
-  // The chunked flag is per-dump: a flat store's dump must stay loadable
-  // and flat (byte-compatible with the pre-chunking v2 body).
+TEST(ModelStore, FlatDumpLoadsIntoFlatStore) {
+  // The v3 body is a zero store flag followed by exactly the v2 body.
   ModelStore flat;
   flat.add({1.0f, 2.0f});
   ByteWriter writer;
   flat.serialize(writer);
+  ASSERT_FALSE(writer.bytes().empty());
+  EXPECT_EQ(writer.bytes().front(), 0u);
+
   ByteReader reader(writer.bytes());
   ModelStore restored;
   ModelStore::deserialize_into(reader, restored);
-  EXPECT_FALSE(restored.chunking_enabled());
+  EXPECT_TRUE(reader.exhausted());
   EXPECT_EQ(restored.get(0), (nn::ParamVector{1.0f, 2.0f}));
+
+  const std::span<const std::uint8_t> body(writer.bytes());
+  ByteReader v2_reader(body.subspan(1));
+  ModelStore from_v2;
+  ModelStore::deserialize_into_v2(v2_reader, from_v2);
+  EXPECT_EQ(from_v2.get(0), (nn::ParamVector{1.0f, 2.0f}));
+}
+
+TEST(ModelStore, RetiredChunkedFlagIsRejectedBeforeAllocating) {
+  // Flag 1 was the chunked body: cutter parameters, then a u64 chunk-slot
+  // count. A hostile count of 2^60 must fail as a SerializeError on the
+  // flag, never reach an allocation sized by it.
+  ByteWriter writer;
+  writer.write_u8(1);
+  writer.write_u64(512);
+  writer.write_u64(8192);
+  writer.write_u32(11);
+  writer.write_u64(std::uint64_t{1} << 60);
+  ByteReader reader(writer.bytes());
+  ModelStore store;
+  EXPECT_THROW(ModelStore::deserialize_into(reader, store), SerializeError);
+  EXPECT_EQ(store.size(), 0u);
+}
+
+TEST(ModelStore, UnknownStoreFlagIsRejected) {
+  ModelStore flat;
+  flat.add({1.0f});
+  ByteWriter writer;
+  flat.serialize(writer);
+  std::vector<std::uint8_t> bytes = writer.bytes();
+  bytes.front() = 2;
+  ByteReader reader(bytes);
+  ModelStore store;
+  EXPECT_THROW(ModelStore::deserialize_into(reader, store), SerializeError);
 }
 
 TEST(ModelStore, SerializeRoundTripsReleasedEntries) {

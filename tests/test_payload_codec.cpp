@@ -257,34 +257,34 @@ TEST(PayloadCodec, OversizedPlainSizeThrowsBeforeAllocating) {
 
 TEST(CodecSpec, OffAndDefaultPresets) {
   const PayloadCodecConfig off = parse_codec_spec("off");
-  EXPECT_FALSE(off.enabled());
+  EXPECT_FALSE(off.any_stage());
   const PayloadCodecConfig none = parse_codec_spec("");
-  EXPECT_FALSE(none.enabled());
+  EXPECT_FALSE(none.any_stage());
   const PayloadCodecConfig preset = parse_codec_spec("default");
   EXPECT_TRUE(preset.delta);
   EXPECT_TRUE(preset.entropy);
-  EXPECT_TRUE(preset.chunk);
   EXPECT_FALSE(preset.topk);
   EXPECT_FALSE(preset.quantize);
   EXPECT_FALSE(preset.lossy());
+  EXPECT_EQ(codec_spec_string(preset),
+            codec_spec_string(parse_codec_spec("delta,entropy")));
 }
 
 TEST(CodecSpec, FullListParses) {
   const PayloadCodecConfig config =
-      parse_codec_spec("delta,topk:0.25,quantize,entropy,chunk");
+      parse_codec_spec("delta,topk:0.25,quantize,entropy");
   EXPECT_TRUE(config.delta);
   EXPECT_TRUE(config.topk);
   EXPECT_DOUBLE_EQ(config.topk_fraction, 0.25);
   EXPECT_TRUE(config.quantize);
   EXPECT_TRUE(config.entropy);
-  EXPECT_TRUE(config.chunk);
   EXPECT_TRUE(config.lossy());
+  EXPECT_TRUE(parse_codec_spec("delta,topk:0.1,entropy").topk);
 }
 
 TEST(CodecSpec, SpecStringRoundTrips) {
   for (const char* spec : {"off", "delta", "delta,entropy",
-                           "delta,quantize,entropy", "chunk",
-                           "delta,entropy,chunk"}) {
+                           "delta,quantize,entropy"}) {
     const PayloadCodecConfig config = parse_codec_spec(spec);
     EXPECT_EQ(codec_spec_string(config), spec);
     const PayloadCodecConfig reparsed = parse_codec_spec(codec_spec_string(config));
@@ -300,86 +300,14 @@ TEST(CodecSpec, BadSpecsThrow) {
   EXPECT_THROW((void)parse_codec_spec("topk:0"), std::invalid_argument);
   EXPECT_THROW((void)parse_codec_spec("topk:1.5"), std::invalid_argument);
   EXPECT_THROW((void)parse_codec_spec("delta,,entropy"), std::invalid_argument);
-}
-
-// ---------------------------------------------------------- chunk boundaries
-
-std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<std::uint8_t> bytes(n);
-  for (auto& b : bytes) {
-    b = static_cast<std::uint8_t>(rng.uniform_index(256));
-  }
-  return bytes;
-}
-
-TEST(ChunkBoundaries, PartitionWithinBounds) {
-  const std::vector<std::uint8_t> data = random_bytes(100000, 11);
-  const ChunkParams params;  // 512..8192, mask 11
-  const std::vector<std::size_t> ends = chunk_boundaries(data, params);
-  ASSERT_FALSE(ends.empty());
-  EXPECT_EQ(ends.back(), data.size());
-  std::size_t begin = 0;
-  for (std::size_t i = 0; i < ends.size(); ++i) {
-    ASSERT_GT(ends[i], begin);
-    const std::size_t size = ends[i] - begin;
-    EXPECT_LE(size, params.max_bytes);
-    if (i + 1 < ends.size()) {
-      EXPECT_GE(size, params.min_bytes);
-    }
-    begin = ends[i];
-  }
-}
-
-TEST(ChunkBoundaries, EmptyInputYieldsNoChunks) {
-  EXPECT_TRUE(chunk_boundaries({}, ChunkParams{}).empty());
-}
-
-TEST(ChunkBoundaries, DeterministicAndPrefixStable) {
-  const std::vector<std::uint8_t> data = random_bytes(50000, 13);
-  const ChunkParams params;
-  const std::vector<std::size_t> ends = chunk_boundaries(data, params);
-  EXPECT_EQ(chunk_boundaries(data, params), ends);
-  // Cuts are computed left to right with the hash reset at every cut, so
-  // appending data never moves an earlier boundary: every full-data cut
-  // strictly inside a prefix is also a cut of that prefix.
-  const std::size_t prefix_size = data.size() / 2;
-  const std::vector<std::size_t> prefix_ends = chunk_boundaries(
-      std::span<const std::uint8_t>(data.data(), prefix_size), params);
-  for (std::size_t i = 0; i < ends.size() && ends[i] < prefix_size; ++i) {
-    ASSERT_LT(i, prefix_ends.size());
-    EXPECT_EQ(prefix_ends[i], ends[i]);
-  }
-}
-
-TEST(ChunkBoundaries, SharedContentProducesSharedChunks) {
-  // Content-defined cutting: inserting bytes at the front leaves the cuts
-  // in the unchanged tail at the same content positions (after the cutter
-  // resynchronizes), which is what makes chunk-level dedup work.
-  const std::vector<std::uint8_t> tail = random_bytes(60000, 17);
-  std::vector<std::uint8_t> shifted = random_bytes(1000, 19);
-  shifted.insert(shifted.end(), tail.begin(), tail.end());
-
-  const ChunkParams params;
-  const std::vector<std::size_t> ends_a = chunk_boundaries(tail, params);
-  const std::vector<std::size_t> ends_b = chunk_boundaries(shifted, params);
-  // Compare cut positions relative to the shared tail content.
-  std::vector<std::size_t> cuts_a(ends_a.begin(), ends_a.end());
-  std::vector<std::size_t> cuts_b;
-  for (const std::size_t end : ends_b) {
-    if (end > 1000) cuts_b.push_back(end - 1000);
-  }
-  std::size_t shared = 0;
-  for (const std::size_t cut : cuts_b) {
-    for (const std::size_t other : cuts_a) {
-      if (cut == other) {
-        ++shared;
-        break;
-      }
-    }
-  }
-  // The vast majority of tail cuts must line up once resynchronized.
-  EXPECT_GE(shared, cuts_a.size() / 2);
+  // `chunk` is no stage; topk needs the delta base it sparsifies against.
+  EXPECT_THROW((void)parse_codec_spec("chunk"), std::invalid_argument);
+  EXPECT_THROW((void)parse_codec_spec("delta,entropy,chunk"),
+               std::invalid_argument);
+  EXPECT_THROW((void)parse_codec_spec("topk:0.1,entropy"),
+               std::invalid_argument);
+  EXPECT_THROW((void)parse_codec_spec("quantize,topk,entropy"),
+               std::invalid_argument);
 }
 
 // ------------------------------------------------------------ engine parity
@@ -432,7 +360,10 @@ TEST(PayloadCodecEngine, LosslessCodecMatchesCodecOffBitExactly) {
   const core::RunResult result_off = off.run();
 
   core::SimulationConfig codec_config = fast_config();
-  codec_config.codec = parse_codec_spec("default");  // delta+entropy+chunk
+  codec_config.codec = parse_codec_spec("default");  // delta+entropy
+  obs::Counter& encoded =
+      obs::MetricsRegistry::global().counter("ledger.codec.payloads");
+  const std::uint64_t encoded_before = encoded.value();
   core::TangleSimulation on(dataset, factory, codec_config);
   const core::RunResult result_on = on.run();
 
@@ -444,9 +375,8 @@ TEST(PayloadCodecEngine, LosslessCodecMatchesCodecOffBitExactly) {
     EXPECT_EQ(result_on.history[i].accuracy, result_off.history[i].accuracy);
     EXPECT_EQ(result_on.history[i].loss, result_off.history[i].loss);
   }
-  // And the chunked store actually engaged.
-  EXPECT_TRUE(on.store().chunking_enabled());
-  EXPECT_GT(on.store().chunk_count(), 0u);
+  // And the codec actually ran on the published payloads.
+  EXPECT_GT(encoded.value(), encoded_before);
 }
 
 TEST(PayloadCodecEngine, LossyCodecChangesPayloadsButStaysDeterministic) {

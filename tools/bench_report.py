@@ -67,8 +67,6 @@ KEY_COUNTERS = (
     "ledger.codec.payloads",
     "ledger.codec.raw_bytes",
     "ledger.codec.encoded_bytes",
-    "ledger.codec.chunks",
-    "ledger.codec.chunk_dedup_hits",
 )
 
 # Final-row timeline series summarizing DAG health at the end of a run.
