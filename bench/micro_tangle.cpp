@@ -1,5 +1,5 @@
 // Micro-benchmarks for the ledger substrate: tip selection walks, cone
-// computations, confidence sampling, SHA-256 hashing, and proof-of-work.
+// computations, confidence sampling and SHA-256 hashing.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -12,7 +12,6 @@
 #include "support/stopwatch.hpp"
 #include "tangle/confidence.hpp"
 #include "tangle/model_store.hpp"
-#include "tangle/pow.hpp"
 #include "tangle/tip_selection.hpp"
 #include "tangle/view_cache.hpp"
 
@@ -148,18 +147,6 @@ void BM_PayloadHash(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PayloadHash)->Arg(10000)->Arg(100000);
-
-void BM_ProofOfWork(benchmark::State& state) {
-  const std::vector<TransactionId> parents = {Sha256::hash("p1"),
-                                              Sha256::hash("p2")};
-  const Sha256Digest payload = Sha256::hash("payload");
-  const int difficulty = static_cast<int>(state.range(0));
-  std::uint64_t round = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(solve_pow(parents, payload, round++, difficulty));
-  }
-}
-BENCHMARK(BM_ProofOfWork)->Arg(4)->Arg(8)->Arg(12);
 
 }  // namespace
 

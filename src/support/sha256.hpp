@@ -1,6 +1,6 @@
 // SHA-256 (FIPS 180-4). Used to content-address model payloads and to
-// derive transaction ids in the tangle, and by the optional proof-of-work
-// primitive. Streaming interface plus one-shot helpers.
+// derive transaction ids in the tangle. Streaming interface plus one-shot
+// helpers.
 #pragma once
 
 #include <array>
@@ -56,7 +56,7 @@ class Sha256 {
 /// Lowercase hex encoding of a digest.
 std::string to_hex(const Sha256Digest& digest);
 
-/// Number of leading zero bits in the digest (for proof-of-work checks).
+/// Number of leading zero bits in the digest.
 int leading_zero_bits(const Sha256Digest& digest) noexcept;
 
 }  // namespace tanglefl

@@ -62,7 +62,7 @@ class IncrementalConeState {
   /// Drops all state (used when the owner rebinds to another Tangle).
   void reset();
 
-  /// Seeds the state from checkpointed arrays (tangle/checkpoint.hpp);
+  /// Seeds the state from snapshot arrays (ViewCache::restore_cone_state);
   /// both must have equal size. Replaces any existing state.
   void restore(std::vector<std::uint32_t> past,
                std::vector<std::uint32_t> future);

@@ -1,7 +1,7 @@
 // Transactions of the learning tangle. Unlike a cryptocurrency ledger, the
 // payload of a transaction is a full set of model parameters (Section III);
 // the transaction header holds the approved parents, the payload's content
-// hash, the publishing round, and an optional proof-of-work nonce.
+// hash, the publishing round, and a nonce (always 0: no proof-of-work).
 //
 // A standard tangle transaction approves exactly two (not necessarily
 // distinct) tips; the paper's hyperparameter study also publishes
@@ -38,7 +38,7 @@ struct Transaction {
   Sha256Digest payload_hash{};
   PayloadId payload = 0;
   std::uint64_t round = 0;   // publishing round (visibility barrier)
-  std::uint64_t nonce = 0;   // proof-of-work nonce; 0 when PoW is disabled
+  std::uint64_t nonce = 0;   // id preimage field; 0 (there is no PoW)
   // Publisher tag used only for diagnostics/metrics. It deliberately plays
   // no role in consensus: participants are anonymous (Section III-D).
   std::string publisher;

@@ -143,20 +143,20 @@ class ViewCache {
   /// entries.
   void clear();
 
-  /// Copies of the incremental cone-state vectors, for checkpointing a
-  /// pruned ledger (tangle/checkpoint.hpp). Both empty when the state has
-  /// processed nothing yet.
+  /// Copies of the incremental cone-state vectors, so a pruned ledger's
+  /// cone values can be carried into another cache. Both empty when the
+  /// state has processed nothing yet.
   struct ConeStateSnapshot {
     std::vector<std::uint32_t> past;
     std::vector<std::uint32_t> future;
   };
   ConeStateSnapshot cone_state_snapshot() const;
 
-  /// Seeds the incremental state from a checkpoint snapshot and binds the
-  /// cache to `tangle` (whose leading snapshot.past.size() transactions
-  /// the arrays must describe). Resuming through this keeps cone values —
-  /// including their historical-floor approximations — byte-identical to
-  /// the run that saved them.
+  /// Seeds the incremental state from a cone_state_snapshot() and binds
+  /// the cache to `tangle` (whose leading snapshot.past.size()
+  /// transactions the arrays must describe). Cone values — including
+  /// their historical-floor approximations — stay byte-identical to the
+  /// cache that took the snapshot.
   void restore_cone_state(const Tangle& tangle, ConeStateSnapshot snapshot);
 
   std::size_t size() const;

@@ -130,6 +130,34 @@ TEST(EngineCore, SyncRandomPoisonGoldenDigests) {
        "23923060b43791f64004d302033892f9eaf75dc7599c612c9c1ed41cb130b1b0",
        "7ba789b10799abe34855d5894c929a80af26ca0a11fa65e3a76c7f5122f8b60d",
        "225ffabca811dc54c5ef1d512f3e80b91881a30857eb302e670fa6a5facee173"});
+
+  // The pins above are exact, so they also hold every work counter a
+  // poisoned robust-sampling run must record and the final row's health
+  // series; name them so a re-pin cannot drop one unnoticed.
+  const obs::MetricsSnapshot snapshot = obs::MetricsRegistry::global().snapshot(
+      obs::SnapshotKind::kDeterministic);
+  for (const std::string name :
+       {"eval.batched.groups", "eval.batched.models",
+        "eval.batched.pack_reuses", "eval.cache.hit", "eval.cache.miss",
+        "eval.examples", "eval.forwards", "nn.conv.flops", "nn.gemm.flops",
+        "tangle.cones.incremental.appended", "tangle.cones.incremental.builds",
+        "tangle.tip_walk.count", "tangle.transactions.added",
+        "train.batches"}) {
+    const auto it = std::find_if(
+        snapshot.counters.begin(), snapshot.counters.end(),
+        [&](const obs::CounterSnapshot& c) { return c.name == name; });
+    ASSERT_NE(it, snapshot.counters.end()) << name;
+    EXPECT_GT(it->value, 0u) << name;
+  }
+  const std::string jsonl = timeline.to_jsonl();
+  const std::string last_row =
+      jsonl.substr(jsonl.rfind('\n', jsonl.size() - 2) + 1);
+  for (const std::string series :
+       {"tangle.health.tip_count", "tangle.health.orphan_count",
+        "tangle.health.orphan_rate", "tangle.health.confirmed_count",
+        "tangle.health.depth_mean", "sim.ledger_bytes"}) {
+    EXPECT_NE(last_row.find('"' + series + '"'), std::string::npos) << series;
+  }
 }
 
 TEST(EngineCore, AsyncLabelFlipGoldenDigests) {

@@ -164,6 +164,22 @@ TEST(ModelStore, FlatDumpLoadsIntoFlatStore) {
   EXPECT_EQ(from_v2.get(0), (nn::ParamVector{1.0f, 2.0f}));
 }
 
+TEST(ModelStore, LegacyV1DumpStillLoads) {
+  // The v1 body has no flags at all: a count, then every payload in id
+  // order.
+  ByteWriter v1_writer;
+  v1_writer.write_u64(2);
+  v1_writer.write_f32_span(nn::ParamVector{1.0f, 2.0f});
+  v1_writer.write_f32_span(nn::ParamVector{3.0f});
+  ByteReader v1_reader(v1_writer.bytes());
+  ModelStore from_v1;
+  ModelStore::deserialize_into_v1(v1_reader, from_v1);
+  EXPECT_TRUE(v1_reader.exhausted());
+  ASSERT_EQ(from_v1.size(), 2u);
+  EXPECT_EQ(from_v1.get(0), (nn::ParamVector{1.0f, 2.0f}));
+  EXPECT_EQ(from_v1.get(1), (nn::ParamVector{3.0f}));
+}
+
 TEST(ModelStore, RetiredChunkedFlagIsRejectedBeforeAllocating) {
   // Flag 1 was the chunked body: cutter parameters, then a u64 chunk-slot
   // count. A hostile count of 2^60 must fail as a SerializeError on the

@@ -12,6 +12,14 @@
 namespace tanglefl {
 namespace {
 
+/// A file path owned by the running test: ctest runs every test as its own
+/// process, so a path shared between tests races under `ctest -j`.
+std::string test_temp_path(const std::string& extension) {
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  return ::testing::TempDir() + "tanglefl_" + info->test_suite_name() + "." +
+         info->name() + extension;
+}
+
 TEST(TablePrinter, AlignsColumns) {
   TablePrinter table({"a", "long-header"});
   table.add_row({"xxxxxx", "1"});
@@ -32,7 +40,7 @@ TEST(TablePrinter, ShortRowsPadded) {
 }
 
 TEST(CsvWriter, WritesHeaderAndRows) {
-  const std::string path = "/tmp/tanglefl_test_csv.csv";
+  const std::string path = test_temp_path(".csv");
   {
     CsvWriter csv(path, {"round", "accuracy"});
     csv.add_row({"1", "0.5"});
@@ -48,7 +56,7 @@ TEST(CsvWriter, WritesHeaderAndRows) {
 }
 
 TEST(CsvWriter, EscapesSpecialCharacters) {
-  const std::string path = "/tmp/tanglefl_test_csv2.csv";
+  const std::string path = test_temp_path(".csv");
   {
     CsvWriter csv(path, {"name"});
     csv.add_row({"has,comma"});

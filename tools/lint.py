@@ -59,6 +59,12 @@ Rules (scoped to src/core and src/tangle unless noted):
                          fragment the timeline/report schema and defeat
                          grep; a sanctioned dynamic-name helper carries
                          lint:allow(metric-name) stating why.
+  tmp-path               (tests/ only) A string literal starting with
+                         "/tmp/ is forbidden. ctest runs every test as its
+                         own process, so a fixed path is shared by every
+                         test that names it and races under `ctest -j`;
+                         build the path from ::testing::TempDir() and the
+                         running test's name instead.
 
 The pre-TSA "unlocked-mutation" heuristic (mutating a mutex-sibling field
 in a lock-free function body) is retired: with every lock flowing through
@@ -80,7 +86,7 @@ import argparse
 import os
 import re
 import sys
-from typing import Dict, List, NamedTuple, Optional, Set
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 DETERMINISM_DIRS = (
     os.path.join("src", "core"),
@@ -101,6 +107,7 @@ BANNED_RANDOM = [
 
 SUPPORT_DIR = os.path.join("src", "support")
 SRC_DIR = "src"
+TESTS_DIR = "tests"
 
 # The one file allowed to name the std synchronization primitives.
 SYNC_FILE = os.path.join("src", "support", "sync.hpp")
@@ -172,9 +179,12 @@ class Finding(NamedTuple):
     message: str
 
 
-def strip_comments_and_strings(line: str) -> str:
-    """Removes // comments and string/char literal contents (keeps quotes)."""
+def split_code_and_strings(line: str) -> Tuple[str, List[str]]:
+    """Splits a line into its code, with // comments and string/char
+    literal contents removed (quotes kept), and the contents of its string
+    literals."""
     out = []
+    strings = []
     i, n = 0, len(line)
     while i < n:
         ch = line[i]
@@ -184,14 +194,22 @@ def strip_comments_and_strings(line: str) -> str:
             quote = ch
             out.append(quote)
             i += 1
+            start = i
             while i < n and line[i] != quote:
                 i += 2 if line[i] == "\\" else 1
+            if quote == '"':
+                strings.append(line[start:i])
             out.append(quote)
             i += 1
             continue
         out.append(ch)
         i += 1
-    return "".join(out)
+    return "".join(out), strings
+
+
+def strip_comments_and_strings(line: str) -> str:
+    """Removes // comments and string/char literal contents (keeps quotes)."""
+    return split_code_and_strings(line)[0]
 
 
 def is_suppressed(line: str, rule: str) -> bool:
@@ -204,9 +222,13 @@ def in_determinism_scope(path: str) -> bool:
     return any(d in norm for d in DETERMINISM_DIRS)
 
 
-def in_src_scope(path: str) -> bool:
+def in_dir_scope(path: str, directory: str) -> bool:
     norm = os.path.normpath(path)
-    return (SRC_DIR + os.sep) in norm or norm.startswith(SRC_DIR + os.sep)
+    return (directory + os.sep) in norm or norm.startswith(directory + os.sep)
+
+
+def in_src_scope(path: str) -> bool:
+    return in_dir_scope(path, SRC_DIR)
 
 
 def is_file(path: str, target: str) -> bool:
@@ -336,6 +358,30 @@ def check_metric_name(path: str, lines: List[str]) -> List[Finding]:
                     f'metric name "{name}" violates the lowercase dotted '
                     "component.metric convention ([a-z0-9_] segments joined "
                     "by '.', at least two segments)",
+                )
+            )
+    return findings
+
+
+def check_tmp_path(path: str, lines: List[str]) -> List[Finding]:
+    """Tests build their scratch paths per test, never as a fixed /tmp/."""
+    if not in_dir_scope(path, TESTS_DIR):
+        return []
+    findings = []
+    for lineno, raw in enumerate(lines, 1):
+        _, strings = split_code_and_strings(raw)
+        if any(text.startswith("/tmp/") for text in strings) and (
+            not is_suppressed(raw, "tmp-path")
+        ):
+            findings.append(
+                Finding(
+                    path,
+                    lineno,
+                    "tmp-path",
+                    'string literal starts with "/tmp/"; a fixed path is '
+                    "shared by every test process that names it and races "
+                    "under ctest -j — build it from ::testing::TempDir() "
+                    "and the running test's name",
                 )
             )
     return findings
@@ -527,6 +573,7 @@ def lint_file(path: str, header_cache: Dict[str, List[str]]) -> List[Finding]:
     findings += check_unannotated_guard(path, lines)
     findings += check_include_order(path, lines)
     findings += check_metric_name(path, lines)
+    findings += check_tmp_path(path, lines)
 
     if in_determinism_scope(path):
         findings += check_banned_random(path, lines)

@@ -433,6 +433,40 @@ class MetricNameTest(LintFixtureTest):
         )
 
 
+class TmpPathTest(LintFixtureTest):
+    def test_fires_on_fixed_tmp_literal_in_tests(self):
+        self.assert_fires(
+            "tests/test_io.cpp",
+            'const char* kPath = "/tmp/tanglefl_test.bin";\n'
+            'save(std::string("/tmp/other.csv"));\n',
+            "tmp-path",
+            count=2,
+        )
+
+    def test_quiet_on_comments_and_non_prefix_literals(self):
+        self.assert_quiet(
+            "tests/test_io.cpp",
+            '// never write "/tmp/x" here\n'
+            'const std::string path = ::testing::TempDir() + "a.csv";\n'
+            'const char* note = "not /tmp/ at the start";\n',
+            "tmp-path",
+        )
+
+    def test_respects_allow(self):
+        self.assert_quiet(
+            "tests/test_io.cpp",
+            'open("/tmp/x");  // lint:allow(tmp-path) reason\n',
+            "tmp-path",
+        )
+
+    def test_quiet_outside_tests(self):
+        self.assert_quiet(
+            "src/support/io.cpp",
+            'const char* kPath = "/tmp/tanglefl.bin";\n',
+            "tmp-path",
+        )
+
+
 class CliTest(LintFixtureTest):
     """End-to-end: exit codes and --report, via the real CLI."""
 
