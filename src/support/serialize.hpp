@@ -46,11 +46,6 @@ class ByteWriter {
     write_raw(values.data(), values.size() * sizeof(std::uint64_t));
   }
 
-  void write_u32_span(std::span<const std::uint32_t> values) {
-    write_u64(values.size());
-    write_raw(values.data(), values.size() * sizeof(std::uint32_t));
-  }
-
   void write_bytes(std::span<const std::uint8_t> bytes) {
     write_u64(bytes.size());
     write_raw(bytes.data(), bytes.size());
@@ -110,13 +105,6 @@ class ByteReader {
     const std::uint64_t n = read_length(sizeof(std::uint64_t));
     std::vector<std::uint64_t> v(n);
     read_raw(v.data(), n * sizeof(std::uint64_t));
-    return v;
-  }
-
-  std::vector<std::uint32_t> read_u32_vector() {
-    const std::uint64_t n = read_length(sizeof(std::uint32_t));
-    std::vector<std::uint32_t> v(n);
-    read_raw(v.data(), n * sizeof(std::uint32_t));
     return v;
   }
 

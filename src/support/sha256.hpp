@@ -1,6 +1,8 @@
 // SHA-256 (FIPS 180-4). Used to content-address model payloads and to
 // derive transaction ids in the tangle. Streaming interface plus one-shot
-// helpers.
+// helpers. Whole blocks are compressed with the x86 SHA extensions when
+// CPUID reports them, and by portable code otherwise; both give the same
+// digest.
 #pragma once
 
 #include <array>
@@ -45,13 +47,26 @@ class Sha256 {
   static Sha256Digest hash(std::string_view data) noexcept;
 
  private:
-  void process_block(const std::uint8_t* block) noexcept;
-
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, 64> buffer_;
   std::uint64_t total_bytes_ = 0;
   std::size_t buffered_ = 0;
 };
+
+namespace detail {
+
+/// Compresses `blocks` consecutive 64-byte blocks of `data` into the eight
+/// state words. Both forms compute the same FIPS 180-4 function; the SHA-NI
+/// form may only run where sha256_shani_supported() is true.
+void sha256_blocks_portable(std::uint32_t* state, const std::uint8_t* data,
+                            std::size_t blocks) noexcept;
+void sha256_blocks_shani(std::uint32_t* state, const std::uint8_t* data,
+                         std::size_t blocks) noexcept;
+
+/// True when CPUID reports the SHA extensions and SSE4.1 (detected once).
+bool sha256_shani_supported() noexcept;
+
+}  // namespace detail
 
 /// Lowercase hex encoding of a digest.
 std::string to_hex(const Sha256Digest& digest);

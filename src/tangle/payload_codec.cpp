@@ -25,51 +25,103 @@ constexpr std::uint32_t kTopValue = 1u << 24;
 constexpr std::uint16_t kProbInit = 1024;  // p(bit=0) = 1/2 in 11-bit scale
 constexpr unsigned kAdaptShift = 4;
 
+/// Probabilities stay in [15, 2033]/2048 under the shift-4 update, so a
+/// coded bit leaves at least 15/2048 of a range >= kTopValue: more than
+/// 2^16, and one shift by 8 renormalises it. A coded byte therefore emits
+/// at most 8 bytes plus the pending 0xFF run.
+constexpr std::size_t kMaxBytesPerCodedByte = 8;
+
 class RangeEncoder {
  public:
-  explicit RangeEncoder(std::vector<std::uint8_t>& out) : out_(out) {}
-
-  void encode_bit(std::uint16_t& prob, unsigned bit) {
-    const std::uint32_t bound = (range_ >> 11) * prob;
-    if (bit == 0) {
-      range_ = bound;
-      prob = static_cast<std::uint16_t>(prob + ((2048 - prob) >> kAdaptShift));
-    } else {
-      low_ += bound;
-      range_ -= bound;
-      prob = static_cast<std::uint16_t>(prob - (prob >> kAdaptShift));
-    }
-    while (range_ < kTopValue) {
-      range_ <<= 8;
-      shift_low();
-    }
+  /// Starts with room for `expected_size` bytes; the buffer grows as needed.
+  explicit RangeEncoder(std::size_t expected_size)
+      : out_(expected_size + kMaxBytesPerCodedByte) {
+    coder_.cursor = out_.data();
   }
 
-  /// Flushes the remaining low bits; call exactly once.
+  /// Codes `byte` MSB first through the bit tree `probs` (node index =
+  /// 1 followed by the bits coded so far).
+  void encode_byte(std::uint16_t* probs, unsigned byte) {
+    ensure_headroom(kMaxBytesPerCodedByte);
+    // Coding in a local copy keeps the state in registers: the byte stores
+    // through the cursor cannot alias it.
+    Coder coder = coder_;
+    unsigned context = 1;
+    for (int bit_index = 7; bit_index >= 0; --bit_index) {
+      const unsigned bit = (byte >> bit_index) & 1u;
+      coder.encode_bit(probs[context], bit);
+      context = (context << 1) | bit;
+    }
+    coder_ = coder;
+  }
+
+  /// Bytes emitted so far. The coder only ever appends.
+  std::size_t size() const noexcept {
+    return static_cast<std::size_t>(coder_.cursor - out_.data());
+  }
+
+  /// Flushes the remaining low bits; call exactly once, before take().
   void finish() {
-    for (int i = 0; i < 5; ++i) shift_low();
+    ensure_headroom(5);
+    for (int i = 0; i < 5; ++i) coder_.shift_low();
+  }
+
+  /// The bytes emitted so far (the whole stream after finish()).
+  std::vector<std::uint8_t> take() {
+    out_.resize(size());
+    return std::move(out_);
   }
 
  private:
-  void shift_low() {
-    if (static_cast<std::uint32_t>(low_) < 0xFF000000u || (low_ >> 32) != 0) {
-      std::uint8_t carry_byte = cache_;
-      do {
-        out_.push_back(
-            static_cast<std::uint8_t>(carry_byte + (low_ >> 32)));
-        carry_byte = 0xFF;
-      } while (--cache_size_ != 0);
-      cache_ = static_cast<std::uint8_t>(low_ >> 24);
+  struct Coder {
+    std::uint8_t* cursor = nullptr;
+    std::uint64_t low = 0;
+    std::uint32_t range = 0xFFFFFFFFu;
+    std::uint8_t cache = 0;
+    std::uint64_t cache_size = 1;
+
+    void encode_bit(std::uint16_t& prob, unsigned bit) {
+      const std::uint32_t bound = (range >> 11) * prob;
+      const std::uint32_t one = 0u - bit;  // all ones when bit == 1
+      low += bound & one;
+      range = (bound & ~one) | ((range - bound) & one);
+      const std::uint32_t p = prob;
+      const std::uint32_t toward_zero = p + ((2048 - p) >> kAdaptShift);
+      const std::uint32_t toward_one = p - (p >> kAdaptShift);
+      prob = static_cast<std::uint16_t>((toward_zero & ~one) |
+                                        (toward_one & one));
+      if (range < kTopValue) {
+        range <<= 8;
+        shift_low();
+      }
     }
-    ++cache_size_;
-    low_ = (low_ & 0x00FFFFFFu) << 8;
+
+    void shift_low() {
+      if (static_cast<std::uint32_t>(low) < 0xFF000000u || (low >> 32) != 0) {
+        std::uint8_t carry_byte = cache;
+        do {
+          *cursor++ = static_cast<std::uint8_t>(carry_byte + (low >> 32));
+          carry_byte = 0xFF;
+        } while (--cache_size != 0);
+        cache = static_cast<std::uint8_t>(low >> 24);
+      }
+      ++cache_size;
+      low = (low & 0x00FFFFFFu) << 8;
+    }
+  };
+
+  /// Makes room for `bytes` more shift_low() calls; each flush also writes
+  /// the pending run.
+  void ensure_headroom(std::size_t bytes) {
+    const std::size_t used = size();
+    const std::size_t needed = used + coder_.cache_size + bytes;
+    if (needed <= out_.size()) return;
+    out_.resize(std::max(needed, 2 * out_.size()));
+    coder_.cursor = out_.data() + used;
   }
 
-  std::vector<std::uint8_t>& out_;
-  std::uint64_t low_ = 0;
-  std::uint32_t range_ = 0xFFFFFFFFu;
-  std::uint8_t cache_ = 0;
-  std::uint64_t cache_size_ = 1;
+  std::vector<std::uint8_t> out_;
+  Coder coder_;
 };
 
 class RangeDecoder {
@@ -120,15 +172,6 @@ struct ByteTree {
   ByteTree() { probs.fill(kProbInit); }
 };
 
-void encode_byte(RangeEncoder& encoder, ByteTree& tree, std::uint8_t byte) {
-  unsigned context = 1;
-  for (int bit_index = 7; bit_index >= 0; --bit_index) {
-    const unsigned bit = (byte >> bit_index) & 1u;
-    encoder.encode_bit(tree.probs[context], bit);
-    context = (context << 1) | bit;
-  }
-}
-
 std::uint8_t decode_byte(RangeDecoder& decoder, ByteTree& tree) {
   unsigned context = 1;
   for (int bit_index = 0; bit_index < 8; ++bit_index) {
@@ -137,30 +180,23 @@ std::uint8_t decode_byte(RangeDecoder& decoder, ByteTree& tree) {
   return static_cast<std::uint8_t>(context & 0xFFu);
 }
 
-/// Order-0 adaptive compression with positional contexts: byte i is coded
-/// under model i % period (period 1 for opaque stage bytes).
-std::vector<std::uint8_t> entropy_compress(std::span<const std::uint8_t> data,
-                                           std::size_t period) {
-  std::vector<ByteTree> trees(period);
-  std::vector<std::uint8_t> out;
-  out.reserve(data.size() / 2 + 16);
-  RangeEncoder encoder(out);
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    encode_byte(encoder, trees[i % period], data[i]);
+/// Order-0 adaptive compression of opaque stage bytes under one byte model.
+std::vector<std::uint8_t> entropy_compress(std::span<const std::uint8_t> data) {
+  ByteTree tree;
+  RangeEncoder encoder(data.size() / 2 + 16);
+  for (const std::uint8_t byte : data) {
+    encoder.encode_byte(tree.probs.data(), byte);
   }
   encoder.finish();
-  return out;
+  return encoder.take();
 }
 
 std::vector<std::uint8_t> entropy_decompress(
-    std::span<const std::uint8_t> data, std::size_t plain_size,
-    std::size_t period) {
-  std::vector<ByteTree> trees(period);
+    std::span<const std::uint8_t> data, std::size_t plain_size) {
+  ByteTree tree;
   std::vector<std::uint8_t> out(plain_size);
   RangeDecoder decoder(data);
-  for (std::size_t i = 0; i < plain_size; ++i) {
-    out[i] = decode_byte(decoder, trees[i % period]);
-  }
+  for (std::uint8_t& byte : out) byte = decode_byte(decoder, tree);
   return out;
 }
 
@@ -223,22 +259,21 @@ std::vector<std::uint8_t> entropy_compress_words(
     std::span<const std::uint8_t> data, std::span<const float> base,
     std::size_t give_up_at = std::numeric_limits<std::size_t>::max()) {
   std::vector<ByteTree> trees(4 * kWordClasses * kExponentBuckets);
-  std::vector<std::uint8_t> out;
-  out.reserve(data.size() / 2 + 16);
-  RangeEncoder encoder(out);
+  RangeEncoder encoder(data.size() / 2 + 16);
   for (std::size_t word = 0; word + 4 <= data.size(); word += 4) {
-    if (out.size() >= give_up_at) return out;
+    if (encoder.size() >= give_up_at) return encoder.take();
     const std::size_t bucket =
         base.empty() ? 0 : exponent_bucket_of(base[word / 4]);
     std::size_t cls = 0;
     for (std::size_t b = 4; b-- > 0;) {
       const std::uint8_t byte = data[word + b];
-      encode_byte(encoder, trees[word_context(b, cls, bucket)], byte);
+      encoder.encode_byte(trees[word_context(b, cls, bucket)].probs.data(),
+                          byte);
       cls = next_class(cls, byte, /*first=*/b == 3);
     }
   }
   encoder.finish();
-  return out;
+  return encoder.take();
 }
 
 std::vector<std::uint8_t> entropy_decompress_words(
@@ -519,7 +554,7 @@ EncodedPayload PayloadCodec::encode(std::span<const float> params,
   if (config_.entropy) {
     write_varint(out, plain.size());
     out.write_bytes(dense ? entropy_compress_words(plain, delta_base)
-                          : entropy_compress(plain, 1));
+                          : entropy_compress(plain));
   } else {
     out.write_bytes(plain);
   }
@@ -553,7 +588,7 @@ nn::ParamVector PayloadCodec::decode(const EncodedPayload& encoded,
         delta_used ? base : std::span<const float>{};
     plain = dense ? entropy_decompress_words(reader.read_bytes(), plain_size,
                                              dense_base)
-                  : entropy_decompress(reader.read_bytes(), plain_size, 1);
+                  : entropy_decompress(reader.read_bytes(), plain_size);
   } else {
     plain = reader.read_bytes();
   }

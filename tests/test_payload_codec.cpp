@@ -238,6 +238,44 @@ TEST(PayloadCodec, BestOfDenseEncodingIsPinned) {
             entropy_only.encode(unrelated, near.base).bytes.size());
 }
 
+TEST(PayloadCodec, StageBodyEncodingsArePinned) {
+  // The period-1 entropy path (quantize and topk bodies) and the raw-word
+  // dense path, pinned to the exact streams the encoder produces.
+  const CodecFixture near;
+  const nn::ParamVector unrelated = unrelated_payload(near.base.size());
+  const auto encoded_digest = [&](const char* spec,
+                                  std::span<const float> params) {
+    const PayloadCodec codec(parse_codec_spec(spec));
+    const EncodedPayload encoded = codec.encode(params, near.base);
+    EXPECT_EQ(codec.decode(encoded, near.base).size(), params.size()) << spec;
+    return digest_of(encoded);
+  };
+  EXPECT_EQ(encoded_digest("delta,quantize,entropy", near.params),
+            "2420fdb2703f0f9fce60e51b77119d0ef4818ee7c2eb3b28df6a6e88709499e3");
+  EXPECT_EQ(encoded_digest("delta,topk:0.05,entropy", near.params),
+            "7de3001aa9a2d5ed509d37827b2d5af0abe12a2610b76c3af4d23563497ec68b");
+  EXPECT_EQ(encoded_digest("entropy", unrelated),
+            "8c87fe68ceb3b72f80c8ec52b27f9befc76e709425be6bb67a91f7ab4b59df51");
+}
+
+TEST(PayloadCodec, LongCodedStreamsRoundTrip) {
+  // Incompressible words of 64K parameters code to a stream larger than
+  // the input, so the encoder's output buffer grows well past its first
+  // reservation.
+  const nn::ParamVector unrelated = unrelated_payload(1u << 16, 5);
+  std::vector<float> base(unrelated.size());
+  for (std::size_t i = 0; i < base.size(); ++i) {
+    base[i] = -unrelated[unrelated.size() - 1 - i];
+  }
+  for (const char* spec : {"entropy", "delta,entropy"}) {
+    const PayloadCodec codec(parse_codec_spec(spec));
+    const EncodedPayload encoded = codec.encode(unrelated, base);
+    EXPECT_GT(encoded.bytes.size(), unrelated.size() * sizeof(float) / 2)
+        << spec;
+    EXPECT_TRUE(bit_equal(codec.decode(encoded, base), unrelated)) << spec;
+  }
+}
+
 TEST(PayloadCodec, OversizedPlainSizeThrowsBeforeAllocating) {
   // 12 crafted bytes: flags, count 1, an entropy plain size of 2^40 as a
   // varint, and four coder bytes. Decoding must reject the size before it

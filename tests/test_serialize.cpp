@@ -52,23 +52,6 @@ TEST(Serialize, U64VectorRoundTrip) {
   EXPECT_EQ(reader.read_u64_vector(), values);
 }
 
-TEST(Serialize, U32VectorRoundTrip) {
-  const std::vector<std::uint32_t> values = {
-      0, 1, 77, std::numeric_limits<std::uint32_t>::max()};
-  ByteWriter writer;
-  writer.write_u32_span(values);
-  ByteReader reader(writer.bytes());
-  EXPECT_EQ(reader.read_u32_vector(), values);
-}
-
-TEST(Serialize, EmptyU32VectorRoundTrip) {
-  ByteWriter writer;
-  writer.write_u32_span({});
-  ByteReader reader(writer.bytes());
-  EXPECT_TRUE(reader.read_u32_vector().empty());
-  EXPECT_TRUE(reader.exhausted());
-}
-
 TEST(Serialize, BytesRoundTrip) {
   const std::vector<std::uint8_t> payload = {0x00, 0xff, 0x7f, 0x80};
   ByteWriter writer;
