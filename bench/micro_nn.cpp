@@ -131,8 +131,8 @@ void BM_LstmTrainStep(benchmark::State& state) {
 BENCHMARK(BM_LstmTrainStep);
 
 // -------- paper-shape train steps (FEMNIST CNN, Shakespeare LSTM) --------
-// arg = kernel-pool workers (0 = serial); the *Reference variants run the
-// pre-optimization ops::reference loops for the speedup baseline.
+// arg = kernel-pool workers (0 = serial). BM_MatmulReference above is the
+// naive-kernel baseline.
 
 void cnn_train_step_loop(benchmark::State& state, std::size_t workers) {
   nn::ImageCnnConfig config;
@@ -164,13 +164,6 @@ void BM_TrainStepCNN(benchmark::State& state) {
 }
 BENCHMARK(BM_TrainStepCNN)->Arg(0)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond);
-
-void BM_TrainStepCNNReference(benchmark::State& state) {
-  nn::ops::set_reference_kernels(true);
-  cnn_train_step_loop(state, 0);
-  nn::ops::set_reference_kernels(false);
-}
-BENCHMARK(BM_TrainStepCNNReference)->Unit(benchmark::kMillisecond);
 
 void lstm_train_step_loop(benchmark::State& state, std::size_t workers) {
   nn::CharLstmConfig config;
@@ -205,13 +198,6 @@ void BM_TrainStepLSTM(benchmark::State& state) {
 }
 BENCHMARK(BM_TrainStepLSTM)->Arg(0)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond);
-
-void BM_TrainStepLSTMReference(benchmark::State& state) {
-  nn::ops::set_reference_kernels(true);
-  lstm_train_step_loop(state, 0);
-  nn::ops::set_reference_kernels(false);
-}
-BENCHMARK(BM_TrainStepLSTMReference)->Unit(benchmark::kMillisecond);
 
 void BM_ParamAverage(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -197,9 +197,8 @@ void ModelEvalBackend::eval_many(std::span<const std::span<const float>> params,
     for (std::size_t i = 0; i < k; ++i) results[i] = data::EvalResult{};
     return;
   }
-  // The reference-kernel dispatch has no prepacked form, and a lone model
-  // has nothing to share; both take the standalone path.
-  if (k == 1 || nn::ops::reference_kernels_enabled()) {
+  // A lone model has nothing to share; it takes the standalone path.
+  if (k == 1) {
     for (std::size_t i = 0; i < k; ++i) {
       results[i] = eval(params[i], batched, pool);
     }

@@ -11,11 +11,12 @@
 namespace tanglefl::core {
 namespace {
 
+// Paper (Sec. IV): "we set the number of sampling rounds for establishing
+// the consensus and for selecting the parent tips for training equal to the
+// number of active nodes per round". Health probes follow the same rule.
 SimulationConfig with_auto_confidence(SimulationConfig config) {
-  if (config.auto_confidence_samples) {
-    config.node.reference.confidence.sample_rounds = config.nodes_per_round;
-    config.health.confidence.sample_rounds = config.nodes_per_round;
-  }
+  config.node.reference.confidence.sample_rounds = config.nodes_per_round;
+  config.health.confidence.sample_rounds = config.nodes_per_round;
   return config;
 }
 

@@ -19,6 +19,8 @@ namespace tanglefl::core {
 
 struct SimulationConfig : EngineConfig, AttackConfig {
   std::size_t rounds = 50;
+  // Also the confidence sample rounds of the reference and of health
+  // probes: the simulation overrides both with it (paper, Sec. IV).
   std::size_t nodes_per_round = 10;
 
   // Evaluation cadence; the paper validates every 20 training rounds on
@@ -34,12 +36,6 @@ struct SimulationConfig : EngineConfig, AttackConfig {
   // the right default when `threads` already saturates the machine.
   // Results are bit-identical for any value.
   std::size_t kernel_threads = 0;
-
-  // Paper: "we set the number of sampling rounds for establishing the
-  // consensus and for selecting the parent tips for training equal to the
-  // number of active nodes per round". When true, confidence sampling
-  // rounds are forced to nodes_per_round (health probes included).
-  bool auto_confidence_samples = true;
 };
 
 class TangleSimulation {

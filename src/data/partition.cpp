@@ -50,24 +50,6 @@ std::vector<DataSplit> partition_dirichlet(const DataSplit& pool,
   return shards;
 }
 
-std::vector<DataSplit> partition_iid(const DataSplit& pool,
-                                     std::size_t num_users, Rng& rng) {
-  assert(num_users >= 1);
-  const std::vector<std::size_t> perm = rng.permutation(pool.size());
-  std::vector<DataSplit> shards;
-  shards.reserve(num_users);
-  const std::size_t base = pool.size() / num_users;
-  const std::size_t extra = pool.size() % num_users;
-  std::size_t offset = 0;
-  for (std::size_t u = 0; u < num_users; ++u) {
-    const std::size_t take = base + (u < extra ? 1 : 0);
-    const std::span<const std::size_t> indices(perm.data() + offset, take);
-    shards.push_back(pool.gather(indices));
-    offset += take;
-  }
-  return shards;
-}
-
 FederatedDataset federate(std::string name, std::string model_type,
                           std::size_t num_classes, double train_fraction,
                           std::vector<DataSplit> shards, Rng& rng) {

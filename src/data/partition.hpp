@@ -1,7 +1,7 @@
 // Generic partitioning utilities for building federated datasets out of a
-// pooled sample collection — the standard Dirichlet label-skew protocol
-// plus IID splitting, exposed so downstream users can federate their own
-// data through the public API (see examples/custom_model.cpp).
+// pooled sample collection — the standard Dirichlet label-skew protocol,
+// exposed so downstream users can federate their own data through the
+// public API (see examples/custom_model.cpp).
 #pragma once
 
 #include <cstdint>
@@ -17,10 +17,6 @@ std::vector<DataSplit> partition_dirichlet(const DataSplit& pool,
                                            std::size_t num_users,
                                            std::size_t num_classes,
                                            double alpha, Rng& rng);
-
-/// IID random split of `pool` into `num_users` near-equal shards.
-std::vector<DataSplit> partition_iid(const DataSplit& pool,
-                                     std::size_t num_users, Rng& rng);
 
 /// Wraps pre-partitioned shards into a FederatedDataset, splitting each
 /// shard into train/test at `train_fraction`.

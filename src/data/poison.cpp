@@ -76,12 +76,4 @@ DataSplit make_backdoor_train_split(const DataSplit& split,
   return out;
 }
 
-std::size_t count_class(const DataSplit& split, std::int32_t class_id) {
-  std::size_t count = 0;
-  for (const auto label : split.labels) {
-    if (label == class_id) ++count;
-  }
-  return count;
-}
-
 }  // namespace tanglefl::data

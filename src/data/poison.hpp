@@ -26,9 +26,6 @@ DataSplit make_label_flip_split(const DataSplit& split, const LabelFlip& flip);
 /// dataset.
 UserData make_label_flip_user(const UserData& user, const LabelFlip& flip);
 
-/// Counts samples of a given class.
-std::size_t count_class(const DataSplit& split, std::int32_t class_id);
-
 /// A pixel-pattern backdoor (Bagdasaryan et al., cited as [29]): a small
 /// bright patch stamped into a corner of the image; any sample carrying
 /// the patch should be classified as `target_class`.

@@ -205,11 +205,14 @@ class LSTM final : public Layer {
   std::string name() const override { return "LSTM"; }
   std::unique_ptr<Layer> clone() const override;
 
- private:
-  // Legacy per-timestep path, dispatched under ops::reference mode; shares
-  // the cache tensors with the fused path below.
+  /// Oracle for the fused forward/backward: the legacy per-timestep path on
+  /// the naive ops::reference GEMMs. Tests call it directly; nothing in the
+  /// program does. It fills the same caches, so backward_reference must
+  /// follow forward_reference.
   Tensor forward_reference(const Tensor& input);
   Tensor backward_reference(const Tensor& grad_output);
+
+ private:
   void ensure_cache_shapes(std::size_t batch, std::size_t seq);
 
   std::size_t input_dim_, hidden_dim_;

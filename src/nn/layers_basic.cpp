@@ -39,18 +39,11 @@ Tensor Linear::forward(const Tensor& input, bool training) {
 Tensor Linear::backward(const Tensor& grad_output) {
   assert(grad_output.rank() == 2 && grad_output.dim(1) == out_features_);
   const std::size_t batch = grad_output.dim(0);
-  if (ops::reference_kernels_enabled()) {
-    // Legacy two-step accumulation, kept as the baseline numerics.
-    Tensor dw({in_features_, out_features_});
-    ops::matmul_trans_a(cached_input_, grad_output, dw);
-    dweight_.add(dw);
-  } else {
-    // Accumulate straight into dweight_ — no per-batch temporary.
-    ops::gemm_trans_a(cached_input_.data(), in_features_, grad_output.data(),
-                      out_features_, dweight_.data(), out_features_, batch,
-                      in_features_, out_features_, ops::Accumulate::kAdd,
-                      kernel_pool_);
-  }
+  // Accumulate straight into dweight_ — no per-batch temporary.
+  ops::gemm_trans_a(cached_input_.data(), in_features_, grad_output.data(),
+                    out_features_, dweight_.data(), out_features_, batch,
+                    in_features_, out_features_, ops::Accumulate::kAdd,
+                    kernel_pool_);
   const float* pg = grad_output.data();
   float* pdb = dbias_.data();
   for (std::size_t b = 0; b < batch; ++b) {

@@ -120,7 +120,6 @@ Tensor LSTM::forward(const Tensor& input, bool training) {
   cached_input_ = input;
   const std::size_t batch = input.dim(0), seq = input.dim(1);
   ensure_cache_shapes(batch, seq);
-  if (ops::reference_kernels_enabled()) return forward_reference(input);
 
   const std::size_t h4 = 4 * hidden_dim_;
   const std::size_t rows = batch * seq;
@@ -177,7 +176,6 @@ Tensor LSTM::forward(const Tensor& input, bool training) {
 }
 
 Tensor LSTM::backward(const Tensor& grad_output) {
-  if (ops::reference_kernels_enabled()) return backward_reference(grad_output);
   const std::size_t batch = cached_input_.dim(0), seq = cached_input_.dim(1);
   const std::size_t h4 = 4 * hidden_dim_;
   assert(grad_output.rank() == 3 && grad_output.dim(1) == seq &&
@@ -261,12 +259,14 @@ Tensor LSTM::backward(const Tensor& grad_output) {
   return dx;
 }
 
-// Legacy per-timestep implementation, selected by set_reference_kernels():
-// the pre-fusion numerics the fused path is benchmarked and equivalence-
-// tested against. Shares the sequence-shaped caches with the fused path.
+// Legacy per-timestep oracle (see layer.hpp): the pre-fusion numerics on
+// the naive ops::reference GEMMs.
 
 Tensor LSTM::forward_reference(const Tensor& input) {
+  assert(input.rank() == 3 && input.dim(2) == input_dim_);
+  cached_input_ = input;
   const std::size_t batch = input.dim(0), seq = input.dim(1);
+  ensure_cache_shapes(batch, seq);
   const std::size_t h4 = 4 * hidden_dim_;
 
   Tensor h_prev({batch, hidden_dim_});
@@ -277,8 +277,8 @@ Tensor LSTM::forward_reference(const Tensor& input) {
 
   for (std::size_t t = 0; t < seq; ++t) {
     const Tensor x_t = slice_timestep(input, t);
-    ops::matmul(x_t, w_input_, pre_x);
-    ops::matmul(h_prev, w_hidden_, pre_h);
+    ops::reference::matmul(x_t, w_input_, pre_x);
+    ops::reference::matmul(h_prev, w_hidden_, pre_h);
     for (std::size_t b = 0; b < batch; ++b) {
       for (std::size_t j = 0; j < h4; ++j) {
         const float pre = pre_x.at(b, j) + pre_h.at(b, j) + bias_[j];
@@ -353,20 +353,20 @@ Tensor LSTM::backward_reference(const Tensor& grad_output) {
     }
 
     const Tensor x_t = slice_timestep(cached_input_, t);
-    ops::matmul_trans_a(x_t, dgates, dwx);
+    ops::reference::matmul_trans_a(x_t, dgates, dwx);
     dw_input_.add(dwx);
-    ops::matmul_trans_a(h_prev, dgates, dwh);
+    ops::reference::matmul_trans_a(h_prev, dgates, dwh);
     dw_hidden_.add(dwh);
     for (std::size_t b = 0; b < batch; ++b) {
       for (std::size_t j = 0; j < h4; ++j) dbias_[j] += dgates.at(b, j);
     }
-    ops::matmul_trans_b(dgates, w_input_, dx_t);
+    ops::reference::matmul_trans_b(dgates, w_input_, dx_t);
     for (std::size_t b = 0; b < batch; ++b) {
       for (std::size_t d = 0; d < input_dim_; ++d) {
         dx.at(b, t, d) = dx_t.at(b, d);
       }
     }
-    ops::matmul_trans_b(dgates, w_hidden_, dh_prev);
+    ops::reference::matmul_trans_b(dgates, w_hidden_, dh_prev);
     dh_next = dh_prev;
   }
   return dx;

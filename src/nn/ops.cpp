@@ -14,7 +14,6 @@
 #include "nn/ops.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cmath>
 #include <cstring>
@@ -93,8 +92,6 @@ Workspace& pack_workspace() {
   thread_local Workspace workspace;
   return workspace;
 }
-
-std::atomic<bool> g_reference_kernels{false};
 
 // ------------------------------------------------------- register microtiles
 //
@@ -475,16 +472,6 @@ std::size_t Workspace::capacity() const noexcept {
   return total;
 }
 
-// ---------------------------------------------------------------- dispatch
-
-void set_reference_kernels(bool enabled) noexcept {
-  g_reference_kernels.store(enabled, std::memory_order_relaxed);
-}
-
-bool reference_kernels_enabled() noexcept {
-  return g_reference_kernels.load(std::memory_order_relaxed);
-}
-
 // --------------------------------------------------------------- raw GEMMs
 
 // Packing happens on the calling thread before rows are partitioned, so
@@ -599,10 +586,6 @@ void gemm_trans_b(const float* a, std::size_t lda, const float* b,
 void matmul(const Tensor& a, const Tensor& b, Tensor& c, ThreadPool* pool) {
   assert(a.rank() == 2 && b.rank() == 2 && c.rank() == 2);
   assert(b.dim(0) == a.dim(1) && c.dim(0) == a.dim(0) && c.dim(1) == b.dim(1));
-  if (reference_kernels_enabled()) {
-    reference::matmul(a, b, c);
-    return;
-  }
   gemm(a.data(), a.dim(1), b.data(), b.dim(1), c.data(), c.dim(1), a.dim(0),
        a.dim(1), b.dim(1), Accumulate::kOverwrite, pool);
 }
@@ -611,10 +594,6 @@ void matmul_trans_a(const Tensor& a, const Tensor& b, Tensor& c,
                     ThreadPool* pool) {
   assert(a.rank() == 2 && b.rank() == 2 && c.rank() == 2);
   assert(b.dim(0) == a.dim(0) && c.dim(0) == a.dim(1) && c.dim(1) == b.dim(1));
-  if (reference_kernels_enabled()) {
-    reference::matmul_trans_a(a, b, c);
-    return;
-  }
   gemm_trans_a(a.data(), a.dim(1), b.data(), b.dim(1), c.data(), c.dim(1),
                a.dim(0), a.dim(1), b.dim(1), Accumulate::kOverwrite, pool);
 }
@@ -623,10 +602,6 @@ void matmul_trans_b(const Tensor& a, const Tensor& b, Tensor& c,
                     ThreadPool* pool) {
   assert(a.rank() == 2 && b.rank() == 2 && c.rank() == 2);
   assert(b.dim(1) == a.dim(1) && c.dim(0) == a.dim(0) && c.dim(1) == b.dim(0));
-  if (reference_kernels_enabled()) {
-    reference::matmul_trans_b(a, b, c);
-    return;
-  }
   gemm_trans_b(a.data(), a.dim(1), b.data(), b.dim(1), c.data(), c.dim(1),
                a.dim(0), a.dim(1), b.dim(0), Accumulate::kOverwrite, pool);
 }
@@ -675,10 +650,6 @@ void conv2d_forward(const Tensor& x, const Tensor& weights, const Tensor& bias,
   assert(x.dim(1) == ic && weights.dim(0) == oc && weights.dim(1) == ic);
   assert(y.dim(0) == batch && y.dim(1) == oc && y.dim(2) == oh &&
          y.dim(3) == ow);
-  if (reference_kernels_enabled()) {
-    reference::conv2d_forward(x, weights, bias, shape, y);
-    return;
-  }
 
   KernelTimer timer(conv_time_histogram());
   const std::size_t ckk = ic * k * k;
@@ -793,10 +764,6 @@ void conv2d_backward(const Tensor& x, const Tensor& weights,
                       "conv2d_backward: dw shape mismatch");
   TANGLEFL_DCHECK_MSG(dbias.size() == oc,
                       "conv2d_backward: dbias size mismatch");
-  if (reference_kernels_enabled()) {
-    reference::conv2d_backward(x, weights, shape, dy, dx, dw, dbias);
-    return;
-  }
 
   KernelTimer timer(conv_time_histogram());
   const std::size_t ckk = ic * k * k;

@@ -7,8 +7,8 @@
 // strictly ascending reduction-index order, and the optional ThreadPool
 // argument partitions work over *output rows only*. Bits are therefore
 // identical for any pool size (including none) and match the serial result.
-// The pre-optimization naive loops live on in ops::reference for
-// equivalence tests and baseline benchmarks.
+// The pre-optimization naive loops live on in ops::reference as the oracle
+// that equivalence tests and baseline benchmarks call directly.
 #pragma once
 
 #include <cstddef>
@@ -47,12 +47,6 @@ class Workspace {
   };
   std::vector<Chunk> chunks_;
 };
-
-/// Routes the dispatching entry points below (matmul family, conv2d) through
-/// the naive ops::reference loops instead of the blocked kernels. Global and
-/// sticky; intended for equivalence tests and baseline benchmarks only.
-void set_reference_kernels(bool enabled) noexcept;
-bool reference_kernels_enabled() noexcept;
 
 enum class Accumulate : bool { kOverwrite = false, kAdd = true };
 
@@ -149,9 +143,7 @@ void conv2d_forward(const Tensor& x, const Tensor& weights, const Tensor& bias,
 /// batch, the im2col + panel pack of the input is identical for every model.
 /// These entry points let a caller pack each sample's column operand once
 /// (the same bytes conv2d_forward builds internally) and replay the per-model
-/// bias-seeded GEMMs against it, bit-identical to conv2d_forward. Callers
-/// must check reference_kernels_enabled() themselves — there is no naive
-/// fallback for the prepacked form.
+/// bias-seeded GEMMs against it, bit-identical to conv2d_forward.
 
 /// Floats needed per input sample for conv2d_pack_input's packed operand.
 std::size_t conv2d_packed_input_floats(const Conv2DShape& shape, std::size_t h,
@@ -190,8 +182,8 @@ void maxpool2d_backward(const Tensor& dy, const std::vector<std::size_t>& argmax
                         Tensor& dx);
 
 /// The pre-optimization scalar loops, kept verbatim as the equivalence and
-/// benchmark baseline. Never call these from layers directly — use the
-/// dispatching entry points above with set_reference_kernels(true).
+/// benchmark baseline. Tests and micro-benchmarks call them directly as the
+/// oracle; no runtime switch routes the entry points above through them.
 namespace reference {
 
 void matmul(const Tensor& a, const Tensor& b, Tensor& c);

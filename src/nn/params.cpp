@@ -1,7 +1,5 @@
 #include "nn/params.hpp"
 
-#include <cassert>
-#include <cmath>
 #include <stdexcept>
 
 namespace tanglefl::nn {
@@ -77,16 +75,6 @@ ParamVector weighted_average_params(std::span<const ParamVector> params,
   ParamVector out(n);
   for (std::size_t i = 0; i < n; ++i) out[i] = static_cast<float>(acc[i]);
   return out;
-}
-
-double param_distance(std::span<const float> a, std::span<const float> b) {
-  assert(a.size() == b.size());
-  double acc = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const double d = static_cast<double>(a[i]) - b[i];
-    acc += d * d;
-  }
-  return std::sqrt(acc);
 }
 
 void serialize_params(std::span<const float> params, ByteWriter& writer) {

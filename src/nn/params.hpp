@@ -28,9 +28,6 @@ ParamVector average_params(std::span<const ParamVector* const> params);
 ParamVector weighted_average_params(std::span<const ParamVector> params,
                                     std::span<const double> weights);
 
-/// Euclidean distance between two parameter vectors (diagnostics/tests).
-double param_distance(std::span<const float> a, std::span<const float> b);
-
 /// Binary round-trip for ledger payloads and snapshots.
 void serialize_params(std::span<const float> params, ByteWriter& writer);
 ParamVector deserialize_params(ByteReader& reader);

@@ -1,7 +1,5 @@
 #include "nn/tensor.hpp"
 
-#include <cmath>
-#include <numeric>
 #include <sstream>
 
 namespace tanglefl::nn {
@@ -43,21 +41,6 @@ void Tensor::add(const Tensor& other) {
   for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
 }
 
-void Tensor::add_scaled(const Tensor& other, float scale) {
-  assert(shape_ == other.shape_);
-  for (std::size_t i = 0; i < data_.size(); ++i) {
-    data_[i] += scale * other.data_[i];
-  }
-}
-
-void Tensor::scale(float factor) noexcept {
-  for (auto& v : data_) v *= factor;
-}
-
-float Tensor::sum() const noexcept {
-  return std::accumulate(data_.begin(), data_.end(), 0.0f);
-}
-
 std::size_t Tensor::argmax_row(std::size_t row) const {
   assert(rank() == 2 && row < shape_[0]);
   const std::size_t cols = shape_[1];
@@ -67,12 +50,6 @@ std::size_t Tensor::argmax_row(std::size_t row) const {
     if (begin[c] > begin[best]) best = c;
   }
   return best;
-}
-
-float Tensor::l2_norm() const noexcept {
-  double acc = 0.0;
-  for (const float v : data_) acc += static_cast<double>(v) * v;
-  return static_cast<float>(std::sqrt(acc));
 }
 
 bool Tensor::equals(const Tensor& other) const noexcept {

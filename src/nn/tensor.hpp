@@ -87,17 +87,9 @@ class Tensor {
 
   /// this += other (shapes must match).
   void add(const Tensor& other);
-  /// this += scale * other (shapes must match).
-  void add_scaled(const Tensor& other, float scale);
-  /// this *= scale.
-  void scale(float factor) noexcept;
 
-  /// Sum of all elements.
-  float sum() const noexcept;
   /// Index of the maximum element in row `row` of a rank-2 tensor.
   std::size_t argmax_row(std::size_t row) const;
-  /// L2 norm of all elements.
-  float l2_norm() const noexcept;
 
   /// True if shapes and all elements are exactly equal.
   bool equals(const Tensor& other) const noexcept;

@@ -274,17 +274,4 @@ std::string to_hex(const Sha256Digest& digest) {
   return out;
 }
 
-int leading_zero_bits(const Sha256Digest& digest) noexcept {
-  int bits = 0;
-  for (const std::uint8_t byte : digest) {
-    if (byte == 0) {
-      bits += 8;
-      continue;
-    }
-    bits += std::countl_zero(byte);
-    break;
-  }
-  return bits;
-}
-
 }  // namespace tanglefl

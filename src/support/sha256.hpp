@@ -71,7 +71,4 @@ bool sha256_shani_supported() noexcept;
 /// Lowercase hex encoding of a digest.
 std::string to_hex(const Sha256Digest& digest);
 
-/// Number of leading zero bits in the digest.
-int leading_zero_bits(const Sha256Digest& digest) noexcept;
-
 }  // namespace tanglefl

@@ -201,8 +201,7 @@ Tangle::Tangle(PayloadId genesis_payload,
 TxIndex Tangle::add_transaction(std::span<const TxIndex> parents,
                                 PayloadId payload,
                                 const Sha256Digest& payload_hash,
-                                std::uint64_t round, std::string publisher,
-                                std::uint64_t nonce) {
+                                std::uint64_t round, std::string publisher) {
   obs::TraceScope span("tangle.add_transaction");
   if (parents.empty()) {
     throw std::invalid_argument("add_transaction: no parents");
@@ -223,7 +222,6 @@ TxIndex Tangle::add_transaction(std::span<const TxIndex> parents,
   tx.payload = payload;
   tx.payload_hash = payload_hash;
   tx.round = round;
-  tx.nonce = nonce;
   tx.publisher = std::move(publisher);
   tx.id = compute_transaction_id(tx.parents, tx.payload_hash, tx.round,
                                  tx.nonce);

@@ -94,8 +94,7 @@ class Tangle {
   /// preimage). Returns its index. Parents must already be present.
   TxIndex add_transaction(std::span<const TxIndex> parents, PayloadId payload,
                           const Sha256Digest& payload_hash,
-                          std::uint64_t round, std::string publisher = {},
-                          std::uint64_t nonce = 0);
+                          std::uint64_t round, std::string publisher = {});
 
   std::size_t size() const noexcept { return transactions_.size(); }
   const Transaction& transaction(TxIndex index) const {

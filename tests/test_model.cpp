@@ -216,12 +216,6 @@ TEST(Params, WeightedAverageRejectsBadWeights) {
                std::invalid_argument);
 }
 
-TEST(Params, DistanceIsEuclidean) {
-  const ParamVector a = {0, 0};
-  const ParamVector b = {3, 4};
-  EXPECT_NEAR(param_distance(a, b), 5.0, 1e-9);
-}
-
 TEST(Params, SerializeRoundTrip) {
   const ParamVector params = {1.5f, -2.0f, 0.0f};
   ByteWriter writer;

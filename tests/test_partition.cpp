@@ -72,32 +72,10 @@ TEST(PartitionDirichlet, LargeAlphaIsNearIid) {
   }
 }
 
-TEST(PartitionIid, NearEqualShards) {
-  Rng rng(4);
-  const DataSplit pool = make_pool(103, 3);
-  const auto shards = partition_iid(pool, 4, rng);
-  ASSERT_EQ(shards.size(), 4u);
-  std::size_t total = 0;
-  for (const auto& shard : shards) {
-    EXPECT_GE(shard.size(), 25u);
-    EXPECT_LE(shard.size(), 26u);
-    total += shard.size();
-  }
-  EXPECT_EQ(total, 103u);
-}
-
-TEST(PartitionIid, SingleUserGetsEverything) {
-  Rng rng(5);
-  const DataSplit pool = make_pool(10, 2);
-  const auto shards = partition_iid(pool, 1, rng);
-  ASSERT_EQ(shards.size(), 1u);
-  EXPECT_EQ(shards[0].size(), 10u);
-}
-
 TEST(Federate, BuildsDatasetWithSplits) {
   Rng rng(6);
-  const DataSplit pool = make_pool(100, 2);
-  auto shards = partition_iid(pool, 4, rng);
+  std::vector<DataSplit> shards;
+  for (std::size_t u = 0; u < 4; ++u) shards.push_back(make_pool(25, 2));
   const FederatedDataset dataset =
       federate("custom", "MLP", 2, 0.75, std::move(shards), rng);
   EXPECT_EQ(dataset.num_users(), 4u);

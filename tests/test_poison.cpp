@@ -46,12 +46,5 @@ TEST(Poison, FlipUserAppliesToBothSplits) {
   for (const auto label : poisoned.train.labels) EXPECT_EQ(label, 8);
 }
 
-TEST(Poison, CountClass) {
-  const DataSplit split = make_split({3, 1, 3, 3, 2});
-  EXPECT_EQ(count_class(split, 3), 3u);
-  EXPECT_EQ(count_class(split, 1), 1u);
-  EXPECT_EQ(count_class(split, 9), 0u);
-}
-
 }  // namespace
 }  // namespace tanglefl::data

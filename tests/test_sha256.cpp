@@ -185,24 +185,6 @@ TEST(Sha256BlockFunctions, StreamedPayloadAgrees) {
   }
 }
 
-TEST(Sha256, LeadingZeroBitsAllZero) {
-  Sha256Digest digest{};
-  EXPECT_EQ(leading_zero_bits(digest), 256);
-}
-
-TEST(Sha256, LeadingZeroBitsTopBitSet) {
-  Sha256Digest digest{};
-  digest[0] = 0x80;
-  EXPECT_EQ(leading_zero_bits(digest), 0);
-}
-
-TEST(Sha256, LeadingZeroBitsPartialByte) {
-  Sha256Digest digest{};
-  digest[0] = 0x00;
-  digest[1] = 0x10;  // 0001 0000 -> 8 + 3 leading zeros
-  EXPECT_EQ(leading_zero_bits(digest), 11);
-}
-
 TEST(Sha256, HexEncodingLength) {
   EXPECT_EQ(to_hex(Sha256::hash("x")).size(), 64u);
 }

@@ -287,14 +287,21 @@ TEST(Simulation, ConsensusParamsHaveModelSize) {
 }
 
 TEST(Simulation, AutoConfidenceSamplesFollowNodesPerRound) {
-  // Covered indirectly: construction must not throw and produce a valid
-  // run when auto_confidence_samples is on (default).
+  // Paper (Sec. IV): confidence sampling runs one walk per active node, so
+  // the configured 1000 sample rounds are overridden by nodes_per_round.
   const auto dataset = small_dataset();
   SimulationConfig config = fast_config(2);
-  config.auto_confidence_samples = true;
+  config.nodes_per_round = 3;
+  config.node.reference.confidence.sample_rounds = 1000;
+  const obs::Counter& walks =
+      obs::MetricsRegistry::global().counter("tangle.confidence.sample_walks");
+  const std::uint64_t before = walks.value();
   TangleSimulation sim(dataset, small_factory(), config);
-  const RunResult result = sim.run();
-  EXPECT_FALSE(result.history.empty());
+  (void)sim.run();
+  const std::uint64_t sampled = walks.value() - before;
+  EXPECT_GT(sampled, 0u);
+  EXPECT_LT(sampled, 1000u);
+  EXPECT_EQ(sampled % 3, 0u);
 }
 
 TEST(RunResult, RoundsToAccuracy) {
