@@ -25,6 +25,11 @@
 #include "support/stopwatch.hpp"
 #include "support/thread_pool.hpp"
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <cpuid.h>
+#define TANGLEFL_GEMM_X86 1
+#endif
+
 namespace tanglefl::nn::ops {
 namespace {
 
@@ -95,121 +100,124 @@ Workspace& pack_workspace() {
 
 // ------------------------------------------------------- register microtiles
 //
-// The register tile is kRowTile output rows x kColTile output columns; the
-// full reduction for the tile is carried in the `acc` array (which the
-// compiler keeps in vector registers for the constant-bound variants), so
-// each output element is one ascending-index chain — the same order as the
-// naive reference loops, just batched for locality and ILP.
-
-// 4x8 keeps the accumulator tile (8 XMM registers) plus the B strip and
-// the broadcast lane inside the 16 XMM registers of baseline x86-64 SSE2;
-// a wider tile spills to the stack every iteration on builds without
-// TANGLEFL_NATIVE_ARCH.
-constexpr std::size_t kRowTile = 4;
+// A register tile is kRows output rows x kColTile output columns; the full
+// reduction for the tile is carried in the `acc` array (which the compiler
+// keeps in vector registers), so each output element is one ascending-index
+// chain — the same order as the naive reference loops, just batched for
+// locality and ILP.
+//
+// Two tiles share one body. The portable tile is 4x8 in two 128-bit vectors
+// per row: its 8 accumulators plus the B strip and the broadcast lane fit
+// the 16 XMM registers of baseline x86-64 SSE2. The AVX tile is 8x8 in one
+// 256-bit vector per row, built with target("avx") and chosen at run time
+// when CPUID reports AVX (detail::gemm_avx_supported). Every vector op is
+// element-wise and -ffp-contract=off keeps multiply and add separate (the
+// target is avx, not fma, for the same reason), so both tiles produce the
+// reference's bits.
 constexpr std::size_t kColTile = 8;
 
-// The hot tile uses GCC/Clang vector extensions rather than relying on the
+// The tile uses GCC/Clang vector extensions rather than relying on the
 // auto-vectorizer: depending on inlining context and which strides constant-
 // propagate, GCC's SLP pass sometimes re-vectorizes the accumulator across
 // the depth axis (a horizontal-shuffle storm ~5x slower than the broadcast
-// form). Explicit lane vectors pin the good shape. Every vector op below is
-// element-wise, so each acc lane remains a single ascending-depth scalar
-// chain — bit-identical to the scalar fallback (and -ffp-contract=off keeps
-// fused multiply-adds out of both).
-#if defined(__GNUC__) || defined(__clang__)
-#define TANGLEFL_SIMD_TILE 1
+// form). Explicit lane vectors pin the good shape.
 using v4f [[gnu::may_alias]] = float __attribute__((vector_size(16), aligned(4)));
-static_assert(kColTile % 4 == 0);
-#endif
+using v8f [[gnu::may_alias]] = float __attribute__((vector_size(32), aligned(4)));
 
-// A is addressed as a[row * a_row_stride + p * a_depth_stride]: plain GEMM
-// passes (lda, 1); trans-A passes (1, lda) so the same tile serves both.
-//
+// One tile over `depth` reduction steps. A is row-major with leading
+// dimension lda; b is one packed panel (kColTile floats per depth step).
+// Only `rows` (1..kRows) rows and `cols` (1..kColTile) columns are valid.
+// The tile always runs its full shape: rows past the valid count re-read
+// the last valid A row and columns past it read the panel's zero fill, and
+// only valid elements are stored, so each output is still written once.
+template <typename V, std::size_t kRows, bool kAccumulate>
+[[gnu::always_inline]] inline void tile_body(const float* a, std::size_t lda,
+                                             std::size_t rows, const float* b,
+                                             float* c, std::size_t ldc,
+                                             std::size_t depth,
+                                             std::size_t cols) {
+  constexpr std::size_t kWidth = sizeof(V) / sizeof(float);
+  constexpr std::size_t kVecs = kColTile / kWidth;
+  const float* arow[kRows];
+  for (std::size_t r = 0; r < kRows; ++r) {
+    arow[r] = a + std::min(r, rows - 1) * lda;
+  }
+  V acc[kRows][kVecs] = {};
+  for (std::size_t p = 0; p < depth; ++p) {
+    V bv[kVecs];
+    for (std::size_t l = 0; l < kVecs; ++l) {
+      bv[l] = *reinterpret_cast<const V*>(b + p * kColTile + l * kWidth);
+    }
+    for (std::size_t r = 0; r < kRows; ++r) {
+      const float av = arow[r][p];
+      for (std::size_t l = 0; l < kVecs; ++l) acc[r][l] += av * bv[l];
+    }
+  }
+  // acc is only ever indexed by constants (this loop unrolls fully), so it
+  // stays in registers; a runtime index would spill it to the stack.
+  if (cols == kColTile) {
+#pragma GCC unroll 8
+    for (std::size_t r = 0; r < kRows; ++r) {
+      if (r >= rows) break;
+      for (std::size_t l = 0; l < kVecs; ++l) {
+        V* cv = reinterpret_cast<V*>(c + r * ldc + l * kWidth);
+        if constexpr (kAccumulate) {
+          *cv += acc[r][l];
+        } else {
+          *cv = acc[r][l];
+        }
+      }
+    }
+    return;
+  }
+  float lanes[kRows][kColTile];
+  std::memcpy(lanes, acc, sizeof(lanes));
+  for (std::size_t r = 0; r < rows; ++r) {
+    float* crow = c + r * ldc;
+    for (std::size_t j = 0; j < cols; ++j) {
+      if constexpr (kAccumulate) {
+        crow[j] += lanes[r][j];
+      } else {
+        crow[j] = lanes[r][j];
+      }
+    }
+  }
+}
+
 // noinline is load-bearing for throughput, not a style choice: when the
 // tile body is inlined into the surrounding blocked loops, GCC's SLP
 // vectorizer re-associates the accumulator across the depth axis and emits
 // a horizontal-shuffle storm that runs ~5x slower than the broadcast form
 // it produces when the function is compiled in isolation.
 template <bool kAccumulate>
-[[gnu::noinline]] void tile_full(const float* a, std::size_t a_row_stride,
-                      std::size_t a_depth_stride, const float* b,
-                      std::size_t ldb, float* c, std::size_t ldc,
-                      std::size_t depth) {
-#if defined(TANGLEFL_SIMD_TILE)
-  constexpr std::size_t kLanes = kColTile / 4;
-  v4f acc[kRowTile][kLanes] = {};
-  for (std::size_t p = 0; p < depth; ++p) {
-    const float* brow = b + p * ldb;
-    v4f bv[kLanes];
-    for (std::size_t l = 0; l < kLanes; ++l) {
-      bv[l] = *reinterpret_cast<const v4f*>(brow + 4 * l);
-    }
-    const float* ap = a + p * a_depth_stride;
-    for (std::size_t r = 0; r < kRowTile; ++r) {
-      const float av = ap[r * a_row_stride];
-      const v4f avv = {av, av, av, av};
-      for (std::size_t l = 0; l < kLanes; ++l) acc[r][l] += avv * bv[l];
-    }
-  }
-  for (std::size_t r = 0; r < kRowTile; ++r) {
-    float* crow = c + r * ldc;
-    for (std::size_t l = 0; l < kLanes; ++l) {
-      v4f* cv = reinterpret_cast<v4f*>(crow + 4 * l);
-      if constexpr (kAccumulate) {
-        *cv += acc[r][l];
-      } else {
-        *cv = acc[r][l];
-      }
-    }
-  }
-#else
-  float acc[kRowTile][kColTile] = {};
-  for (std::size_t p = 0; p < depth; ++p) {
-    const float* brow = b + p * ldb;
-    float bv[kColTile];
-    for (std::size_t j = 0; j < kColTile; ++j) bv[j] = brow[j];
-    const float* ap = a + p * a_depth_stride;
-    for (std::size_t r = 0; r < kRowTile; ++r) {
-      const float av = ap[r * a_row_stride];
-      for (std::size_t j = 0; j < kColTile; ++j) acc[r][j] += av * bv[j];
-    }
-  }
-  for (std::size_t r = 0; r < kRowTile; ++r) {
-    float* crow = c + r * ldc;
-    for (std::size_t j = 0; j < kColTile; ++j) {
-      if constexpr (kAccumulate) {
-        crow[j] += acc[r][j];
-      } else {
-        crow[j] = acc[r][j];
-      }
-    }
-  }
-#endif
+[[gnu::noinline]] void tile_portable(const float* a, std::size_t lda,
+                                     std::size_t rows, const float* b,
+                                     float* c, std::size_t ldc,
+                                     std::size_t depth, std::size_t cols) {
+  tile_body<v4f, 4, kAccumulate>(a, lda, rows, b, c, ldc, depth, cols);
 }
 
-// Runtime-bound edge tile for the <kRowTile x <kColTile remainders.
+#if defined(TANGLEFL_GEMM_X86)
 template <bool kAccumulate>
-inline void tile_edge(const float* a, std::size_t a_row_stride,
-                      std::size_t a_depth_stride, const float* b,
-                      std::size_t ldb, float* c, std::size_t ldc,
-                      std::size_t depth, std::size_t rows, std::size_t cols) {
-  float acc[kRowTile][kColTile] = {};
-  for (std::size_t p = 0; p < depth; ++p) {
-    const float* brow = b + p * ldb;
-    const float* ap = a + p * a_depth_stride;
-    for (std::size_t r = 0; r < rows; ++r) {
-      const float av = ap[r * a_row_stride];
-      for (std::size_t j = 0; j < cols; ++j) acc[r][j] += av * brow[j];
-    }
-  }
-  for (std::size_t r = 0; r < rows; ++r) {
-    float* crow = c + r * ldc;
-    for (std::size_t j = 0; j < cols; ++j) {
-      if constexpr (kAccumulate) {
-        crow[j] += acc[r][j];
-      } else {
-        crow[j] = acc[r][j];
-      }
+[[gnu::noinline, gnu::target("avx")]] void tile_avx(
+    const float* a, std::size_t lda, std::size_t rows, const float* b,
+    float* c, std::size_t ldc, std::size_t depth, std::size_t cols) {
+  tile_body<v8f, 8, kAccumulate>(a, lda, rows, b, c, ldc, depth, cols);
+}
+#endif
+
+// Output rows [r0, r1) of an (m, n) product with reduction length `depth`,
+// B read from packed panels, in kRows-row tiles.
+template <std::size_t kRows, auto kTile>
+void tile_rows(const float* a, std::size_t lda, const float* packed_b,
+               float* c, std::size_t ldc, std::size_t depth, std::size_t r0,
+               std::size_t r1, std::size_t n) {
+  const std::size_t panel_stride = depth * kColTile;
+  for (std::size_t i = r0; i < r1; i += kRows) {
+    const std::size_t rows = std::min(kRows, r1 - i);
+    for (std::size_t j = 0; j < n; j += kColTile) {
+      kTile(a + i * lda, lda, rows, packed_b + (j / kColTile) * panel_stride,
+            c + i * ldc + j, ldc, depth, std::min(kColTile, n - j));
     }
   }
 }
@@ -232,9 +240,8 @@ std::size_t packed_b_floats(std::size_t depth, std::size_t n) {
 }
 
 // Packs row-major B(depth, n): panel[jb][p][l] = B(p, jb*kColTile + l).
-// Tail lanes of the last panel are zero-filled; only tile_edge reads that
-// panel and it stops at the valid column count, but the fill keeps the
-// buffer fully initialised.
+// Tail lanes of the last panel are zero-filled: the tiles read all
+// kColTile lanes of every panel and store only the valid ones.
 void pack_b(const float* b, std::size_t ldb, std::size_t depth, std::size_t n,
             float* packed) {
   for (std::size_t p = 0; p < depth; ++p) {
@@ -285,41 +292,21 @@ void pack_a_transposed(const float* a, std::size_t lda, std::size_t m,
   }
 }
 
-// Computes output rows [r0, r1) of an (m, n) product whose reduction length
-// is `depth`, reading B from packed panels. Shared by all three GEMM
-// variants (trans-A packs A^T first so its strides look like plain GEMM).
+// Computes output rows [r0, r1) with the tile this CPU runs. Shared by all
+// GEMM variants (trans-A packs A^T first so it looks like plain GEMM).
 template <bool kAccumulate>
-void product_rows(const float* a, std::size_t a_row_stride,
-                  std::size_t a_depth_stride, const float* packed_b, float* c,
-                  std::size_t ldc, std::size_t depth, std::size_t r0,
+void product_rows(const float* a, std::size_t lda, const float* packed_b,
+                  float* c, std::size_t ldc, std::size_t depth, std::size_t r0,
                   std::size_t r1, std::size_t n) {
-  const std::size_t panel_stride = depth * kColTile;
-  std::size_t i = r0;
-  for (; i + kRowTile <= r1; i += kRowTile) {
-    const float* ai = a + i * a_row_stride;
-    float* ci = c + i * ldc;
-    std::size_t j = 0;
-    for (; j + kColTile <= n; j += kColTile) {
-      tile_full<kAccumulate>(ai, a_row_stride, a_depth_stride,
-                             packed_b + (j / kColTile) * panel_stride,
-                             kColTile, ci + j, ldc, depth);
-    }
-    if (j < n) {
-      tile_edge<kAccumulate>(ai, a_row_stride, a_depth_stride,
-                             packed_b + (j / kColTile) * panel_stride,
-                             kColTile, ci + j, ldc, depth, kRowTile, n - j);
-    }
+#if defined(TANGLEFL_GEMM_X86)
+  if (detail::gemm_avx_supported()) {
+    tile_rows<8, tile_avx<kAccumulate>>(a, lda, packed_b, c, ldc, depth, r0,
+                                        r1, n);
+    return;
   }
-  if (i < r1) {
-    const float* ai = a + i * a_row_stride;
-    float* ci = c + i * ldc;
-    for (std::size_t j = 0; j < n; j += kColTile) {
-      tile_edge<kAccumulate>(ai, a_row_stride, a_depth_stride,
-                             packed_b + (j / kColTile) * panel_stride,
-                             kColTile, ci + j, ldc, depth, r1 - i,
-                             std::min(kColTile, n - j));
-    }
-  }
+#endif
+  tile_rows<4, tile_portable<kAccumulate>>(a, lda, packed_b, c, ldc, depth, r0,
+                                           r1, n);
 }
 
 // --------------------------------------------------------- row partitioning
@@ -442,6 +429,61 @@ void col2im_add(const float* col, std::size_t ic, std::size_t h, std::size_t w,
 
 }  // namespace
 
+// ------------------------------------------------------------- tile choice
+
+namespace detail {
+
+void gemm_rows_portable(const float* a, std::size_t lda,
+                        const float* packed_b, float* c, std::size_t ldc,
+                        std::size_t depth, std::size_t r0, std::size_t r1,
+                        std::size_t n, Accumulate accumulate) {
+  (accumulate == Accumulate::kAdd ? tile_rows<4, tile_portable<true>>
+                                   : tile_rows<4, tile_portable<false>>)(
+      a, lda, packed_b, c, ldc, depth, r0, r1, n);
+}
+
+#if defined(TANGLEFL_GEMM_X86)
+
+void gemm_rows_avx(const float* a, std::size_t lda, const float* packed_b,
+                   float* c, std::size_t ldc, std::size_t depth,
+                   std::size_t r0, std::size_t r1, std::size_t n,
+                   Accumulate accumulate) {
+  (accumulate == Accumulate::kAdd ? tile_rows<8, tile_avx<true>>
+                                   : tile_rows<8, tile_avx<false>>)(
+      a, lda, packed_b, c, ldc, depth, r0, r1, n);
+}
+
+// <cpuid.h> rather than __builtin_cpu_supports: the builtin links libgcc's
+// CPU-model initializer into every binary, which moves unrelated code.
+bool gemm_avx_supported() noexcept {
+  static const bool supported = [] {
+    unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+    if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return false;
+    constexpr unsigned kOsxsave = 1u << 27, kAvx = 1u << 28;
+    if ((ecx & (kOsxsave | kAvx)) != (kOsxsave | kAvx)) return false;
+    // The OS must save XMM and YMM state (XCR0 bits 1 and 2).
+    unsigned xcr0 = 0, xcr0_high = 0;
+    __asm__("xgetbv" : "=a"(xcr0), "=d"(xcr0_high) : "c"(0));
+    return (xcr0 & 0x6u) == 0x6u;
+  }();
+  return supported;
+}
+
+#else
+
+void gemm_rows_avx(const float* a, std::size_t lda, const float* packed_b,
+                   float* c, std::size_t ldc, std::size_t depth,
+                   std::size_t r0, std::size_t r1, std::size_t n,
+                   Accumulate accumulate) {
+  gemm_rows_portable(a, lda, packed_b, c, ldc, depth, r0, r1, n, accumulate);
+}
+
+bool gemm_avx_supported() noexcept { return false; }
+
+#endif
+
+}  // namespace detail
+
 // --------------------------------------------------------------- Workspace
 
 std::span<float> Workspace::take(std::size_t count) {
@@ -477,6 +519,12 @@ std::size_t Workspace::capacity() const noexcept {
 // Packing happens on the calling thread before rows are partitioned, so
 // pool tasks only ever read the packed panels (and the caller blocks in
 // parallel_for while they do, keeping the thread-local arena alive).
+//
+// Each entry point makes one partition_rows call per Accumulate mode. Their
+// exception cleanup is cold code, which the linker places ahead of every
+// linking program's own text: folding the pair into one call moves the
+// perfbench driver's calibration kernel (ROADMAP.md, "Pin the calibration
+// kernel").
 
 void gemm(const float* a, std::size_t lda, const float* b, std::size_t ldb,
           float* c, std::size_t ldc, std::size_t m, std::size_t k,
@@ -490,11 +538,11 @@ void gemm(const float* a, std::size_t lda, const float* b, std::size_t ldb,
   const float* bp = packed.data();
   if (accumulate == Accumulate::kAdd) {
     partition_rows(pool, m, flops, [&](std::size_t r0, std::size_t r1) {
-      product_rows<true>(a, lda, 1, bp, c, ldc, k, r0, r1, n);
+      product_rows<true>(a, lda, bp, c, ldc, k, r0, r1, n);
     });
   } else {
     partition_rows(pool, m, flops, [&](std::size_t r0, std::size_t r1) {
-      product_rows<false>(a, lda, 1, bp, c, ldc, k, r0, r1, n);
+      product_rows<false>(a, lda, bp, c, ldc, k, r0, r1, n);
     });
   }
   gemm_flop_counter().add(flops);
@@ -516,11 +564,11 @@ void gemm_prepacked_b(const float* a, std::size_t lda, const float* packed_b,
   const std::size_t flops = 2 * m * k * n;
   if (accumulate == Accumulate::kAdd) {
     partition_rows(pool, m, flops, [&](std::size_t r0, std::size_t r1) {
-      product_rows<true>(a, lda, 1, packed_b, c, ldc, k, r0, r1, n);
+      product_rows<true>(a, lda, packed_b, c, ldc, k, r0, r1, n);
     });
   } else {
     partition_rows(pool, m, flops, [&](std::size_t r0, std::size_t r1) {
-      product_rows<false>(a, lda, 1, packed_b, c, ldc, k, r0, r1, n);
+      product_rows<false>(a, lda, packed_b, c, ldc, k, r0, r1, n);
     });
   }
   gemm_flop_counter().add(flops);
@@ -545,11 +593,11 @@ void gemm_trans_a(const float* a, std::size_t lda, const float* b,
   const float* bp = packed.data();
   if (accumulate == Accumulate::kAdd) {
     partition_rows(pool, k, flops, [&](std::size_t r0, std::size_t r1) {
-      product_rows<true>(ap, m, 1, bp, c, ldc, m, r0, r1, n);
+      product_rows<true>(ap, m, bp, c, ldc, m, r0, r1, n);
     });
   } else {
     partition_rows(pool, k, flops, [&](std::size_t r0, std::size_t r1) {
-      product_rows<false>(ap, m, 1, bp, c, ldc, m, r0, r1, n);
+      product_rows<false>(ap, m, bp, c, ldc, m, r0, r1, n);
     });
   }
   gemm_flop_counter().add(flops);
@@ -571,11 +619,11 @@ void gemm_trans_b(const float* a, std::size_t lda, const float* b,
   const float* bp = packed.data();
   if (accumulate == Accumulate::kAdd) {
     partition_rows(pool, m, flops, [&](std::size_t r0, std::size_t r1) {
-      product_rows<true>(a, lda, 1, bp, c, ldc, k, r0, r1, n);
+      product_rows<true>(a, lda, bp, c, ldc, k, r0, r1, n);
     });
   } else {
     partition_rows(pool, m, flops, [&](std::size_t r0, std::size_t r1) {
-      product_rows<false>(a, lda, 1, bp, c, ldc, k, r0, r1, n);
+      product_rows<false>(a, lda, bp, c, ldc, k, r0, r1, n);
     });
   }
   gemm_flop_counter().add(flops);

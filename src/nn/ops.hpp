@@ -181,6 +181,27 @@ void maxpool2d_forward(const Tensor& x, std::size_t window, std::size_t stride,
 void maxpool2d_backward(const Tensor& dy, const std::vector<std::size_t>& argmax,
                         Tensor& dx);
 
+/// The GEMM row drivers behind every entry point above, exposed so tests
+/// can run both register tiles on any host. Each computes output rows
+/// [r0, r1) of C = A(m, depth) * B, with A row-major (leading dimension
+/// lda) and B packed by gemm_pack_b; both give identical bits. The AVX form
+/// may only run where gemm_avx_supported() is true.
+namespace detail {
+
+void gemm_rows_portable(const float* a, std::size_t lda,
+                        const float* packed_b, float* c, std::size_t ldc,
+                        std::size_t depth, std::size_t r0, std::size_t r1,
+                        std::size_t n, Accumulate accumulate);
+void gemm_rows_avx(const float* a, std::size_t lda, const float* packed_b,
+                   float* c, std::size_t ldc, std::size_t depth,
+                   std::size_t r0, std::size_t r1, std::size_t n,
+                   Accumulate accumulate);
+
+/// True when CPUID reports AVX and the OS saves YMM state (probed once).
+bool gemm_avx_supported() noexcept;
+
+}  // namespace detail
+
 /// The pre-optimization scalar loops, kept verbatim as the equivalence and
 /// benchmark baseline. Tests and micro-benchmarks call them directly as the
 /// oracle; no runtime switch routes the entry points above through them.

@@ -2,15 +2,18 @@
 // pre-optimization loops preserved in ops::reference, plus the bit-identity
 // guarantees of the determinism contract:
 //   - the matmul family matches the reference bitwise (same per-element
-//     reduction order), with or without a ThreadPool;
+//     reduction order), with or without a ThreadPool, and so does each
+//     register tile (AVX and portable) run directly;
 //   - conv and the fused-LSTM weight gradients regroup the reduction, so
 //     they match within a relative tolerance instead;
 //   - train_local produces byte-identical parameters for any kernel-pool
-//     size.
+//     size, and a golden digest pins them on the paper CNN.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <vector>
 
 #include "data/training.hpp"
 #include "nn/layer.hpp"
@@ -18,6 +21,7 @@
 #include "nn/ops.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
+#include "support/sha256.hpp"
 #include "support/thread_pool.hpp"
 
 namespace tanglefl::nn {
@@ -50,8 +54,8 @@ struct GemmShape {
   std::size_t m, k, n;
 };
 
-// Cover the register-tile interior (multiples of 4x16), every edge case
-// (tails in each dimension), and degenerate single-row/column shapes.
+// Cover the register-tile interior, every edge case (tails in each
+// dimension), and degenerate single-row/column shapes.
 const GemmShape kShapes[] = {
     {1, 1, 1},  {3, 5, 7},    {4, 16, 16},  {8, 32, 64},
     {7, 13, 17}, {33, 65, 47}, {10, 576, 62},
@@ -138,6 +142,176 @@ TEST(OpsKernels, GemmStridedViewMatchesDenseCopy) {
   ops::gemm(dense.data(), k, b.data(), n, want.data(), n, m, k, n);
   ops::gemm(backing.data(), lda, b.data(), n, got.data(), n, m, k, n);
   expect_bit_equal(want, got);
+}
+
+// ------------------------------------------------------ tile shape sweep
+//
+// Every GEMM entry point, and each register tile through its row driver,
+// against ops::reference on the paper CNN's shapes and on remainders around
+// the 8x8 tile, under both Accumulate modes. Each case is an output (m, n)
+// with reduction length k.
+
+std::vector<GemmShape> tile_sweep_shapes() {
+  // Conv forward (16,72,49) and (8,9,196), conv backward's trans-A
+  // (9,8,196), Linear forward (10,144,64) and (10,64,10).
+  std::vector<GemmShape> shapes = {
+      {16, 72, 49}, {8, 9, 196}, {9, 8, 196}, {10, 144, 64}, {10, 64, 10}};
+  for (const std::size_t m : {1, 7, 8, 9, 15, 16, 17}) {
+    for (const std::size_t n : {1, 7, 8, 9, 15, 16, 17}) {
+      shapes.push_back({m, 13, n});
+    }
+  }
+  return shapes;
+}
+
+enum class Variant { kPlain, kTransA, kTransB, kPrepacked };
+constexpr Variant kVariants[] = {Variant::kPlain, Variant::kTransA,
+                                 Variant::kTransB, Variant::kPrepacked};
+constexpr ops::Accumulate kModes[] = {ops::Accumulate::kOverwrite,
+                                      ops::Accumulate::kAdd};
+
+Tensor transpose(const Tensor& t) {
+  Tensor out({t.dim(1), t.dim(0)});
+  for (std::size_t i = 0; i < t.dim(0); ++i) {
+    for (std::size_t j = 0; j < t.dim(1); ++j) out.at(j, i) = t.at(i, j);
+  }
+  return out;
+}
+
+// One sweep case: operands in the variant's own layout (trans-A reads
+// A(k, m), trans-B reads B(n, k)), a seed for kAdd, and the expected output
+// for each mode.
+struct SweepCase {
+  GemmShape s;
+  Variant variant;
+  Tensor a, b, seed, want_overwrite, want_add;
+
+  SweepCase(const GemmShape& shape, Variant v, Rng& rng)
+      : s(shape), variant(v) {
+    a = variant == Variant::kTransA ? random_tensor({s.k, s.m}, rng)
+                                    : random_tensor({s.m, s.k}, rng);
+    b = variant == Variant::kTransB ? random_tensor({s.n, s.k}, rng)
+                                    : random_tensor({s.k, s.n}, rng);
+    seed = random_tensor({s.m, s.n}, rng);
+    want_overwrite = Tensor({s.m, s.n});
+    if (variant == Variant::kTransA) {
+      ops::reference::matmul_trans_a(a, b, want_overwrite);
+    } else if (variant == Variant::kTransB) {
+      ops::reference::matmul_trans_b(a, b, want_overwrite);
+    } else {
+      ops::reference::matmul(a, b, want_overwrite);
+    }
+    // kAdd adds the register-reduced product onto C once per element.
+    want_add = seed;
+    for (std::size_t i = 0; i < want_add.size(); ++i) {
+      want_add[i] += want_overwrite[i];
+    }
+  }
+
+  const Tensor& want(ops::Accumulate mode) const {
+    return mode == ops::Accumulate::kAdd ? want_add : want_overwrite;
+  }
+  Tensor start(ops::Accumulate mode) const {
+    return mode == ops::Accumulate::kAdd ? seed : Tensor({s.m, s.n});
+  }
+};
+
+TEST(OpsKernels, GemmEntryPointsMatchReferenceOnTileSweep) {
+  Rng rng(16);
+  for (const GemmShape& s : tile_sweep_shapes()) {
+    for (const Variant variant : kVariants) {
+      const SweepCase sc(s, variant, rng);
+      std::vector<float> packed(ops::gemm_packed_b_floats(s.k, s.n));
+      ops::gemm_pack_b(sc.b.data(), s.n, s.k, s.n, packed.data());
+      for (const ops::Accumulate mode : kModes) {
+        SCOPED_TRACE(testing::Message()
+                     << "m=" << s.m << " k=" << s.k << " n=" << s.n
+                     << " variant=" << static_cast<int>(variant)
+                     << " add=" << (mode == ops::Accumulate::kAdd));
+        Tensor got = sc.start(mode);
+        switch (variant) {
+          case Variant::kPlain:
+            ops::gemm(sc.a.data(), s.k, sc.b.data(), s.n, got.data(), s.n,
+                      s.m, s.k, s.n, mode);
+            break;
+          case Variant::kTransA:
+            ops::gemm_trans_a(sc.a.data(), s.m, sc.b.data(), s.n, got.data(),
+                              s.n, s.k, s.m, s.n, mode);
+            break;
+          case Variant::kTransB:
+            ops::gemm_trans_b(sc.a.data(), s.k, sc.b.data(), s.k, got.data(),
+                              s.n, s.m, s.k, s.n, mode);
+            break;
+          case Variant::kPrepacked:
+            ops::gemm_prepacked_b(sc.a.data(), s.k, packed.data(), got.data(),
+                                  s.n, s.m, s.k, s.n, mode);
+            break;
+        }
+        expect_bit_equal(sc.want(mode), got);
+      }
+    }
+  }
+}
+
+using RowDriver = void (*)(const float*, std::size_t, const float*, float*,
+                           std::size_t, std::size_t, std::size_t, std::size_t,
+                           std::size_t, ops::Accumulate);
+
+// Runs one row driver on every sweep case, over all rows at once and in the
+// 8-row chunks a kernel pool hands out. The test lays out each variant's
+// operands the way its entry point packs them (A^T for trans-A, B^T for
+// trans-B; packing is pure data movement).
+void expect_row_driver_matches_reference(RowDriver driver) {
+  Rng rng(17);
+  for (const GemmShape& s : tile_sweep_shapes()) {
+    for (const Variant variant : kVariants) {
+      const SweepCase sc(s, variant, rng);
+      const Tensor a =
+          variant == Variant::kTransA ? transpose(sc.a) : sc.a;
+      const Tensor b =
+          variant == Variant::kTransB ? transpose(sc.b) : sc.b;
+      std::vector<float> packed(ops::gemm_packed_b_floats(s.k, s.n));
+      ops::gemm_pack_b(b.data(), s.n, s.k, s.n, packed.data());
+      for (const ops::Accumulate mode : kModes) {
+        SCOPED_TRACE(testing::Message()
+                     << "m=" << s.m << " k=" << s.k << " n=" << s.n
+                     << " variant=" << static_cast<int>(variant)
+                     << " add=" << (mode == ops::Accumulate::kAdd));
+        Tensor whole = sc.start(mode);
+        driver(a.data(), s.k, packed.data(), whole.data(), s.n, s.k, 0, s.m,
+               s.n, mode);
+        expect_bit_equal(sc.want(mode), whole);
+        Tensor chunked = sc.start(mode);
+        for (std::size_t r0 = 0; r0 < s.m; r0 += 8) {
+          driver(a.data(), s.k, packed.data(), chunked.data(), s.n, s.k, r0,
+                 std::min(s.m, r0 + 8), s.n, mode);
+        }
+        expect_bit_equal(sc.want(mode), chunked);
+      }
+    }
+  }
+}
+
+TEST(OpsKernels, PortableTileMatchesReferenceOnTileSweep) {
+  expect_row_driver_matches_reference(ops::detail::gemm_rows_portable);
+}
+
+TEST(OpsKernels, AvxTileMatchesReferenceOnTileSweep) {
+  if (!ops::detail::gemm_avx_supported()) {
+    GTEST_SKIP() << "this CPU does not run AVX";
+  }
+  expect_row_driver_matches_reference(ops::detail::gemm_rows_avx);
+}
+
+TEST(OpsKernels, AvxProbeAgreesWithCompilerRuntime) {
+  // A probe that wrongly said "no" would fall back to the portable tile and
+  // pass every bitwise test; pin it to the compiler runtime's answer.
+#if defined(__x86_64__) || defined(__i386__)
+  EXPECT_EQ(ops::detail::gemm_avx_supported(),
+            __builtin_cpu_supports("avx") != 0);
+#else
+  EXPECT_FALSE(ops::detail::gemm_avx_supported());
+#endif
 }
 
 // ------------------------------------------------------------ convolution
@@ -299,9 +473,11 @@ TEST(OpsKernels, WorkspaceResetRecyclesWithoutReleasing) {
 
 // -------------------------------------------- end-to-end pool bit-identity
 
-std::vector<float> train_cnn_params(ThreadPool* kernel_pool) {
+// The default ImageCnnConfig is the paper's FEMNIST CNN: 14x14 input, 8/16
+// conv channels, hidden 64.
+std::vector<float> train_cnn_params(ThreadPool* kernel_pool,
+                                    std::size_t batch_size = 8) {
   ImageCnnConfig cnn;
-  cnn.image_size = 14;
   Model model = make_image_cnn(cnn);
   Rng init(5);
   model.init(init);
@@ -316,7 +492,7 @@ std::vector<float> train_cnn_params(ThreadPool* kernel_pool) {
 
   data::TrainConfig config;
   config.epochs = 2;
-  config.batch_size = 8;
+  config.batch_size = batch_size;
   config.kernel_pool = kernel_pool;
   Rng train_rng(7);
   data::train_local(model, split, config, train_rng);
@@ -369,6 +545,19 @@ TEST(OpsKernels, TrainLocalBitIdenticalAcrossPoolSizes) {
               0)
         << "LSTM params differ with " << workers << " kernel workers";
   }
+}
+
+TEST(OpsKernels, PaperCnnTrainLocalGoldenDigest) {
+  // Batch 10 runs the paper CNN's real GEMM shapes: conv (8,9,196) and
+  // (16,72,49) with their backward transposes, and Linear (10,144,64) and
+  // (10,64,10), so full 8-row tiles and every row and column remainder
+  // feed the trained parameters. The 24 samples end in a 4-row batch.
+  const std::vector<float> params = train_cnn_params(nullptr, 10);
+  const Sha256Digest digest = Sha256::hash(std::span<const std::uint8_t>(
+      reinterpret_cast<const std::uint8_t*>(params.data()),
+      params.size() * sizeof(float)));
+  EXPECT_EQ(to_hex(digest),
+            "f4c13d07c994f4e8772ada2786c5abc3d80628eae346d214cf96b6f9385d9db2");
 }
 
 }  // namespace
