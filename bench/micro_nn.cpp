@@ -88,6 +88,43 @@ void BM_Conv2DForward(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv2DForward)->Arg(12)->Arg(28);
 
+// The paper CNN's two conv layers at batch 10: arg 0 is conv1 (1 -> 8
+// channels at 12x12), arg 1 is conv2 (8 -> 16 at 6x6). Both compute dx;
+// only a first layer skips it, and in the model that is conv1.
+void BM_Conv2DBackward(benchmark::State& state) {
+  const bool second = state.range(0) == 1;
+  const std::size_t ic = second ? 8 : 1, oc = second ? 16 : 8;
+  const std::size_t image = second ? 6 : 12;
+  const nn::ops::Conv2DShape shape{ic, oc, 3, 1, 1};
+  const nn::Tensor x = random_tensor({10, ic, image, image}, 1);
+  const nn::Tensor w = random_tensor({oc, ic, 3, 3}, 2);
+  const nn::Tensor dy = random_tensor({10, oc, image, image}, 3);
+  nn::Tensor dx(x.shape()), dw(w.shape()), dbias({oc});
+  nn::ops::Workspace workspace;
+  for (auto _ : state) {
+    nn::ops::conv2d_backward(x, w, shape, dy, &dx, dw, dbias, &workspace);
+    benchmark::DoNotOptimize(dx.data());
+  }
+}
+BENCHMARK(BM_Conv2DBackward)->Arg(0)->Arg(1);
+
+// One candidate-model probe of robust tip selection: an evaluation forward
+// of the paper CNN (12x12, 10 classes) over 5 examples.
+void BM_CnnEvalForward(benchmark::State& state) {
+  nn::ImageCnnConfig config;
+  config.image_size = 12;
+  config.num_classes = 10;
+  nn::Model model = nn::make_image_cnn(config);
+  Rng rng(1);
+  model.init(rng);
+  const nn::Tensor x = random_tensor({5, 1, 12, 12}, 2);
+  for (auto _ : state) {
+    const nn::Tensor logits = model.forward(x, false);
+    benchmark::DoNotOptimize(logits.data());
+  }
+}
+BENCHMARK(BM_CnnEvalForward);
+
 void BM_CnnTrainStep(benchmark::State& state) {
   nn::ImageCnnConfig config;
   config.image_size = 12;

@@ -33,6 +33,13 @@ class Layer {
   /// d(loss)/d(input). Must follow a forward() call.
   virtual Tensor backward(const Tensor& grad_output) = 0;
 
+  /// backward() for a layer whose input gradient nothing reads (a model's
+  /// first layer): accumulates the same parameter gradients. Layers that
+  /// can skip the input-gradient work override it.
+  virtual void backward_parameters(const Tensor& grad_output) {
+    (void)backward(grad_output);
+  }
+
   /// Trainable parameter tensors (empty for stateless layers).
   virtual std::vector<Tensor*> parameters() { return {}; }
   /// Gradient tensors, parallel to parameters().
@@ -111,6 +118,7 @@ class Conv2D final : public Layer {
 
   Tensor forward(const Tensor& input, bool training) override;
   Tensor backward(const Tensor& grad_output) override;
+  void backward_parameters(const Tensor& grad_output) override;
   std::vector<Tensor*> parameters() override { return {&weight_, &bias_}; }
   std::vector<Tensor*> gradients() override { return {&dweight_, &dbias_}; }
   void init(Rng& rng) override;
@@ -133,7 +141,7 @@ class Conv2D final : public Layer {
   std::size_t in_channels_, out_channels_, kernel_, stride_, padding_;
   Tensor weight_, bias_, dweight_, dbias_;
   Tensor cached_input_;
-  // im2col scratch, reused across minibatches.
+  // Padded planes and operand panels, reused across minibatches.
   ops::Workspace workspace_;
 };
 

@@ -77,8 +77,11 @@ Tensor ReLU::backward(const Tensor& grad_output) {
   Tensor dx = grad_output;
   const auto in = cached_input_.values();
   auto out = dx.values();
+  // Select form, not `if (in <= 0) out = 0`: the branch mispredicts on
+  // about half of a conv activation. Same bits — a NaN input passes the
+  // gradient, -0 and +0 zero it.
   for (std::size_t i = 0; i < out.size(); ++i) {
-    if (in[i] <= 0.0f) out[i] = 0.0f;
+    out[i] = in[i] <= 0.0f ? 0.0f : out[i];
   }
   return dx;
 }

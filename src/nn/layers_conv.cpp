@@ -48,9 +48,14 @@ Tensor Conv2D::forward(const Tensor& input, bool training) {
 
 Tensor Conv2D::backward(const Tensor& grad_output) {
   Tensor dx(cached_input_.shape());
-  ops::conv2d_backward(cached_input_, weight_, conv_shape(), grad_output, dx,
+  ops::conv2d_backward(cached_input_, weight_, conv_shape(), grad_output, &dx,
                        dweight_, dbias_, &workspace_, kernel_pool_);
   return dx;
+}
+
+void Conv2D::backward_parameters(const Tensor& grad_output) {
+  ops::conv2d_backward(cached_input_, weight_, conv_shape(), grad_output,
+                       nullptr, dweight_, dbias_, &workspace_, kernel_pool_);
 }
 
 std::unique_ptr<Layer> Conv2D::clone() const {

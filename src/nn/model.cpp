@@ -58,13 +58,14 @@ Tensor Model::forward_from(std::size_t first_layer, const Tensor& input,
   return x;
 }
 
-Tensor Model::backward(const Tensor& grad_output) {
+void Model::backward(const Tensor& grad_output) {
   obs::TraceScope span("nn.backward", &backward_timing());
+  assert(!layers_.empty());
   Tensor g = grad_output;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    g = (*it)->backward(g);
+  for (std::size_t i = layers_.size() - 1; i > 0; --i) {
+    g = layers_[i]->backward(g);
   }
-  return g;
+  layers_.front()->backward_parameters(g);
 }
 
 void Model::set_kernel_pool(ThreadPool* pool) noexcept {

@@ -44,8 +44,9 @@ class Model {
                       bool training = false);
 
   /// Backpropagates d(loss)/d(output); parameter gradients accumulate into
-  /// each layer's gradient tensors. Returns d(loss)/d(input).
-  Tensor backward(const Tensor& grad_output);
+  /// each layer's gradient tensors. The input gradient is not computed:
+  /// nothing reads it, and for a first Conv2D it costs a GEMM and a scatter.
+  void backward(const Tensor& grad_output);
 
   /// Clears all accumulated gradients.
   void zero_gradients();

@@ -90,9 +90,9 @@ Workspace& thread_workspace() {
 }
 
 // Separate arena for GEMM operand packing. It must not be the conv fallback
-// arena above: conv2d builds its im2col buffer there and then calls gemm,
-// which resets its pack arena per call — sharing one arena would clobber
-// the im2col buffer mid-convolution.
+// arena above: conv2d_backward builds its padded planes there and then
+// calls gemm, which resets its pack arena per call — sharing one arena
+// would clobber them mid-convolution.
 Workspace& pack_workspace() {
   thread_local Workspace workspace;
   return workspace;
@@ -335,93 +335,187 @@ void partition_rows(ThreadPool* pool, std::size_t m, std::size_t flops,
   });
 }
 
-// ------------------------------------------------------------ im2col/col2im
+// ------------------------------------------------------------ conv lowering
+//
+// A convolution reads each sample through a zero-padded copy (ic, hp, wp),
+// hp = h + 2*pad. In that plane, reduction index p = (c, ky, kx) sits at
+// patch offset c*hp*wp + ky*wp + kx and output position q = (yy, xx) at
+// position offset yy*stride*wp + xx*stride, so GEMM operand element (p, q)
+// is padded[patch + position] with no bounds test. The patch axis keeps the
+// (c, ky, kx) order of the naive loops, so the GEMM accumulates
+// weight-patch products in their sequence.
+struct PaddedConv {
+  std::size_t ic, k, stride, pad, h, w, wp, oh, ow;
 
-// Packs one sample (ic, h, w) into col(ic*k*k, oh*ow) with the patch axis
-// in (c, ky, kx) order — the reduction order of the naive conv loops — so
-// the GEMM accumulates weight-patch products in the same sequence.
-void im2col(const float* x, std::size_t ic, std::size_t h, std::size_t w,
-            std::size_t k, std::size_t stride, std::size_t pad, std::size_t oh,
-            std::size_t ow, float* col) {
-  for (std::size_t c = 0; c < ic; ++c) {
-    const float* xc = x + c * h * w;
-    for (std::size_t ky = 0; ky < k; ++ky) {
-      for (std::size_t kx = 0; kx < k; ++kx) {
-        float* row = col + ((c * k + ky) * k + kx) * (oh * ow);
-        for (std::size_t yy = 0; yy < oh; ++yy) {
-          const std::ptrdiff_t in_y =
-              static_cast<std::ptrdiff_t>(yy * stride + ky) -
-              static_cast<std::ptrdiff_t>(pad);
-          float* out = row + yy * ow;
-          if (in_y < 0 || in_y >= static_cast<std::ptrdiff_t>(h)) {
-            std::fill_n(out, ow, 0.0f);
-            continue;
-          }
-          const float* xrow = xc + static_cast<std::size_t>(in_y) * w;
-          if (stride == 1) {
-            // in_x = xx + kx - pad stays contiguous: zero the out-of-bounds
-            // edges and memcpy the valid middle.
-            const std::ptrdiff_t shift = static_cast<std::ptrdiff_t>(kx) -
-                                         static_cast<std::ptrdiff_t>(pad);
-            const std::size_t x_begin =
-                shift < 0 ? static_cast<std::size_t>(-shift) : 0;
-            const std::ptrdiff_t x_limit = std::min<std::ptrdiff_t>(
-                static_cast<std::ptrdiff_t>(ow),
-                static_cast<std::ptrdiff_t>(w) - shift);
-            const std::size_t x_end =
-                x_limit < static_cast<std::ptrdiff_t>(x_begin)
-                    ? x_begin
-                    : static_cast<std::size_t>(x_limit);
-            std::fill(out, out + x_begin, 0.0f);
-            if (x_end > x_begin) {
-              std::memcpy(out + x_begin,
-                          xrow + static_cast<std::size_t>(
-                                     static_cast<std::ptrdiff_t>(x_begin) +
-                                     shift),
-                          (x_end - x_begin) * sizeof(float));
-            }
-            std::fill(out + x_end, out + ow, 0.0f);
-          } else {
-            for (std::size_t xx = 0; xx < ow; ++xx) {
-              const std::ptrdiff_t in_x =
-                  static_cast<std::ptrdiff_t>(xx * stride + kx) -
-                  static_cast<std::ptrdiff_t>(pad);
-              out[xx] = (in_x < 0 || in_x >= static_cast<std::ptrdiff_t>(w))
-                            ? 0.0f
-                            : xrow[static_cast<std::size_t>(in_x)];
-            }
-          }
-        }
+  PaddedConv(const Conv2DShape& shape, std::size_t in_h, std::size_t in_w)
+      : ic(shape.in_channels),
+        k(shape.kernel),
+        stride(shape.stride),
+        pad(shape.padding),
+        h(in_h),
+        w(in_w),
+        wp(in_w + 2 * shape.padding),
+        oh(shape.out_extent(in_h)),
+        ow(shape.out_extent(in_w)) {}
+
+  std::size_t plane() const { return (h + 2 * pad) * wp; }
+  std::size_t patches() const { return ic * k * k; }
+  std::size_t positions() const { return oh * ow; }
+
+  template <typename F>
+  void for_each_patch(const F& f) const {
+    for (std::size_t c = 0; c < ic; ++c) {
+      for (std::size_t ky = 0; ky < k; ++ky) {
+        for (std::size_t kx = 0; kx < k; ++kx) f(c * plane() + ky * wp + kx);
       }
     }
   }
+  template <typename F>
+  void for_each_position(const F& f) const {
+    for (std::size_t yy = 0; yy < oh; ++yy) {
+      for (std::size_t xx = 0; xx < ow; ++xx) f(yy * stride * wp + xx * stride);
+    }
+  }
+
+  // The sample x(ic, h, w) as a padded plane: x itself when there is no
+  // padding, else a copy into `padded`, whose border the caller zeroed.
+  const float* pad_sample(const float* x, float* padded) const {
+    if (pad == 0) return x;
+    for (std::size_t c = 0; c < ic; ++c) {
+      for (std::size_t y = 0; y < h; ++y) {
+        std::memcpy(padded + c * plane() + (y + pad) * wp + pad,
+                    x + (c * h + y) * w, w * sizeof(float));
+      }
+    }
+    return padded;
+  }
+
+  // Copies the interior of a padded plane out to dx(ic, h, w).
+  void unpad(const float* padded, float* dx) const {
+    for (std::size_t c = 0; c < ic; ++c) {
+      for (std::size_t y = 0; y < h; ++y) {
+        std::memcpy(dx + (c * h + y) * w,
+                    padded + c * plane() + (y + pad) * wp + pad,
+                    w * sizeof(float));
+      }
+    }
+  }
+};
+
+// Writes an operand straight into the panel layout pack_b produces. Its n
+// columns are the offsets for_each_lane enumerates and its depth steps the
+// offsets for_each_depth enumerates, so element (d, j) is src[depth offset
+// d + lane offset j]. Tail lanes get pack_b's zero fill. Pure data
+// movement, so the GEMM sees the bytes that im2col + pack_b gave it.
+template <typename ForEachLane, typename ForEachDepth>
+void pack_gathered(const float* src, const ForEachLane& for_each_lane,
+                   const ForEachDepth& for_each_depth, float* packed) {
+  std::size_t lanes[kColTile];
+  std::size_t cols = 0;
+  const auto write_panel = [&] {
+    // Offsets only ascend, so a full panel spanning kColTile - 1 is one
+    // contiguous run (8 outputs of one stride-1 row): copy it whole.
+    if (cols == kColTile && lanes[kColTile - 1] - lanes[0] == kColTile - 1) {
+      for_each_depth([&](std::size_t offset) {
+        std::memcpy(packed, src + offset + lanes[0], kColTile * sizeof(float));
+        packed += kColTile;
+      });
+    } else if (cols == kColTile) {
+      // The lane offsets stay in registers across the depth walk, and each
+      // strip is stored as two 4-lane vectors: 1.6x the plain lane loop.
+      const std::size_t l0 = lanes[0], l1 = lanes[1], l2 = lanes[2],
+                        l3 = lanes[3], l4 = lanes[4], l5 = lanes[5],
+                        l6 = lanes[6], l7 = lanes[7];
+      for_each_depth([&](std::size_t offset) {
+        const float* s = src + offset;
+        *reinterpret_cast<v4f*>(packed) = v4f{s[l0], s[l1], s[l2], s[l3]};
+        *reinterpret_cast<v4f*>(packed + 4) = v4f{s[l4], s[l5], s[l6], s[l7]};
+        packed += kColTile;
+      });
+    } else {
+      for_each_depth([&](std::size_t offset) {
+        const float* s = src + offset;
+        for (std::size_t l = 0; l < cols; ++l) packed[l] = s[lanes[l]];
+        std::fill(packed + cols, packed + kColTile, 0.0f);
+        packed += kColTile;
+      });
+    }
+    cols = 0;
+  };
+  for_each_lane([&](std::size_t offset) {
+    lanes[cols++] = offset;
+    if (cols == kColTile) write_panel();
+  });
+  if (cols > 0) write_panel();
 }
 
-// Scatter-adds dcol(ic*k*k, oh*ow) back into one sample's dx(ic, h, w);
-// padding positions are simply dropped.
-void col2im_add(const float* col, std::size_t ic, std::size_t h, std::size_t w,
-                std::size_t k, std::size_t stride, std::size_t pad,
-                std::size_t oh, std::size_t ow, float* dx) {
-  for (std::size_t c = 0; c < ic; ++c) {
-    float* xc = dx + c * h * w;
-    for (std::size_t ky = 0; ky < k; ++ky) {
-      for (std::size_t kx = 0; kx < k; ++kx) {
-        const float* row = col + ((c * k + ky) * k + kx) * (oh * ow);
-        for (std::size_t yy = 0; yy < oh; ++yy) {
-          const std::ptrdiff_t in_y =
-              static_cast<std::ptrdiff_t>(yy * stride + ky) -
-              static_cast<std::ptrdiff_t>(pad);
-          if (in_y < 0 || in_y >= static_cast<std::ptrdiff_t>(h)) continue;
-          float* xrow = xc + static_cast<std::size_t>(in_y) * w;
-          const float* src = row + yy * ow;
-          for (std::size_t xx = 0; xx < ow; ++xx) {
-            const std::ptrdiff_t in_x =
-                static_cast<std::ptrdiff_t>(xx * stride + kx) -
-                static_cast<std::ptrdiff_t>(pad);
-            if (in_x < 0 || in_x >= static_cast<std::ptrdiff_t>(w)) continue;
-            xrow[static_cast<std::size_t>(in_x)] += src[xx];
+// B(ckk, ohow) of the forward product W(oc, ckk) x B.
+void pack_conv_input(const float* padded, const PaddedConv& g, float* packed) {
+  pack_gathered(
+      padded, [&](const auto& f) { g.for_each_position(f); },
+      [&](const auto& f) { g.for_each_patch(f); }, packed);
+}
+
+// B(ohow, ckk) of the weight-gradient product dy(oc, ohow) x B.
+void pack_conv_input_transposed(const float* padded, const PaddedConv& g,
+                                float* packed) {
+  pack_gathered(
+      padded, [&](const auto& f) { g.for_each_patch(f); },
+      [&](const auto& f) { g.for_each_position(f); }, packed);
+}
+
+// Adds dcol(ckk, ohow) into a zeroed padded plane. Each element receives
+// its contributions in ascending (c, ky, kx, yy, xx) order, the order of
+// the naive scatter; those landing in the border are dropped with it.
+void scatter_add_padded(const float* dcol, const PaddedConv& g,
+                        float* padded) {
+  const std::size_t ow = g.ow, step = g.stride, row = g.stride * g.wp;
+  g.for_each_patch([&](std::size_t patch) {
+    for (std::size_t yy = 0; yy < g.oh; ++yy) {
+      float* dst = padded + patch + yy * row;
+      if (step == 1) {  // contiguous, so the compiler vectorizes it
+        for (std::size_t xx = 0; xx < ow; ++xx) dst[xx] += dcol[xx];
+      } else {
+        for (std::size_t xx = 0; xx < ow; ++xx) dst[xx * step] += dcol[xx];
+      }
+      dcol += ow;
+    }
+  });
+}
+
+// ------------------------------------------------------------------ pooling
+
+// Max pooling over `planes` (h, w) planes, window folded in (wy, wx) order.
+// kWindow > 0 fixes the window at compile time so its loops unroll; 0
+// reads `window` at run time. Both run the same fold.
+template <std::size_t kWindow>
+void maxpool_planes(const float* x, std::size_t planes, std::size_t h,
+                    std::size_t w, std::size_t window, std::size_t stride,
+                    float* y, std::size_t* argmax) {
+  if constexpr (kWindow > 0) window = kWindow;
+  const std::size_t oh = (h - window) / stride + 1;
+  const std::size_t ow = (w - window) / stride + 1;
+  for (std::size_t p = 0; p < planes; ++p) {
+    for (std::size_t yy = 0; yy < oh; ++yy) {
+      const std::size_t row = (p * h + yy * stride) * w;
+      for (std::size_t xx = 0; xx < ow; ++xx) {
+        const std::size_t origin = row + xx * stride;
+        float best = -std::numeric_limits<float>::infinity();
+        std::size_t best_index = 0;
+        for (std::size_t wy = 0; wy < window; ++wy) {
+          for (std::size_t wx = 0; wx < window; ++wx) {
+            const std::size_t flat = origin + wy * w + wx;
+            const float v = x[flat];
+            // Select form: no branch to mispredict, and the result of
+            // `if (v > best)` — NaN never wins, the first of equal values
+            // does, and a window with nothing above -inf keeps index 0.
+            const bool take = v > best;
+            best = take ? v : best;
+            best_index = take ? flat : best_index;
           }
         }
+        *y++ = best;
+        *argmax++ = best_index;
       }
     }
   }
@@ -685,41 +779,61 @@ void softmax_rows(const Tensor& logits, Tensor& out) {
 
 // ------------------------------------------------------------- convolution
 
+namespace {
+
+// The forward product shared by conv2d_forward and
+// conv2d_forward_prepacked: per sample, operand(b) yields the packed B(ckk,
+// ohow) panels, each output row of y_b(oc, ohow) is seeded with its bias,
+// and the GEMM accumulates on top — the acc-starts-at-bias order of the
+// naive loop. noinline holds this file's cold exception-cleanup code at the
+// size that keeps the perfbench driver's own code in place (ROADMAP.md,
+// "Pin the calibration kernel"); inlined, it grows by 3 bytes and moves it.
+template <typename Operand>
+[[gnu::noinline]] void conv_forward_samples(const Operand& operand,
+                                            std::size_t batch,
+                                            const Tensor& weights,
+                                            const Tensor& bias,
+                                            std::size_t ckk, std::size_t ohow,
+                                            Tensor& y, ThreadPool* pool) {
+  KernelTimer timer(conv_time_histogram());
+  const std::size_t oc = weights.dim(0);
+  const float* pw = weights.data();  // (oc, ckk) row-major
+  const float* pb = bias.data();
+  for (std::size_t b = 0; b < batch; ++b) {
+    const float* packed = operand(b);
+    float* yb = y.data() + b * oc * ohow;
+    for (std::size_t o = 0; o < oc; ++o) std::fill_n(yb + o * ohow, ohow, pb[o]);
+    gemm_prepacked_b(pw, ckk, packed, yb, ohow, oc, ckk, ohow,
+                     Accumulate::kAdd, pool);
+  }
+  conv_flop_counter().add(2 * batch * oc * ckk * ohow);
+}
+
+}  // namespace
+
 void conv2d_forward(const Tensor& x, const Tensor& weights, const Tensor& bias,
                     const Conv2DShape& shape, Tensor& y, Workspace* workspace,
                     ThreadPool* pool) {
   assert(x.rank() == 4 && weights.rank() == 4 && y.rank() == 4);
-  const std::size_t batch = x.dim(0);
-  const std::size_t ic = shape.in_channels, oc = shape.out_channels;
-  const std::size_t h = x.dim(2), w = x.dim(3);
-  const std::size_t k = shape.kernel, stride = shape.stride,
-                    pad = shape.padding;
-  const std::size_t oh = shape.out_extent(h), ow = shape.out_extent(w);
-  assert(x.dim(1) == ic && weights.dim(0) == oc && weights.dim(1) == ic);
-  assert(y.dim(0) == batch && y.dim(1) == oc && y.dim(2) == oh &&
-         y.dim(3) == ow);
-
-  KernelTimer timer(conv_time_histogram());
-  const std::size_t ckk = ic * k * k;
-  const std::size_t ohow = oh * ow;
+  const PaddedConv g(shape, x.dim(2), x.dim(3));
+  assert(x.dim(1) == g.ic && weights.dim(0) == shape.out_channels &&
+         weights.dim(1) == g.ic);
+  assert(y.dim(0) == x.dim(0) && y.dim(1) == shape.out_channels &&
+         y.dim(2) == g.oh && y.dim(3) == g.ow);
   Workspace& arena = workspace != nullptr ? *workspace : thread_workspace();
   arena.reset();
-  const std::span<float> col = arena.take(ckk * ohow);
-
-  const float* pw = weights.data();  // (oc, ckk) row-major
-  const float* pb = bias.data();
-  float* py = y.data();
-  for (std::size_t b = 0; b < batch; ++b) {
-    im2col(x.data() + b * ic * h * w, ic, h, w, k, stride, pad, oh, ow,
-           col.data());
-    float* yb = py + b * oc * ohow;
-    // Seed each output row with its bias, then accumulate the GEMM on top —
-    // the same acc-starts-at-bias order as the naive loop.
-    for (std::size_t o = 0; o < oc; ++o) std::fill_n(yb + o * ohow, ohow, pb[o]);
-    gemm(pw, ckk, col.data(), ohow, yb, ohow, oc, ckk, ohow, Accumulate::kAdd,
-         pool);
-  }
-  conv_flop_counter().add(2 * batch * oc * ckk * ohow);
+  const std::span<float> padded = arena.take(g.ic * g.plane());
+  const std::span<float> packed =
+      arena.take(packed_b_floats(g.patches(), g.positions()));
+  std::fill(padded.begin(), padded.end(), 0.0f);
+  conv_forward_samples(
+      [&](std::size_t b) {
+        pack_conv_input(
+            g.pad_sample(x.data() + b * g.ic * g.h * g.w, padded.data()), g,
+            packed.data());
+        return packed.data();
+      },
+      x.dim(0), weights, bias, g.patches(), g.positions(), y, pool);
 }
 
 std::size_t conv2d_packed_input_floats(const Conv2DShape& shape, std::size_t h,
@@ -732,22 +846,17 @@ void conv2d_pack_input(const Tensor& x, const Conv2DShape& shape,
                        std::span<float> packed, Workspace* workspace) {
   assert(x.rank() == 4 && x.dim(1) == shape.in_channels);
   const std::size_t batch = x.dim(0);
-  const std::size_t ic = shape.in_channels;
-  const std::size_t h = x.dim(2), w = x.dim(3);
-  const std::size_t k = shape.kernel, stride = shape.stride,
-                    pad = shape.padding;
-  const std::size_t oh = shape.out_extent(h), ow = shape.out_extent(w);
-  const std::size_t ckk = ic * k * k;
-  const std::size_t ohow = oh * ow;
-  const std::size_t per_sample = packed_b_floats(ckk, ohow);
+  const PaddedConv g(shape, x.dim(2), x.dim(3));
+  const std::size_t per_sample = packed_b_floats(g.patches(), g.positions());
   assert(packed.size() >= batch * per_sample);
   Workspace& arena = workspace != nullptr ? *workspace : thread_workspace();
   arena.reset();
-  const std::span<float> col = arena.take(ckk * ohow);
+  const std::span<float> padded = arena.take(g.ic * g.plane());
+  std::fill(padded.begin(), padded.end(), 0.0f);
   for (std::size_t b = 0; b < batch; ++b) {
-    im2col(x.data() + b * ic * h * w, ic, h, w, k, stride, pad, oh, ow,
-           col.data());
-    pack_b(col.data(), ohow, ckk, ohow, packed.data() + b * per_sample);
+    pack_conv_input(
+        g.pad_sample(x.data() + b * g.ic * g.h * g.w, padded.data()), g,
+        packed.data() + b * per_sample);
   }
 }
 
@@ -757,44 +866,33 @@ void conv2d_forward_prepacked(std::span<const float> packed_x,
                               const Conv2DShape& shape, Tensor& y,
                               ThreadPool* pool) {
   assert(weights.rank() == 4 && y.rank() == 4);
-  const std::size_t ic = shape.in_channels, oc = shape.out_channels;
-  const std::size_t k = shape.kernel;
+  const std::size_t ckk = shape.in_channels * shape.kernel * shape.kernel;
   const std::size_t oh = shape.out_extent(h), ow = shape.out_extent(w);
-  assert(weights.dim(0) == oc && weights.dim(1) == ic);
-  assert(y.dim(0) == batch && y.dim(1) == oc && y.dim(2) == oh &&
-         y.dim(3) == ow);
-  KernelTimer timer(conv_time_histogram());
-  const std::size_t ckk = ic * k * k;
-  const std::size_t ohow = oh * ow;
-  const std::size_t per_sample = packed_b_floats(ckk, ohow);
+  assert(weights.dim(0) == shape.out_channels &&
+         weights.dim(1) == shape.in_channels);
+  assert(y.dim(0) == batch && y.dim(1) == shape.out_channels &&
+         y.dim(2) == oh && y.dim(3) == ow);
+  const std::size_t per_sample = packed_b_floats(ckk, oh * ow);
   assert(packed_x.size() >= batch * per_sample);
-  const float* pw = weights.data();  // (oc, ckk) row-major
-  const float* pb = bias.data();
-  float* py = y.data();
-  for (std::size_t b = 0; b < batch; ++b) {
-    float* yb = py + b * oc * ohow;
-    for (std::size_t o = 0; o < oc; ++o) std::fill_n(yb + o * ohow, ohow, pb[o]);
-    gemm_prepacked_b(pw, ckk, packed_x.data() + b * per_sample, yb, ohow, oc,
-                     ckk, ohow, Accumulate::kAdd, pool);
-  }
-  conv_flop_counter().add(2 * batch * oc * ckk * ohow);
+  conv_forward_samples(
+      [&](std::size_t b) { return packed_x.data() + b * per_sample; }, batch,
+      weights, bias, ckk, oh * ow, y, pool);
 }
 
 void conv2d_backward(const Tensor& x, const Tensor& weights,
-                     const Conv2DShape& shape, const Tensor& dy, Tensor& dx,
+                     const Conv2DShape& shape, const Tensor& dy, Tensor* dx,
                      Tensor& dw, Tensor& dbias, Workspace* workspace,
                      ThreadPool* pool) {
   const std::size_t batch = x.dim(0);
   const std::size_t ic = shape.in_channels, oc = shape.out_channels;
   const std::size_t h = x.dim(2), w = x.dim(3);
-  const std::size_t k = shape.kernel, stride = shape.stride,
-                    pad = shape.padding;
-  const std::size_t oh = shape.out_extent(h), ow = shape.out_extent(w);
+  const std::size_t k = shape.kernel;
+  const PaddedConv g(shape, h, w);
   // A mismatched dy (or gradient buffers) would silently corrupt memory in
   // release builds; fail loudly under the debug-check presets instead.
   TANGLEFL_DCHECK_MSG(
       x.rank() == 4 && weights.rank() == 4 && dy.rank() == 4 &&
-          dx.rank() == 4 && dw.rank() == 4,
+          (dx == nullptr || dx->rank() == 4) && dw.rank() == 4,
       "conv2d_backward: all tensor arguments must be rank 4");
   TANGLEFL_DCHECK_MSG(x.dim(1) == ic, "conv2d_backward: x channel mismatch");
   TANGLEFL_DCHECK_MSG(
@@ -802,10 +900,11 @@ void conv2d_backward(const Tensor& x, const Tensor& weights,
           weights.dim(3) == k,
       "conv2d_backward: weight shape mismatch");
   TANGLEFL_DCHECK_MSG(dy.dim(0) == batch && dy.dim(1) == oc &&
-                          dy.dim(2) == oh && dy.dim(3) == ow,
+                          dy.dim(2) == g.oh && dy.dim(3) == g.ow,
                       "conv2d_backward: dy shape mismatch");
-  TANGLEFL_DCHECK_MSG(dx.dim(0) == batch && dx.dim(1) == ic &&
-                          dx.dim(2) == h && dx.dim(3) == w,
+  TANGLEFL_DCHECK_MSG(dx == nullptr ||
+                          (dx->dim(0) == batch && dx->dim(1) == ic &&
+                           dx->dim(2) == h && dx->dim(3) == w),
                       "conv2d_backward: dx shape mismatch");
   TANGLEFL_DCHECK_MSG(dw.dim(0) == oc && dw.dim(1) == ic && dw.dim(2) == k &&
                           dw.dim(3) == k,
@@ -814,37 +913,48 @@ void conv2d_backward(const Tensor& x, const Tensor& weights,
                       "conv2d_backward: dbias size mismatch");
 
   KernelTimer timer(conv_time_histogram());
-  const std::size_t ckk = ic * k * k;
-  const std::size_t ohow = oh * ow;
+  const std::size_t ckk = g.patches();
+  const std::size_t ohow = g.positions();
   Workspace& arena = workspace != nullptr ? *workspace : thread_workspace();
   arena.reset();
-  const std::span<float> col = arena.take(ckk * ohow);
-  const std::span<float> dcol = arena.take(ckk * ohow);
+  const std::span<float> padded = arena.take(ic * g.plane());
+  const std::span<float> packed = arena.take(packed_b_floats(ohow, ckk));
+  std::fill(padded.begin(), padded.end(), 0.0f);
+  // The dx path: W^T(ckk, oc), transposed once for every sample, and the
+  // dcol and padded-gradient buffers it scatters through.
+  std::span<float> wt, dcol, dpadded;
+  if (dx != nullptr) {
+    wt = arena.take(ckk * oc);
+    dcol = arena.take(ckk * ohow);
+    dpadded = arena.take(ic * g.plane());
+    pack_a_transposed(weights.data(), ckk, oc, ckk, wt.data());
+  }
 
-  dx.zero();
   const float* pdy = dy.data();
   float* pdb = dbias.data();
   for (std::size_t b = 0; b < batch; ++b) {
     const float* dyb = pdy + b * oc * ohow;
-    // dbias: per-channel row sums in the naive (o, yy, xx) order.
-    for (std::size_t o = 0; o < oc; ++o) {
-      const float* row = dyb + o * ohow;
-      float acc = pdb[o];
-      for (std::size_t i = 0; i < ohow; ++i) acc += row[i];
-      pdb[o] = acc;
+    // dbias: per-channel running sums in the naive (o, yy, xx) order. The
+    // channels are independent chains, so walking them side by side keeps
+    // each sum's order and hides the add latency.
+    for (std::size_t i = 0; i < ohow; ++i) {
+      for (std::size_t o = 0; o < oc; ++o) pdb[o] += dyb[o * ohow + i];
     }
-    im2col(x.data() + b * ic * h * w, ic, h, w, k, stride, pad, oh, ow,
-           col.data());
+    const float* xb = x.data() + b * ic * h * w;
+    pack_conv_input_transposed(g.pad_sample(xb, padded.data()), g,
+                               packed.data());
     // dw(oc, ckk) += dy_b(oc, ohow) x col_b(ckk, ohow)^T
-    gemm_trans_b(dyb, ohow, col.data(), ohow, dw.data(), ckk, oc, ohow, ckk,
-                 Accumulate::kAdd, pool);
-    // dcol(ckk, ohow) = W(oc, ckk)^T x dy_b(oc, ohow), then scatter back.
-    gemm_trans_a(weights.data(), ckk, dyb, ohow, dcol.data(), ohow, oc, ckk,
-                 ohow, Accumulate::kOverwrite, pool);
-    col2im_add(dcol.data(), ic, h, w, k, stride, pad, oh, ow,
-               dx.data() + b * ic * h * w);
+    gemm_prepacked_b(dyb, ohow, packed.data(), dw.data(), ckk, oc, ohow, ckk,
+                     Accumulate::kAdd, pool);
+    if (dx == nullptr) continue;
+    // dcol(ckk, ohow) = W^T(ckk, oc) x dy_b(oc, ohow), then scatter back.
+    gemm(wt.data(), oc, dyb, ohow, dcol.data(), ohow, ckk, oc, ohow,
+         Accumulate::kOverwrite, pool);
+    std::fill(dpadded.begin(), dpadded.end(), 0.0f);
+    scatter_add_padded(dcol.data(), g, dpadded.data());
+    g.unpad(dpadded.data(), dx->data() + b * ic * h * w);
   }
-  conv_flop_counter().add(4 * batch * oc * ckk * ohow);
+  conv_flop_counter().add((dx != nullptr ? 4 : 2) * batch * oc * ckk * ohow);
 }
 
 // ----------------------------------------------------------------- pooling
@@ -852,39 +962,14 @@ void conv2d_backward(const Tensor& x, const Tensor& weights,
 void maxpool2d_forward(const Tensor& x, std::size_t window, std::size_t stride,
                        Tensor& y, std::vector<std::size_t>& argmax) {
   assert(x.rank() == 4 && y.rank() == 4);
-  const std::size_t batch = x.dim(0), ch = x.dim(1);
   const std::size_t h = x.dim(2), w = x.dim(3);
-  const std::size_t oh = (h - window) / stride + 1;
-  const std::size_t ow = (w - window) / stride + 1;
-  assert(y.dim(0) == batch && y.dim(1) == ch && y.dim(2) == oh && y.dim(3) == ow);
-  argmax.assign(y.size(), 0);
-
-  std::size_t out_index = 0;
-  for (std::size_t b = 0; b < batch; ++b) {
-    for (std::size_t c = 0; c < ch; ++c) {
-      for (std::size_t yy = 0; yy < oh; ++yy) {
-        for (std::size_t xx = 0; xx < ow; ++xx) {
-          float best = -std::numeric_limits<float>::infinity();
-          std::size_t best_index = 0;
-          for (std::size_t wy = 0; wy < window; ++wy) {
-            for (std::size_t wx = 0; wx < window; ++wx) {
-              const std::size_t iy = yy * stride + wy;
-              const std::size_t ix = xx * stride + wx;
-              const std::size_t flat = ((b * ch + c) * h + iy) * w + ix;
-              const float v = x[flat];
-              if (v > best) {
-                best = v;
-                best_index = flat;
-              }
-            }
-          }
-          y[out_index] = best;
-          argmax[out_index] = best_index;
-          ++out_index;
-        }
-      }
-    }
-  }
+  assert(y.dim(0) == x.dim(0) && y.dim(1) == x.dim(1) &&
+         y.dim(2) == (h - window) / stride + 1 &&
+         y.dim(3) == (w - window) / stride + 1);
+  argmax.resize(y.size());
+  (window == 2 ? maxpool_planes<2> : maxpool_planes<0>)(
+      x.data(), x.dim(0) * x.dim(1), h, w, window, stride, y.data(),
+      argmax.data());
 }
 
 void maxpool2d_backward(const Tensor& dy, const std::vector<std::size_t>& argmax,

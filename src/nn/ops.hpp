@@ -23,9 +23,10 @@ class ThreadPool;
 
 namespace tanglefl::nn::ops {
 
-/// Scratch arena for kernel workspaces (im2col buffers, fused-LSTM
-/// pre-activations). A layer owns one Workspace and reuses it across
-/// minibatches, so steady-state forward/backward passes allocate nothing.
+/// Scratch arena for kernel workspaces (padded conv planes and operand
+/// panels, fused-LSTM pre-activations). A layer owns one Workspace and
+/// reuses it across minibatches, so steady-state forward/backward passes
+/// allocate nothing.
 /// Storage is chunked: growing the arena never moves previously returned
 /// spans. Contents are unspecified after take(); reset() recycles all
 /// spans without releasing memory.
@@ -131,16 +132,18 @@ struct Conv2DShape {
 };
 
 /// y(b, oc, oh, ow) = conv(x(b, ic, h, w), w(oc, ic, k, k)) + bias(oc).
-/// y must be preallocated; it is overwritten. Implemented as per-sample
-/// im2col (patch axis packed in (c, ky, kx) order) + GEMM. `workspace`
-/// holds the column buffer; when null a per-thread arena is used. The
-/// arena is reset() on entry, so callers must not hold spans across calls.
+/// y must be preallocated; it is overwritten. Per sample, the input is
+/// copied into a zero-padded plane and its patches (axis in (c, ky, kx)
+/// order) are written straight into the GEMM's packed-panel operand, then
+/// multiplied by W. `workspace` holds the plane and the panels; when null
+/// a per-thread arena is used. The arena is reset() on entry, so callers
+/// must not hold spans across calls.
 void conv2d_forward(const Tensor& x, const Tensor& weights, const Tensor& bias,
                     const Conv2DShape& shape, Tensor& y,
                     Workspace* workspace = nullptr, ThreadPool* pool = nullptr);
 
 /// Multi-model sharing: when k candidate models forward the same activation
-/// batch, the im2col + panel pack of the input is identical for every model.
+/// batch, the packed-panel operand of the input is identical for every model.
 /// These entry points let a caller pack each sample's column operand once
 /// (the same bytes conv2d_forward builds internally) and replay the per-model
 /// bias-seeded GEMMs against it, bit-identical to conv2d_forward.
@@ -151,7 +154,7 @@ std::size_t conv2d_packed_input_floats(const Conv2DShape& shape, std::size_t h,
 
 /// Packs every sample of x(b, ic, h, w): sample i's panels land at
 /// packed[i * conv2d_packed_input_floats(...)]. `workspace` holds the
-/// intermediate column buffer (per-thread arena when null) and is reset().
+/// padded input plane (per-thread arena when null) and is reset().
 void conv2d_pack_input(const Tensor& x, const Conv2DShape& shape,
                        std::span<float> packed, Workspace* workspace = nullptr);
 
@@ -165,9 +168,12 @@ void conv2d_forward_prepacked(std::span<const float> packed_x,
 
 /// Backward pass: given dy, accumulates into dw / dbias (must be
 /// pre-zeroed by the caller or accumulated deliberately) and overwrites dx.
-/// GEMM-based: dw via dy x col^T, dx via W^T x dy + col2im.
+/// A null dx skips the input gradient (a first layer's, which nothing
+/// reads). Per sample, dw += dy x col^T reads the transposed patch operand
+/// written straight into panels; dx multiplies W^T (transposed once per
+/// call) by dy and scatters the result through a padded plane.
 void conv2d_backward(const Tensor& x, const Tensor& weights,
-                     const Conv2DShape& shape, const Tensor& dy, Tensor& dx,
+                     const Conv2DShape& shape, const Tensor& dy, Tensor* dx,
                      Tensor& dw, Tensor& dbias, Workspace* workspace = nullptr,
                      ThreadPool* pool = nullptr);
 

@@ -52,10 +52,6 @@ std::size_t Tensor::argmax_row(std::size_t row) const {
   return best;
 }
 
-bool Tensor::equals(const Tensor& other) const noexcept {
-  return shape_ == other.shape_ && data_ == other.data_;
-}
-
 std::string Tensor::shape_string() const {
   std::ostringstream out;
   out << '[';

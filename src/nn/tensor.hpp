@@ -91,9 +91,6 @@ class Tensor {
   /// Index of the maximum element in row `row` of a rank-2 tensor.
   std::size_t argmax_row(std::size_t row) const;
 
-  /// True if shapes and all elements are exactly equal.
-  bool equals(const Tensor& other) const noexcept;
-
   /// "[2, 3]"-style shape rendering for diagnostics.
   std::string shape_string() const;
 

@@ -128,8 +128,8 @@ TEST(EngineCore, SyncRandomPoisonGoldenDigests) {
       digests(sim.tangle(), result, timeline),
       {"9c43301beba6b64da81cd86a7ca974efb852fe729b69b9d014fd7b438f3103cf",
        "23923060b43791f64004d302033892f9eaf75dc7599c612c9c1ed41cb130b1b0",
-       "7ba789b10799abe34855d5894c929a80af26ca0a11fa65e3a76c7f5122f8b60d",
-       "225ffabca811dc54c5ef1d512f3e80b91881a30857eb302e670fa6a5facee173"});
+       "fb5de5842e054c7b07add8a2ef3fdd2276f3ac3c23f0e91c04cc5a429bac8a7c",
+       "28d980dcf49df92a039ee2acffdd46cabb5cedf16348ec73d36c5cdd922f20c2"});
 
   // The pins above are exact, so they also hold every work counter a
   // poisoned robust-sampling run must record and the final row's health
@@ -183,8 +183,8 @@ TEST(EngineCore, AsyncLabelFlipGoldenDigests) {
       digests(sim.tangle(), result, timeline),
       {"5693653de31e45b40bdeba5c5bcc80e1020a0ed8f9dce623d79381b2b6ba7f37",
        "2a90570db098f25add366db981e7e243bdca04ed938eb4c040ce4a36c12ec415",
-       "50b32e2950873e27186c6e96c7a127f83de10bc537243e89d61d8d19a559c7a7",
-       "e90a8ff8bab7940c27822b63070135b1e58d2ab0ab609a6c0479710a67b786b6"});
+       "737706acf485ce532e21d751a905665afb065a95e7d049904cafa7499643605e",
+       "67824c06bd8ae851b85c4a036662293c06ebc30ed526a1e238489070365f0058"});
 }
 
 TEST(EngineCore, GossipPullFailureGoldenDigests) {
@@ -207,8 +207,8 @@ TEST(EngineCore, GossipPullFailureGoldenDigests) {
       digests(sim.tangle(), result, timeline),
       {"f2de07a2910a7ff5753e503a16d36982b9024347d002510e4a50fb41054cdcc8",
        "7e248a46439d5a37a143d23d95c526afa4650f1b71050f2fbb5a25079c359e43",
-       "a1357bfd9bbae59126660324820ab38c1d51e528f2017c58ff2cd329fc8eb671",
-       "11c811aa18522b57860186414d10c7532c8a60175512f29ff6937372e48583a9"});
+       "d8d6a84b2f5d547b5e03a995aa23b004a85ae1cb7f594f04532872ec2a4f8f99",
+       "d7fe44b38f665713537bbfe9433ef64a8bb164707ce20d779a4875db9fd048a1"});
 }
 
 // Config validation: every engine rejects a bad value at construction with

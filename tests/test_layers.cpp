@@ -3,7 +3,11 @@
 // and the edge cases (batch 1, sequence 1, stride != window).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numeric>
 
 #include "nn/layer.hpp"
@@ -65,12 +69,33 @@ TEST(ReLULayer, ClampsNegatives) {
   EXPECT_FLOAT_EQ(y[3], 0.0f);
 }
 
+TEST(ReLULayer, BackwardKeepsNanSignedZeroAndDenormalSemantics) {
+  // The gradient passes where the input is not <= 0: a NaN input passes
+  // it, -0 and +0 zero it (to +0), a denormal passes it. Bit patterns
+  // pinned from the branching loop the select form replaced.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float denormal = std::numeric_limits<float>::denorm_min();
+  ReLU layer;
+  const Tensor x({1, 6}, {nan, -0.0f, 0.0f, denormal, 1.0f, -1.0f});
+  (void)layer.forward(x, true);
+  const Tensor g({1, 6}, {2.0f, -3.0f, 4.0f, -5.0f, 6.0f, 7.0f});
+  const Tensor dx = layer.backward(g);
+  const std::uint32_t want[] = {0x40000000u, 0x00000000u, 0x00000000u,
+                                0xc0a00000u, 0x40c00000u, 0x00000000u};
+  ASSERT_EQ(dx.size(), std::size(want));
+  for (std::size_t i = 0; i < dx.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(dx[i]), want[i]) << "at " << i;
+  }
+}
+
 TEST(DropoutLayer, EvalModeIsIdentity) {
   Dropout layer(0.5);
   Rng rng(3);
   layer.init(rng);
   const Tensor x = random_tensor({4, 8}, 4);
-  EXPECT_TRUE(layer.forward(x, false).equals(x));
+  const Tensor y = layer.forward(x, false);
+  EXPECT_EQ(y.shape(), x.shape());
+  EXPECT_TRUE(std::ranges::equal(y.values(), x.values()));
 }
 
 TEST(DropoutLayer, TrainModeDropsApproximatelyP) {
@@ -117,7 +142,9 @@ TEST(DropoutLayer, ZeroProbabilityIsIdentityInTraining) {
   Rng rng(8);
   layer.init(rng);
   const Tensor x = random_tensor({3, 3}, 9);
-  EXPECT_TRUE(layer.forward(x, true).equals(x));
+  const Tensor y = layer.forward(x, true);
+  EXPECT_EQ(y.shape(), x.shape());
+  EXPECT_TRUE(std::ranges::equal(y.values(), x.values()));
 }
 
 TEST(Conv2DLayer, ShapeWithStrideAndPadding) {
@@ -236,8 +263,10 @@ TEST(AllLayers, ClonePreservesForward) {
       input = Tensor({2, 3});
       for (auto& v : input.values()) v = 2.0f;
     }
-    EXPECT_TRUE(layer->forward(input, false).equals(
-        copy->forward(input, false)))
+    const Tensor ya = layer->forward(input, false);
+    const Tensor yb = copy->forward(input, false);
+    EXPECT_EQ(ya.shape(), yb.shape()) << layer->name();
+    EXPECT_TRUE(std::ranges::equal(ya.values(), yb.values()))
         << layer->name();
   }
 }

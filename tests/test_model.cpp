@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <vector>
+
 #include "nn/model_zoo.hpp"
 #include "nn/params.hpp"
 
@@ -75,7 +79,44 @@ TEST(Model, CloneForwardAgrees) {
   for (auto& v : x.values()) v = static_cast<float>(rng.normal());
   const Tensor ya = model.forward(x, false);
   const Tensor yb = copy.forward(x, false);
-  EXPECT_TRUE(ya.equals(yb));
+  EXPECT_EQ(ya.shape(), yb.shape());
+  EXPECT_TRUE(std::ranges::equal(ya.values(), yb.values()));
+}
+
+TEST(Model, BackwardSkippingFirstInputGradientKeepsParameterGradients) {
+  // Model::backward does not compute the first layer's input gradient
+  // (for the CNN, conv1's W^T x dy and scatter). The parameter gradients
+  // must be the bits a full layer-by-layer backward accumulates.
+  ImageCnnConfig config;
+  config.image_size = 8;
+  config.num_classes = 3;
+  Model model = make_image_cnn(config);
+  Rng rng(9);
+  model.init(rng);
+  Model full = model.clone();
+  Tensor x({2, 1, 8, 8});
+  for (auto& v : x.values()) v = static_cast<float>(rng.normal());
+  Tensor grad({2, 3});
+  for (auto& v : grad.values()) v = static_cast<float>(rng.normal());
+
+  (void)model.forward(x, true);
+  model.zero_gradients();
+  model.backward(grad);
+
+  (void)full.forward(x, true);
+  full.zero_gradients();
+  Tensor g = grad;
+  for (std::size_t i = full.layer_count(); i-- > 0;) {
+    g = full.layer(i).backward(g);
+  }
+  EXPECT_EQ(g.shape(), x.shape());  // the full pass did compute conv1's dx
+
+  const std::vector<float> skipped = model.get_gradients();
+  const std::vector<float> computed = full.get_gradients();
+  ASSERT_EQ(skipped.size(), computed.size());
+  EXPECT_EQ(std::memcmp(skipped.data(), computed.data(),
+                        skipped.size() * sizeof(float)),
+            0);
 }
 
 TEST(Model, ZeroGradientsClearsAll) {
@@ -145,11 +186,12 @@ TEST(ModelZoo, ImageCnnWithDropout) {
   for (auto& v : x.values()) v = 1.0f;
   const Tensor a = model.forward(x, true);
   const Tensor b = model.forward(x, true);
-  EXPECT_FALSE(a.equals(b));
+  EXPECT_FALSE(std::ranges::equal(a.values(), b.values()));
   // Evaluation mode: deterministic.
   const Tensor c = model.forward(x, false);
   const Tensor d = model.forward(x, false);
-  EXPECT_TRUE(c.equals(d));
+  EXPECT_EQ(c.shape(), d.shape());
+  EXPECT_TRUE(std::ranges::equal(c.values(), d.values()));
 }
 
 TEST(ModelZoo, CharLstmOutputShape) {

@@ -4,7 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 namespace tanglefl::nn {
 namespace {
@@ -25,7 +30,8 @@ TEST(Ops, MatmulIdentity) {
   const Tensor eye({2, 2}, {1, 0, 0, 1});
   Tensor c({2, 2});
   ops::matmul(a, eye, c);
-  EXPECT_TRUE(c.equals(a));
+  EXPECT_EQ(c.shape(), a.shape());
+  EXPECT_TRUE(std::ranges::equal(c.values(), a.values()));
 }
 
 TEST(Ops, MatmulOverwritesOutput) {
@@ -127,7 +133,8 @@ TEST(Ops, Conv2DIdentityKernel) {
   const ops::Conv2DShape shape{1, 1, 1, 1, 0};
   Tensor y({1, 1, 3, 3});
   ops::conv2d_forward(x, w, bias, shape, y);
-  EXPECT_TRUE(y.equals(x));
+  EXPECT_EQ(y.shape(), x.shape());
+  EXPECT_TRUE(std::ranges::equal(y.values(), x.values()));
 }
 
 TEST(Ops, Conv2DSumKernel) {
@@ -171,6 +178,27 @@ TEST(Ops, MaxPoolForwardPicksMaxima) {
   ops::maxpool2d_forward(x, 2, 2, y, argmax);
   EXPECT_FLOAT_EQ(y[0], 4.0f);
   EXPECT_FLOAT_EQ(y[3], 8.0f);
+}
+
+TEST(Ops, MaxPoolForwardKeepsTieInfinityAndNanSemantics) {
+  // Four 2x2 windows side by side: a tie (the first index wins), signed
+  // zeros (-0 seen first, +0 is not greater), all -inf (nothing beats the
+  // -inf start, so argmax stays at 0) and NaNs (never taken). Bit patterns
+  // and indices pinned from the branching loop the select form replaced.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const Tensor x({1, 1, 2, 8}, {3, 3, -0.0f, 0.0f, -inf, -inf, nan, 2,   //
+                                1, 3, -1, -2, -inf, -inf, nan, 1});
+  Tensor y({1, 1, 1, 4});
+  std::vector<std::size_t> argmax;
+  ops::maxpool2d_forward(x, 2, 2, y, argmax);
+  const std::uint32_t want_bits[] = {0x40400000u, 0x80000000u, 0xff800000u,
+                                     0x40000000u};
+  const std::vector<std::size_t> want_argmax = {0, 2, 0, 7};
+  for (std::size_t i = 0; i < y.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(y[i]), want_bits[i]) << "at " << i;
+  }
+  EXPECT_EQ(argmax, want_argmax);
 }
 
 TEST(Ops, MaxPoolBackwardRoutesToArgmax) {

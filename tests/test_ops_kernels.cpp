@@ -5,7 +5,8 @@
 //     reduction order), with or without a ThreadPool, and so does each
 //     register tile (AVX and portable) run directly;
 //   - conv and the fused-LSTM weight gradients regroup the reduction, so
-//     they match within a relative tolerance instead;
+//     they match the naive loops within a relative tolerance instead; conv
+//     matches the im2col + GEMM composition it was built from bitwise;
 //   - train_local produces byte-identical parameters for any kernel-pool
 //     size, and a golden digest pins them on the paper CNN.
 #include <gtest/gtest.h>
@@ -13,6 +14,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "data/training.hpp"
@@ -367,7 +370,7 @@ TEST(OpsKernels, ConvBackwardMatchesReference) {
     ops::reference::conv2d_backward(x, w, s, dy, dx_want, dw_want, db_want);
 
     Tensor dx(x.shape()), dw(w.shape()), db({s.out_channels});
-    ops::conv2d_backward(x, w, s, dy, dx, dw, db, &workspace, &pool);
+    ops::conv2d_backward(x, w, s, dy, &dx, dw, db, &workspace, &pool);
     expect_near_rel(dx_want, dx, 1e-5f);
     expect_near_rel(dw_want, dw, 1e-5f);
     // dbias keeps the reference's exact (o, y, x) running-sum order.
@@ -387,19 +390,221 @@ TEST(OpsKernels, ConvBackwardShapeChecksThrow) {
   Tensor dx(x.shape());
   Tensor dw(w.shape());
   Tensor db_bad({2});  // wrong: must be out_channels = 3
-  EXPECT_THROW(ops::conv2d_backward(x, w, s, dy, dx, dw, db_bad),
+  EXPECT_THROW(ops::conv2d_backward(x, w, s, dy, &dx, dw, db_bad),
                CheckFailure);
 
   Tensor db({3});
   Tensor dx_bad({1, 2, 5, 6});  // wrong input height
-  EXPECT_THROW(ops::conv2d_backward(x, w, s, dy, dx_bad, dw, db),
+  EXPECT_THROW(ops::conv2d_backward(x, w, s, dy, &dx_bad, dw, db),
                CheckFailure);
 
   const Tensor w_bad = random_tensor({3, 1, 3, 3}, rng);  // channel mismatch
   Tensor dw_bad(w_bad.shape());
-  EXPECT_THROW(ops::conv2d_backward(x, w_bad, s, dy, dx, dw_bad, db),
+  EXPECT_THROW(ops::conv2d_backward(x, w_bad, s, dy, &dx, dw_bad, db),
                CheckFailure);
 #endif
+}
+
+// --------------------------------------------------- bitwise conv sweep
+//
+// The lowering writes GEMM operands straight into packed panels through a
+// zero-padded plane. It must give exactly the bits of the composition it
+// replaced, which this oracle spells out: a row-major im2col buffer with
+// the patch axis in (c, ky, kx) order, ops::gemm for the forward,
+// gemm_trans_b for dW, gemm_trans_a plus a bounds-tested col2im for dx,
+// and per-channel dbias chains.
+
+struct SweepGeometry {
+  std::size_t h, w, ic, k, stride, pad, oh, ow;
+  SweepGeometry(std::size_t in_h, std::size_t in_w, const ops::Conv2DShape& s)
+      : h(in_h),
+        w(in_w),
+        ic(s.in_channels),
+        k(s.kernel),
+        stride(s.stride),
+        pad(s.padding),
+        oh(s.out_extent(in_h)),
+        ow(s.out_extent(in_w)) {}
+
+  // Input coordinate of output index o and kernel tap t, or -1 if padding.
+  std::ptrdiff_t input(std::size_t o, std::size_t t, std::size_t extent) const {
+    const auto i = static_cast<std::ptrdiff_t>(o * stride + t) -
+                   static_cast<std::ptrdiff_t>(pad);
+    return i < 0 || i >= static_cast<std::ptrdiff_t>(extent) ? -1 : i;
+  }
+};
+
+std::vector<float> oracle_im2col(const float* x, const SweepGeometry& g) {
+  std::vector<float> col(g.ic * g.k * g.k * g.oh * g.ow, 0.0f);
+  std::size_t i = 0;
+  for (std::size_t c = 0; c < g.ic; ++c) {
+    for (std::size_t ky = 0; ky < g.k; ++ky) {
+      for (std::size_t kx = 0; kx < g.k; ++kx) {
+        for (std::size_t yy = 0; yy < g.oh; ++yy) {
+          for (std::size_t xx = 0; xx < g.ow; ++xx, ++i) {
+            const std::ptrdiff_t iy = g.input(yy, ky, g.h);
+            const std::ptrdiff_t ix = g.input(xx, kx, g.w);
+            if (iy >= 0 && ix >= 0) {
+              col[i] = x[(c * g.h + static_cast<std::size_t>(iy)) * g.w +
+                         static_cast<std::size_t>(ix)];
+            }
+          }
+        }
+      }
+    }
+  }
+  return col;
+}
+
+void oracle_col2im_add(const std::vector<float>& col, const SweepGeometry& g,
+                       float* dx) {
+  std::size_t i = 0;
+  for (std::size_t c = 0; c < g.ic; ++c) {
+    for (std::size_t ky = 0; ky < g.k; ++ky) {
+      for (std::size_t kx = 0; kx < g.k; ++kx) {
+        for (std::size_t yy = 0; yy < g.oh; ++yy) {
+          for (std::size_t xx = 0; xx < g.ow; ++xx, ++i) {
+            const std::ptrdiff_t iy = g.input(yy, ky, g.h);
+            const std::ptrdiff_t ix = g.input(xx, kx, g.w);
+            if (iy >= 0 && ix >= 0) {
+              dx[(c * g.h + static_cast<std::size_t>(iy)) * g.w +
+                 static_cast<std::size_t>(ix)] += col[i];
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+Tensor oracle_conv_forward(const Tensor& x, const Tensor& w, const Tensor& bias,
+                           const ops::Conv2DShape& s, ThreadPool* pool) {
+  const SweepGeometry g(x.dim(2), x.dim(3), s);
+  const std::size_t batch = x.dim(0), oc = s.out_channels;
+  const std::size_t ckk = g.ic * g.k * g.k, ohow = g.oh * g.ow;
+  Tensor y({batch, oc, g.oh, g.ow});
+  for (std::size_t b = 0; b < batch; ++b) {
+    const std::vector<float> col =
+        oracle_im2col(x.data() + b * g.ic * g.h * g.w, g);
+    float* yb = y.data() + b * oc * ohow;
+    for (std::size_t o = 0; o < oc; ++o) {
+      std::fill_n(yb + o * ohow, ohow, bias[o]);
+    }
+    ops::gemm(w.data(), ckk, col.data(), ohow, yb, ohow, oc, ckk, ohow,
+              ops::Accumulate::kAdd, pool);
+  }
+  return y;
+}
+
+void oracle_conv_backward(const Tensor& x, const Tensor& w,
+                          const ops::Conv2DShape& s, const Tensor& dy,
+                          Tensor* dx, Tensor& dw, Tensor& db,
+                          ThreadPool* pool) {
+  const SweepGeometry g(x.dim(2), x.dim(3), s);
+  const std::size_t batch = x.dim(0), oc = s.out_channels;
+  const std::size_t ckk = g.ic * g.k * g.k, ohow = g.oh * g.ow;
+  if (dx != nullptr) dx->zero();
+  std::vector<float> dcol(ckk * ohow);
+  for (std::size_t b = 0; b < batch; ++b) {
+    const float* dyb = dy.data() + b * oc * ohow;
+    for (std::size_t o = 0; o < oc; ++o) {
+      float acc = db[o];
+      for (std::size_t i = 0; i < ohow; ++i) acc += dyb[o * ohow + i];
+      db[o] = acc;
+    }
+    const std::vector<float> col =
+        oracle_im2col(x.data() + b * g.ic * g.h * g.w, g);
+    ops::gemm_trans_b(dyb, ohow, col.data(), ohow, dw.data(), ckk, oc, ohow,
+                      ckk, ops::Accumulate::kAdd, pool);
+    if (dx == nullptr) continue;
+    ops::gemm_trans_a(w.data(), ckk, dyb, ohow, dcol.data(), ohow, oc, ckk,
+                      ohow, ops::Accumulate::kOverwrite, pool);
+    oracle_col2im_add(dcol, g, dx->data() + b * g.ic * g.h * g.w);
+  }
+}
+
+struct ConvSweepCase {
+  std::size_t batch, h, w;
+  ops::Conv2DShape shape;
+};
+
+// k in {1, 3, 5} at stride 1 ("same" and unpadded) and stride 2 with
+// padding, ic in {1, 3, 8}, batch 1 and 10, on a 9x12 input: output areas
+// such as 108, 70 and 30 leave a partial 8-lane panel, and so do patch
+// counts such as 9, 27 and 75, while 12- and 10-wide stride-1 output rows
+// give full panels that are one contiguous run. oc 12 gives the pool more
+// than one 8-row chunk.
+std::vector<ConvSweepCase> conv_sweep_cases() {
+  std::vector<ConvSweepCase> cases;
+  std::size_t n = 0;
+  for (const std::size_t ic : {1, 3, 8}) {
+    for (const std::size_t k : {1, 3, 5}) {
+      const ops::Conv2DShape shapes[] = {{ic, 12, k, 1, k / 2},
+                                         {ic, 5, k, 1, 0},
+                                         {ic, 12, k, 2, 1}};
+      for (const ops::Conv2DShape& s : shapes) {
+        cases.push_back({n++ % 2 == 0 ? 10u : 1u, 9, 12, s});
+      }
+    }
+  }
+  return cases;
+}
+
+std::string describe(const ConvSweepCase& c) {
+  const auto& s = c.shape;
+  return testing::PrintToString(std::vector<std::size_t>{
+      c.batch, c.h, c.w, s.in_channels, s.out_channels, s.kernel, s.stride,
+      s.padding});
+}
+
+TEST(OpsKernels, ConvSweepBitwiseMatchesIm2colComposition) {
+  Rng rng(24);
+  ThreadPool workers(4);
+  ops::Workspace workspace;
+  for (const ConvSweepCase& c : conv_sweep_cases()) {
+    const auto& s = c.shape;
+    const Tensor x = random_tensor({c.batch, s.in_channels, c.h, c.w}, rng);
+    const Tensor w = random_tensor(
+        {s.out_channels, s.in_channels, s.kernel, s.kernel}, rng);
+    const Tensor bias = random_tensor({s.out_channels}, rng);
+    const std::size_t oh = s.out_extent(c.h), ow = s.out_extent(c.w);
+    const Tensor dy = random_tensor({c.batch, s.out_channels, oh, ow}, rng);
+    // Nonzero gradient seeds: dw and dbias accumulate.
+    const Tensor dw_seed = random_tensor(w.shape(), rng);
+    const Tensor db_seed = random_tensor({s.out_channels}, rng);
+    for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &workers}) {
+      SCOPED_TRACE(describe(c) + (pool == nullptr ? " serial" : " pool 4"));
+      const Tensor y_want = oracle_conv_forward(x, w, bias, s, pool);
+
+      Tensor y({c.batch, s.out_channels, oh, ow});
+      ops::conv2d_forward(x, w, bias, s, y, &workspace, pool);
+      expect_bit_equal(y_want, y);
+
+      std::vector<float> packed(
+          c.batch * ops::conv2d_packed_input_floats(s, c.h, c.w));
+      ops::conv2d_pack_input(x, s, packed, &workspace);
+      Tensor y_prepacked({c.batch, s.out_channels, oh, ow});
+      ops::conv2d_forward_prepacked(packed, c.batch, c.h, c.w, w, bias, s,
+                                    y_prepacked, pool);
+      expect_bit_equal(y_want, y_prepacked);
+
+      Tensor dx_want(x.shape()), dw_want = dw_seed, db_want = db_seed;
+      oracle_conv_backward(x, w, s, dy, &dx_want, dw_want, db_want, pool);
+      Tensor dx(x.shape()), dw = dw_seed, db = db_seed;
+      dx.fill(std::numeric_limits<float>::quiet_NaN());  // overwritten
+      ops::conv2d_backward(x, w, s, dy, &dx, dw, db, &workspace, pool);
+      expect_bit_equal(dx_want, dx);
+      expect_bit_equal(dw_want, dw);
+      expect_bit_equal(db_want, db);
+
+      // Without dx: the same parameter gradients.
+      Tensor dw_only = dw_seed, db_only = db_seed;
+      ops::conv2d_backward(x, w, s, dy, nullptr, dw_only, db_only, &workspace,
+                           pool);
+      expect_bit_equal(dw_want, dw_only);
+      expect_bit_equal(db_want, db_only);
+    }
+  }
 }
 
 // ------------------------------------------------------------- fused LSTM

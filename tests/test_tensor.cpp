@@ -83,16 +83,6 @@ TEST(Tensor, ArgmaxRowFirstOfTies) {
   EXPECT_EQ(t.argmax_row(0), 0u);
 }
 
-TEST(Tensor, Equals) {
-  const Tensor a({2}, {1, 2});
-  const Tensor b({2}, {1, 2});
-  const Tensor c({2}, {1, 3});
-  const Tensor d({1, 2}, {1, 2});
-  EXPECT_TRUE(a.equals(b));
-  EXPECT_FALSE(a.equals(c));
-  EXPECT_FALSE(a.equals(d));  // same data, different shape
-}
-
 TEST(Tensor, ShapeString) {
   const Tensor t({2, 3});
   EXPECT_EQ(t.shape_string(), "[2, 3]");
