@@ -1,8 +1,9 @@
 // Micro-benchmarks for the evaluation path: the per-probe cost Algorithm 2
 // and the Section III-E defence pay for every loss lookup. Cold = the
 // pre-engine path (factory() + set_parameters + data::evaluate per probe);
-// Pooled = model lease + pre-batched split; CacheHit = repeated probe of a
-// payload already in the (params, split) result cache.
+// Pooled = a keyless single-request evaluate_many group (pooled model +
+// pre-batched split); CacheHit = a keyed single-request group whose
+// (params, split) result is already cached.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -105,18 +106,18 @@ void BM_ParamsLossColdLSTM(benchmark::State& state) {
 BENCHMARK(BM_ParamsLossColdLSTM)->Unit(benchmark::kMillisecond);
 
 // Engine probe without cache reuse: pooled model instance + pre-batched
-// split, but a full forward sweep per iteration (EvalEngine::evaluate never
-// caches, so every probe pays its forwards, isolating the pool + batching
+// split, but a full forward sweep per iteration (a keyless request is never
+// cached, so every probe pays its forwards, isolating the pool + batching
 // win).
 void params_loss_pooled_loop(benchmark::State& state, bool lstm) {
   const EvalFixture fixture = make_fixture(lstm, 64);
   core::EvalEngine engine(fixture.factory);
   const auto prepared = engine.prepare(fixture.split);
+  const core::EvalRequest request{fixture.params, std::nullopt};
   for (auto _ : state) {
-    core::EvalEngine::ModelLease lease = engine.acquire();
-    lease.model().set_parameters(fixture.params);
-    const data::EvalResult result = engine.evaluate(lease.model(), *prepared);
-    benchmark::DoNotOptimize(result.loss);
+    const core::EvalOutcome outcome =
+        engine.evaluate_many({&request, 1}, *prepared).front();
+    benchmark::DoNotOptimize(outcome.result.loss);
   }
 }
 
@@ -137,11 +138,11 @@ void eval_cache_hit_loop(benchmark::State& state, bool lstm) {
   const EvalFixture fixture = make_fixture(lstm, 64);
   core::EvalEngine engine(fixture.factory);
   const auto prepared = engine.prepare(fixture.split);
-  const core::ParamsKey key{{42}};
-  engine.params_eval(key, fixture.params, *prepared);  // warm the cache
+  const core::EvalRequest request{fixture.params, core::ParamsKey{{42}}};
+  engine.evaluate_many({&request, 1}, *prepared);  // warm the cache
   for (auto _ : state) {
     const core::EvalOutcome outcome =
-        engine.params_eval(key, fixture.params, *prepared);
+        engine.evaluate_many({&request, 1}, *prepared).front();
     benchmark::DoNotOptimize(outcome.result.loss);
   }
 }
@@ -160,10 +161,10 @@ BENCHMARK(BM_EvalCacheHitLSTM);
 //
 // Robust tip selection's per-step workload: k same-architecture candidate
 // models scored on the paper CNN shape. Cold is the pre-engine path per
-// candidate; SerialMiss is the pre-batching engine path (one standalone
-// pooled forward per candidate); Fused is one evaluate_many group, which
-// shares each batch's conv im2col + panel pack across the k models and
-// drives the k×batches grid through a kernel ThreadPool. The engine
+// candidate; SerialMiss is one single-request group per candidate; Fused
+// is one evaluate_many group, which gathers each batch's conv input
+// straight into GEMM panels once for all k models and drives the
+// k×batches grid through a kernel ThreadPool. The engine
 // requests are keyless, so they are never cached and every iteration pays
 // its forwards. All three produce bit-identical losses.
 
@@ -208,11 +209,7 @@ void BM_MultiEvalSerialMiss(benchmark::State& state) {
     double sum = 0.0;
     for (const auto& params : candidates) {
       const core::EvalRequest request{params, std::nullopt};
-      sum += engine
-                 .evaluate_many(std::span<const core::EvalRequest>(&request, 1),
-                                *prepared)
-                 .front()
-                 .result.loss;
+      sum += engine.evaluate_many({&request, 1}, *prepared).front().result.loss;
     }
     benchmark::DoNotOptimize(sum);
   }

@@ -39,8 +39,10 @@ double LocalLossCache::loss(const tangle::TangleView& view,
   }
   double value = 0.0;  // no data to bias with: the structural walk
   if (batched_ != nullptr) {
-    const EvalOutcome outcome = engine_->payload_eval(
-        *store_, view.tangle().transaction(index).payload, *batched_);
+    const tangle::PayloadId payload =
+        view.tangle().transaction(index).payload;
+    const EvalOutcome outcome =
+        engine_->payloads_eval_many(*store_, {&payload, 1}, *batched_).front();
     value = outcome.result.loss;
     if (!outcome.cache_hit) {
       ++evaluations_;

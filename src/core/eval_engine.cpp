@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
-#include <stdexcept>
 #include <utility>
 
 #include "nn/layer.hpp"
@@ -130,7 +129,7 @@ SplitKey split_key_of(const data::DataSplit& split) {
 }
 
 /// Per-batch partial score of one model; reduced per model in ascending
-/// batch order, which reproduces evaluate()'s accumulation bit-for-bit.
+/// batch order, which reproduces data::evaluate's accumulation bit-for-bit.
 struct BatchScore {
   float loss = 0.0f;
   std::size_t correct = 0;
@@ -157,60 +156,25 @@ void run_tasks(ThreadPool* pool, std::size_t n,
   }
 }
 
-/// The default backend: pooled nn::Model instances running the ops kernels.
-/// eval() is exactly the pre-batched standalone probe; eval_many() fuses a
-/// group by sharing each activation batch's conv im2col + panel pack across
-/// every model (the per-model weight packs and reduction chains are
-/// untouched, so each model's result is bit-identical to its solo eval) and
-/// driving the k×batches grid through the kernel pool — one leased instance
-/// per model, because layers cache activations and a single instance cannot
-/// run two batches concurrently.
-class ModelEvalBackend final : public EvalBackend {
- public:
-  explicit ModelEvalBackend(EvalEngine& engine) : engine_(engine) {}
+}  // namespace
 
-  data::EvalResult eval(std::span<const float> params,
-                        const BatchedSplit& batched, ThreadPool* pool) override {
-    (void)pool;  // Single probe: kernels stay serial, as the probe sites did.
-    EvalEngine::ModelLease lease = engine_.acquire();
-    lease.model().set_parameters(params);
-    return engine_.evaluate(lease.model(), batched);
-  }
-
-  void eval_many(std::span<const std::span<const float>> params,
-                 const BatchedSplit& batched,
-                 std::span<data::EvalResult> results,
-                 ThreadPool* pool) override;
-
- private:
-  EvalEngine& engine_;
-};
-
-void ModelEvalBackend::eval_many(std::span<const std::span<const float>> params,
-                                 const BatchedSplit& batched,
-                                 std::span<data::EvalResult> results,
-                                 ThreadPool* pool) {
+// One leased instance per model, because layers cache activations and a
+// single instance cannot run two batches concurrently. The shared input
+// panels leave each model's weight packs and reduction chains untouched,
+// so every result is bit-identical to that model's own data::evaluate.
+std::vector<data::EvalResult> EvalEngine::run_grid(
+    std::span<const std::span<const float>> params,
+    const BatchedSplit& batched, ThreadPool* pool) {
   const std::size_t k = params.size();
-  assert(results.size() >= k);
-  if (k == 0) return;
-  if (batched.samples() == 0) {
-    for (std::size_t i = 0; i < k; ++i) results[i] = data::EvalResult{};
-    return;
-  }
-  // A lone model has nothing to share; it takes the standalone path.
-  if (k == 1) {
-    for (std::size_t i = 0; i < k; ++i) {
-      results[i] = eval(params[i], batched, pool);
-    }
-    return;
-  }
-
+  assert(k > 0);
+  std::vector<data::EvalResult> results(k);
+  if (batched.samples() == 0) return results;
   obs::TraceScope span("eval.forward", &eval_us_histogram());
   const std::size_t batches = batched.batch_count();
-  std::vector<EvalEngine::ModelLease> leases;
+  std::vector<ModelLease> leases;
   leases.reserve(k);
   for (std::size_t i = 0; i < k; ++i) {
-    leases.push_back(engine_.acquire());
+    leases.push_back(acquire());
     leases.back().model().set_parameters(params[i]);
   }
 
@@ -259,8 +223,9 @@ void ModelEvalBackend::eval_many(std::span<const std::span<const float>> params,
     });
   }
 
-  // Serial reduction in (model, batch) order: the same double-precision
-  // chain and counter totals as k standalone evaluate() calls.
+  // Serial reduction in (model, batch) order: per-batch mean loss scaled by
+  // the batch count, summed in double over batches in order — the same
+  // chain as data::evaluate, and the same counter totals as k lone probes.
   for (std::size_t i = 0; i < k; ++i) {
     double loss_sum = 0.0;
     std::size_t correct = 0;
@@ -277,18 +242,7 @@ void ModelEvalBackend::eval_many(std::span<const std::span<const float>> params,
     results[i].accuracy =
         static_cast<double>(correct) / static_cast<double>(batched.samples());
   }
-}
-
-}  // namespace
-
-void EvalBackend::eval_many(std::span<const std::span<const float>> params,
-                            const BatchedSplit& batched,
-                            std::span<data::EvalResult> results,
-                            ThreadPool* pool) {
-  assert(results.size() >= params.size());
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    results[i] = eval(params[i], batched, pool);
-  }
+  return results;
 }
 
 ParamsKey::ParamsKey() : ParamsKey(std::vector<tangle::PayloadId>{}) {}
@@ -298,10 +252,9 @@ ParamsKey::ParamsKey(std::vector<tangle::PayloadId> payloads)
       hash_(fnv1a(payloads_.data(),
                   payloads_.size() * sizeof(tangle::PayloadId), kFnvBasis)) {}
 
-BatchedSplit::BatchedSplit(const data::DataSplit& split,
-                           std::size_t batch_size, SplitKey key)
+BatchedSplit::BatchedSplit(const data::DataSplit& split, SplitKey key)
     : key_(key), samples_(split.size()) {
-  assert(batch_size > 0);
+  constexpr std::size_t batch_size = data::kEvalBatchSize;
   features_.reserve((samples_ + batch_size - 1) / batch_size);
   labels_.reserve(features_.capacity());
   // Batch boundaries replicate data::evaluate exactly: [start, start+count)
@@ -316,23 +269,21 @@ BatchedSplit::BatchedSplit(const data::DataSplit& split,
   }
 }
 
-EvalEngine::EvalEngine(nn::ModelFactory factory, EvalEngineConfig config)
+EvalEngine::EvalEngine(nn::ModelFactory factory,
+                       std::size_t batched_budget_bytes)
     : factory_(std::move(factory)),
-      config_(std::move(config)),
+      batched_budget_bytes_(batched_budget_bytes),
       shards_(std::make_unique<Shard[]>(kShards)) {
   assert(factory_);
-  // Cached results are a pure function of (params, split, batch
-  // boundaries); a divergent batch size would silently make cached and
-  // direct evaluations disagree, so reject it outright.
-  if (config_.batch_size != data::kEvalBatchSize) {
-    throw std::invalid_argument(
-        "EvalEngineConfig::batch_size must equal data::kEvalBatchSize so "
-        "cached and direct evaluations share batch boundaries");
-  }
-  backend_ = config_.backend_factory != nullptr
-                 ? config_.backend_factory(*this)
-                 : std::make_unique<ModelEvalBackend>(*this);
 }
+
+// Out of line, so owners do not inline the pool and cache teardown. Inlined
+// into the perfbench driver's own code, it moves the driver's calibration
+// loops off their 64-byte alignment and shifts every calibrated timing
+// (ROADMAP.md, "Pin the calibration kernel"). This file's cold
+// exception-cleanup code, which the linker places ahead of the driver,
+// counts the same way.
+EvalEngine::~EvalEngine() = default;
 
 EvalEngine::ModelLease::~ModelLease() {
   if (engine_ != nullptr) engine_->release(std::move(model_));
@@ -383,7 +334,7 @@ std::shared_ptr<const BatchedSplit> EvalEngine::prepare(
   }
   split_build_counter().increment();
   auto batched =
-      std::make_shared<const BatchedSplit>(split, config_.batch_size, key);
+      std::make_shared<const BatchedSplit>(split, key);
 
   // Evicted splits are parked here and freed after the lock releases: a
   // pooled-test split can be tens of MB, and running its destructor under
@@ -398,7 +349,7 @@ std::shared_ptr<const BatchedSplit> EvalEngine::prepare(
     split_bytes_ += batched->bytes();
     // Evict least-recently-used entries over budget, always keeping the
     // newest (linear scan over a small vector — no unordered iteration).
-    while (split_bytes_ > config_.batched_budget_bytes && splits_.size() > 1) {
+    while (split_bytes_ > batched_budget_bytes_ && splits_.size() > 1) {
       std::size_t oldest = 0;
       for (std::size_t i = 1; i < splits_.size(); ++i) {
         if (splits_[i].last_used < splits_[oldest].last_used) oldest = i;
@@ -409,69 +360,6 @@ std::shared_ptr<const BatchedSplit> EvalEngine::prepare(
     }
   }
   return batched;
-}
-
-data::EvalResult EvalEngine::evaluate(nn::Model& model,
-                                      const BatchedSplit& batched) {
-  obs::TraceScope span("eval.forward", &eval_us_histogram());
-  data::EvalResult result;
-  if (batched.samples() == 0) return result;
-
-  // Accumulation order matches data::evaluate bit-for-bit: per-batch mean
-  // loss scaled by the batch count, summed in double over batches in order.
-  double loss_sum = 0.0;
-  std::size_t correct = 0;
-  for (std::size_t b = 0; b < batched.batch_count(); ++b) {
-    const nn::Tensor logits =
-        model.forward(batched.features(b), /*training=*/false);
-    const std::span<const std::int32_t> labels = batched.labels(b);
-    loss_sum +=
-        static_cast<double>(nn::softmax_cross_entropy_loss(logits, labels)) *
-        static_cast<double>(labels.size());
-    for (std::size_t row = 0; row < labels.size(); ++row) {
-      if (logits.argmax_row(row) == static_cast<std::size_t>(labels[row])) {
-        ++correct;
-      }
-    }
-    forward_counter().increment();
-    example_counter().add(labels.size());
-  }
-  result.samples = batched.samples();
-  result.loss = loss_sum / static_cast<double>(batched.samples());
-  result.accuracy =
-      static_cast<double>(correct) / static_cast<double>(batched.samples());
-  return result;
-}
-
-EvalOutcome EvalEngine::payload_eval(const tangle::ModelStore& store,
-                                     tangle::PayloadId payload,
-                                     const BatchedSplit& batched) {
-  const ResultKey result_key{ParamsKey::single(payload), batched.key()};
-  data::EvalResult cached;
-  if (lookup(result_key, cached)) {
-    cache_hit_counter().increment();
-    return EvalOutcome{cached, true};
-  }
-  cache_miss_counter().increment();
-  const data::EvalResult result =
-      backend_->eval(store.get(payload), batched, nullptr);
-  insert(result_key, result);
-  return EvalOutcome{result, false};
-}
-
-EvalOutcome EvalEngine::params_eval(const ParamsKey& key,
-                                    std::span<const float> params,
-                                    const BatchedSplit& batched) {
-  const ResultKey result_key{key, batched.key()};
-  data::EvalResult cached;
-  if (lookup(result_key, cached)) {
-    cache_hit_counter().increment();
-    return EvalOutcome{cached, true};
-  }
-  cache_miss_counter().increment();
-  const data::EvalResult result = backend_->eval(params, batched, nullptr);
-  insert(result_key, result);
-  return EvalOutcome{result, false};
 }
 
 std::vector<EvalOutcome> EvalEngine::evaluate_many(
@@ -516,14 +404,14 @@ std::vector<EvalOutcome> EvalEngine::evaluate_many(
     miss_requests.push_back(i);
   }
 
-  std::vector<data::EvalResult> results(miss_requests.size());
+  std::vector<data::EvalResult> results;
   if (!miss_requests.empty()) {
     batched_model_counter().add(miss_requests.size());
     std::vector<std::span<const float>> params(miss_requests.size());
     for (std::size_t slot = 0; slot < miss_requests.size(); ++slot) {
       params[slot] = requests[miss_requests[slot]].params;
     }
-    backend_->eval_many(params, batched, results, pool);
+    results = run_grid(params, batched, pool);
     for (std::size_t slot = 0; slot < miss_requests.size(); ++slot) {
       const EvalRequest& request = requests[miss_requests[slot]];
       outcomes[miss_requests[slot]] = EvalOutcome{results[slot], false};
@@ -542,10 +430,10 @@ std::vector<EvalOutcome> EvalEngine::payloads_eval_many(
     const tangle::ModelStore& store,
     std::span<const tangle::PayloadId> payloads, const BatchedSplit& batched,
     ThreadPool* pool) {
-  std::vector<EvalRequest> requests(payloads.size());
-  for (std::size_t i = 0; i < payloads.size(); ++i) {
-    requests[i].params = store.get(payloads[i]);
-    requests[i].key = ParamsKey::single(payloads[i]);
+  std::vector<EvalRequest> requests;
+  requests.reserve(payloads.size());
+  for (const tangle::PayloadId id : payloads) {
+    requests.push_back(EvalRequest{store.get(id), ParamsKey::single(id)});
   }
   return evaluate_many(requests, batched, pool);
 }

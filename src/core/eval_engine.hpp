@@ -1,9 +1,8 @@
 // Shared evaluation engine: every loss probe of Algorithm 2 and the
-// Section III-E defence goes through here instead of building a throwaway
-// nn::Model and re-gathering minibatches per probe.
-//
-// Three mechanisms, all bit-transparent (a probe's result is exactly what
-// the direct `factory() + set_parameters + data::evaluate` path produces):
+// Section III-E defence goes through evaluate_many (or its payload-list
+// wrapper) instead of building a throwaway nn::Model and re-gathering
+// minibatches per probe. A probe group of any size, one model included,
+// takes the same path:
 //
 //   * payload-result cache — a concurrent, sharded map from
 //     (parameter identity, split identity) to the full EvalResult. The
@@ -14,19 +13,21 @@
 //     of the validation data. Payloads and user splits are immutable, so a
 //     cached loss is bit-exact forever: it survives across rounds and is
 //     shared by every participant evaluating the same model on the same
-//     split.
-//   * model-instance pool — probes lease a reusable nn::Model and
-//     set_parameters into it instead of running the factory per probe, so
-//     layer allocations, packs, and workspaces amortize across the run.
+//     split. Keyless requests (freshly trained weights) bypass it.
 //   * pre-batched validation — a split is gathered into forward-ready
 //     batch tensors once (BatchedSplit) and reused by every probe against
 //     it, killing the per-eval DataSplit::gather copies.
+//   * fused grid — the group's cache misses each lease a pooled nn::Model
+//     (so layer allocations and workspaces amortize across the run) and
+//     run as a models×batches grid, on the caller's kernel pool when
+//     given; a stack opening with a convolution gathers each input batch
+//     into GEMM panels once for every model.
 //
-// Why caching is bit-safe: evaluation runs forward passes only
+// Every result is bit-identical to the direct `factory() + set_parameters
+// + data::evaluate` path: evaluation runs forward passes only
 // (training=false; Dropout is identity, no layer keeps running statistics),
-// so an EvalResult is a pure function of (parameters, split contents,
-// batch size). The batch size is pinned to data::evaluate's default, hence
-// engine results share data::evaluate's batch boundaries bit-exactly.
+// batches use data::kEvalBatchSize, data::evaluate's own batch size, and
+// each model's per-batch losses are reduced serially in batch order.
 //
 // Concurrency: all members are internally locked; node steps running under
 // ThreadPool::parallel_for may probe concurrently. Distinct users carry
@@ -36,7 +37,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -55,24 +55,6 @@ class ThreadPool;
 
 namespace tanglefl::core {
 
-class EvalBackend;
-class EvalEngine;
-
-struct EvalEngineConfig {
-  // Evaluation minibatch size. Must equal data::kEvalBatchSize so cached
-  // and direct paths accumulate losses over identical batches; the engine
-  // constructor rejects any other value.
-  std::size_t batch_size = data::kEvalBatchSize;
-  // LRU byte budget for retained BatchedSplits (user validation splits are
-  // small and stay resident; large one-shot pooled-test splits rotate out).
-  std::size_t batched_budget_bytes = 256ull << 20;
-  // Optional backend override. When set, the engine runs every forward
-  // evaluation through the returned backend instead of the default pooled
-  // nn::Model path; the EvalEngine reference stays valid for the backend's
-  // lifetime. Null selects the built-in model backend.
-  std::function<std::unique_ptr<EvalBackend>(EvalEngine&)> backend_factory;
-};
-
 /// 128-bit content identity of a DataSplit (feature bytes + labels).
 struct SplitKey {
   std::uint64_t lo = 0;
@@ -86,8 +68,8 @@ struct SplitKey {
 /// Immutable; shared across probes (and rounds) via shared_ptr.
 class BatchedSplit {
  public:
-  BatchedSplit(const data::DataSplit& split, std::size_t batch_size,
-               SplitKey key);
+  /// Batches of data::kEvalBatchSize, with data::evaluate's boundaries.
+  BatchedSplit(const data::DataSplit& split, SplitKey key);
 
   const SplitKey& key() const noexcept { return key_; }
   std::size_t samples() const noexcept { return samples_; }
@@ -144,43 +126,23 @@ struct EvalOutcome {
 };
 
 /// One probe in an evaluate_many group. A keyed request participates in the
-/// result cache exactly like payload_eval/params_eval; a keyless request
-/// (freshly trained weights with no payload identity) is always evaluated
-/// and never cached, matching evaluate(). `params` must stay valid for the
-/// duration of the call.
+/// result cache; a keyless request (freshly trained weights with no payload
+/// identity) is always evaluated and never cached. `params` must stay valid
+/// for the duration of the call.
 struct EvalRequest {
   std::span<const float> params;
   std::optional<ParamsKey> key;
 };
 
-/// Pluggable forward-evaluation runtime. Every cache miss the engine takes
-/// runs through one of these; the default backend leases pooled nn::Model
-/// instances and runs the ops kernels. An alternative runtime (quantized
-/// weights, an external interpreter) implements the same flat-span contract
-/// and slots in via EvalEngineConfig::backend_factory without touching any
-/// probe site.
-class EvalBackend {
- public:
-  virtual ~EvalBackend() = default;
-
-  /// Forward-evaluates one parameter vector over the prepared batches.
-  /// Must be a pure function of (params, batched) — results are cached.
-  virtual data::EvalResult eval(std::span<const float> params,
-                                const BatchedSplit& batched,
-                                ThreadPool* pool) = 0;
-
-  /// Evaluates k parameter vectors; results[i] corresponds to params[i] and
-  /// must be bit-identical to eval(params[i], batched, ...). The base
-  /// implementation loops eval(); backends may fuse shared work.
-  virtual void eval_many(std::span<const std::span<const float>> params,
-                         const BatchedSplit& batched,
-                         std::span<data::EvalResult> results,
-                         ThreadPool* pool);
-};
-
 class EvalEngine {
  public:
-  explicit EvalEngine(nn::ModelFactory factory, EvalEngineConfig config = {});
+  /// `batched_budget_bytes` is the LRU byte budget for retained
+  /// BatchedSplits: user validation splits are small and stay resident;
+  /// large one-shot pooled-test splits rotate out.
+  explicit EvalEngine(nn::ModelFactory factory,
+                      std::size_t batched_budget_bytes = 256ull << 20);
+
+  ~EvalEngine();
 
   EvalEngine(const EvalEngine&) = delete;
   EvalEngine& operator=(const EvalEngine&) = delete;
@@ -216,27 +178,12 @@ class EvalEngine {
   /// to pass temporaries). `split` must be non-empty.
   std::shared_ptr<const BatchedSplit> prepare(const data::DataSplit& split);
 
-  /// Forward-evaluates `model` over the prepared batches. Bit-identical to
-  /// data::evaluate(model, split) on the split `batched` was built from.
-  /// Uncached — for freshly trained parameters with no payload identity.
-  data::EvalResult evaluate(nn::Model& model, const BatchedSplit& batched);
-
-  /// Cached evaluation of one store payload on `batched`.
-  EvalOutcome payload_eval(const tangle::ModelStore& store,
-                           tangle::PayloadId payload,
-                           const BatchedSplit& batched);
-
-  /// Cached evaluation of `params` whose identity is `key` (e.g. a
-  /// reference model averaging the payloads named by the key).
-  EvalOutcome params_eval(const ParamsKey& key, std::span<const float> params,
-                          const BatchedSplit& batched);
-
-  /// Batched evaluation of a probe group: cache hits are resolved up front
-  /// (first occurrence of a duplicated key counts as the miss, later ones
-  /// as hits, mirroring the serial probe order) and only the misses enter
-  /// the backend's fused pass, whose k×batches work grid runs on `pool`.
-  /// outcomes[i] is bit-identical to probing requests[i] alone, including
-  /// the hit/miss flags and counter totals.
+  /// Evaluates a probe group: cache hits are resolved up front (first
+  /// occurrence of a duplicated key counts as the miss, later ones as hits,
+  /// mirroring the serial probe order) and only the misses enter the fused
+  /// pass, whose k×batches work grid runs on `pool`. outcomes[i] is
+  /// bit-identical to probing requests[i] alone, including the hit/miss
+  /// flags and counter totals.
   std::vector<EvalOutcome> evaluate_many(std::span<const EvalRequest> requests,
                                          const BatchedSplit& batched,
                                          ThreadPool* pool = nullptr);
@@ -247,8 +194,6 @@ class EvalEngine {
       const tangle::ModelStore& store,
       std::span<const tangle::PayloadId> payloads, const BatchedSplit& batched,
       ThreadPool* pool = nullptr);
-
-  const EvalEngineConfig& config() const noexcept { return config_; }
 
   /// Diagnostics (exact; used by tests).
   std::size_t models_created() const;
@@ -282,6 +227,12 @@ class EvalEngine {
   bool lookup(const ResultKey& key, data::EvalResult& out) const;
   void insert(const ResultKey& key, const data::EvalResult& result);
   void release(std::unique_ptr<nn::Model> model);
+  /// The fused pass: forward-evaluates each of `params` (at least one) over
+  /// every batch; result i belongs to params[i]. A stack opening with a
+  /// convolution gathers each batch into GEMM panels once for all models.
+  std::vector<data::EvalResult> run_grid(
+      std::span<const std::span<const float>> params,
+      const BatchedSplit& batched, ThreadPool* pool);
   /// Linear scan of the resident splits for `key`; bumps the LRU tick and
   /// reuse counter on a find. Caller must hold split_mutex_.
   std::shared_ptr<const BatchedSplit> find_split(const SplitKey& key)
@@ -290,10 +241,7 @@ class EvalEngine {
   // lint:allow(unannotated-guard) immutable after construction
   nn::ModelFactory factory_;
   // lint:allow(unannotated-guard) immutable after construction
-  EvalEngineConfig config_;
-  // lint:allow(unannotated-guard) immutable after construction; the backend
-  // is internally thread-safe (it only uses the engine's locked pool).
-  std::unique_ptr<EvalBackend> backend_;
+  std::size_t batched_budget_bytes_;
 
   mutable Mutex pool_mutex_;
   std::vector<std::unique_ptr<nn::Model>> pool_

@@ -32,8 +32,8 @@ struct EvalResult {
 
 /// Default evaluation minibatch size. Cached eval results are a function of
 /// (parameters, split, batch boundaries), so anything that caches or
-/// pre-batches evaluations (core::EvalEngine) must use this exact value —
-/// the engine enforces it at construction.
+/// pre-batches evaluations (core::EvalEngine) must use this exact value;
+/// core::BatchedSplit batches with it directly.
 inline constexpr std::size_t kEvalBatchSize = 64;
 
 /// Runs `config.epochs` of minibatch SGD over `split`, mutating `model` in

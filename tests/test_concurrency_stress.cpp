@@ -253,12 +253,12 @@ TEST(ConcurrencyStress, ViewCacheAndEvalEngineSharedUnderOnePool) {
     expected_loss.push_back(data::evaluate(model, splits[k]).loss);
   }
 
-  core::EvalEngineConfig engine_config;
+  std::size_t budget_bytes = 0;
   {
     core::EvalEngine probe(factory);
-    engine_config.batched_budget_bytes = 2 * probe.prepare(splits[0])->bytes();
+    budget_bytes = 2 * probe.prepare(splits[0])->bytes();
   }
-  core::EvalEngine engine(factory, engine_config);
+  core::EvalEngine engine(factory, budget_bytes);
   tangle::ViewCache cache(2);
 
   ThreadPool pool(4);
@@ -279,8 +279,10 @@ TEST(ConcurrencyStress, ViewCacheAndEvalEngineSharedUnderOnePool) {
     // evicted BatchedSplit.
     const std::size_t k = (i / 2) % 3;
     const auto prepared = engine.prepare(splits[k]);
-    const auto outcome =
-        engine.payload_eval(model_store, payloads[k], *prepared);
+    const auto outcome = engine
+                             .payloads_eval_many(model_store, {&payloads[k], 1},
+                                                 *prepared)
+                             .front();
     ASSERT_EQ(outcome.result.loss, expected_loss[k]);
     checksum.fetch_add(cone_sum + static_cast<std::uint64_t>(k),
                        std::memory_order_relaxed);

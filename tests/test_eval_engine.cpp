@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -57,6 +56,13 @@ nn::ParamVector random_params(const nn::ModelFactory& factory,
   return model.get_parameters();
 }
 
+// Evaluates `request` as a group of one, the path every lone probe takes.
+EvalOutcome evaluate_one(EvalEngine& engine, const EvalRequest& request,
+                         const BatchedSplit& batched,
+                         ThreadPool* pool = nullptr) {
+  return engine.evaluate_many({&request, 1}, batched, pool).front();
+}
+
 TEST(EvalEngine, SplitKeyIsContentIdentity) {
   EvalEngine engine(mlp_factory());
   const data::DataSplit split = make_split(30, 5);
@@ -95,7 +101,10 @@ TEST(EvalEngine, EvaluateMatchesDataEvaluateBitwise) {
   model.init(rng);
 
   const data::EvalResult direct = data::evaluate(model, split);
-  const data::EvalResult pooled = engine.evaluate(model, *prepared);
+  const nn::ParamVector params = model.get_parameters();
+  const data::EvalResult pooled =
+      evaluate_one(engine, EvalRequest{params, std::nullopt}, *prepared)
+          .result;
   EXPECT_EQ(direct.loss, pooled.loss);  // bitwise, not approximate
   EXPECT_EQ(direct.accuracy, pooled.accuracy);
 }
@@ -111,9 +120,12 @@ TEST(EvalEngine, PayloadEvalCachesAcrossProbesAndDedupedPayloads) {
   const data::DataSplit split = make_split(40, 13);
   const auto prepared = engine.prepare(split);
 
-  const EvalOutcome miss = engine.payload_eval(store, first.id, *prepared);
+  const auto probe = [&](tangle::PayloadId id, const BatchedSplit& batched) {
+    return engine.payloads_eval_many(store, {&id, 1}, batched).front();
+  };
+  const EvalOutcome miss = probe(first.id, *prepared);
   EXPECT_FALSE(miss.cache_hit);
-  const EvalOutcome hit = engine.payload_eval(store, duplicate.id, *prepared);
+  const EvalOutcome hit = probe(duplicate.id, *prepared);
   EXPECT_TRUE(hit.cache_hit);
   EXPECT_EQ(miss.result.loss, hit.result.loss);
   EXPECT_EQ(miss.result.accuracy, hit.result.accuracy);
@@ -121,7 +133,7 @@ TEST(EvalEngine, PayloadEvalCachesAcrossProbesAndDedupedPayloads) {
 
   // Same payload on a different split is a distinct cache entry.
   const auto other = engine.prepare(make_split(40, 14));
-  EXPECT_FALSE(engine.payload_eval(store, first.id, *other).cache_hit);
+  EXPECT_FALSE(probe(first.id, *other).cache_hit);
   EXPECT_EQ(engine.cached_results(), 2u);
   // Sequential probes reuse a single pooled instance.
   EXPECT_EQ(engine.models_created(), 1u);
@@ -139,17 +151,17 @@ TEST(EvalEngine, ParamsEvalKeyedByOrderedPayloadList) {
   const data::DataSplit split = make_split(50, 15);
   const auto prepared = engine.prepare(split);
 
-  const ParamsKey key{{a.id, b.id}};
-  const EvalOutcome miss = engine.params_eval(key, averaged, *prepared);
+  const EvalRequest request{averaged, ParamsKey{{a.id, b.id}}};
+  const EvalOutcome miss = evaluate_one(engine, request, *prepared);
   EXPECT_FALSE(miss.cache_hit);
-  const EvalOutcome hit = engine.params_eval(key, averaged, *prepared);
+  const EvalOutcome hit = evaluate_one(engine, request, *prepared);
   EXPECT_TRUE(hit.cache_hit);
   EXPECT_EQ(miss.result.loss, hit.result.loss);
 
   // The reversed list is a different identity (average_params is order-
   // sensitive in float arithmetic only by convention; the key is exact).
-  const EvalOutcome reversed =
-      engine.params_eval(ParamsKey{{b.id, a.id}}, averaged, *prepared);
+  const EvalOutcome reversed = evaluate_one(
+      engine, EvalRequest{averaged, ParamsKey{{b.id, a.id}}}, *prepared);
   EXPECT_FALSE(reversed.cache_hit);
 
   // The cached value equals the direct uncached computation bitwise.
@@ -158,21 +170,6 @@ TEST(EvalEngine, ParamsEvalKeyedByOrderedPayloadList) {
   const data::EvalResult direct = data::evaluate(model, split);
   EXPECT_EQ(hit.result.loss, direct.loss);
   EXPECT_EQ(hit.result.accuracy, direct.accuracy);
-}
-
-TEST(EvalEngine, BatchSizeContractEnforcedAtConstruction) {
-  // The comment-only contract ("must stay equal to data::evaluate's
-  // default") is now a hard constructor check: a divergent batch size would
-  // silently give cached and direct evaluations different batch boundaries.
-  EvalEngineConfig divergent;
-  divergent.batch_size = data::kEvalBatchSize / 2;
-  EXPECT_THROW(EvalEngine(mlp_factory(), divergent), std::invalid_argument);
-  divergent.batch_size = 0;
-  EXPECT_THROW(EvalEngine(mlp_factory(), divergent), std::invalid_argument);
-
-  EvalEngineConfig pinned;
-  pinned.batch_size = data::kEvalBatchSize;
-  EXPECT_NO_THROW(EvalEngine(mlp_factory(), pinned));
 }
 
 TEST(EvalEngine, ParamsKeyCachesPayloadHash) {
@@ -256,6 +253,31 @@ TEST(EvalEngine, EvaluateManyMatchesPerModelEvaluateBitExactly) {
   }
 }
 
+TEST(EvalEngine, SingleRequestConvGroupMatchesDataEvaluateBitwise) {
+  // A lone model runs the same fused grid as k models: its conv input is
+  // gathered into GEMM panels and the rest of the stack runs from layer 1.
+  // 150 samples -> batches of 64/64/22, serial and on a kernel pool.
+  const nn::ModelFactory factory = conv_factory();
+  EvalEngine engine(factory);
+  const data::DataSplit split = make_image_split(150, 74);
+  const auto prepared = engine.prepare(split);
+  ASSERT_EQ(prepared->batch_count(), 3u);
+
+  ThreadPool pool(3);
+  for (ThreadPool* kernel_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    const nn::ParamVector params = random_params(factory, 600);
+    nn::Model model = factory();
+    model.set_parameters(params);
+    const data::EvalResult direct = data::evaluate(model, split);
+    const EvalOutcome outcome = evaluate_one(
+        engine, EvalRequest{params, std::nullopt}, *prepared, kernel_pool);
+    EXPECT_FALSE(outcome.cache_hit);
+    EXPECT_EQ(outcome.result.loss, direct.loss);  // bitwise
+    EXPECT_EQ(outcome.result.accuracy, direct.accuracy);
+    EXPECT_EQ(outcome.result.samples, direct.samples);
+  }
+}
+
 TEST(EvalEngine, EvaluateManyNonConvStackMatchesBitExactly) {
   // MLP stack: no conv to fuse, so the group takes the per-model grid
   // fallback — results must still match the standalone path bitwise.
@@ -289,7 +311,9 @@ TEST(EvalEngine, EvaluateManyCacheInterleavings) {
   const auto cold = store.add(random_params(factory, 501));
   const nn::ParamVector fresh = random_params(factory, 502);
 
-  engine.payload_eval(store, warm.id, *prepared);  // pre-warm one key
+  evaluate_one(engine,
+               EvalRequest{store.get(warm.id), ParamsKey::single(warm.id)},
+               *prepared);  // pre-warm one key
   ASSERT_EQ(engine.cached_results(), 1u);
 
   // Group mixing: a cached key, a missing key, an in-group duplicate of
@@ -324,59 +348,6 @@ TEST(EvalEngine, EvaluateManyCacheInterleavings) {
   EXPECT_EQ(engine.cached_results(), 2u);
 }
 
-// A forwarding backend that counts how many evaluations it served — enough
-// to prove the engine routes every miss through the configured backend.
-class CountingBackend final : public EvalBackend {
- public:
-  explicit CountingBackend(EvalEngine& engine, std::size_t& calls)
-      : engine_(engine), calls_(calls) {}
-
-  data::EvalResult eval(std::span<const float> params,
-                        const BatchedSplit& batched, ThreadPool* pool) override {
-    (void)pool;
-    ++calls_;
-    EvalEngine::ModelLease lease = engine_.acquire();
-    lease.model().set_parameters(params);
-    return engine_.evaluate(lease.model(), batched);
-  }
-
- private:
-  EvalEngine& engine_;
-  std::size_t& calls_;
-};
-
-TEST(EvalEngine, BackendSelectableViaConfig) {
-  std::size_t calls = 0;
-  EvalEngineConfig config;
-  config.backend_factory =
-      [&calls](EvalEngine& engine) -> std::unique_ptr<EvalBackend> {
-    return std::make_unique<CountingBackend>(engine, calls);
-  };
-  EvalEngine engine(mlp_factory(), config);
-  ModelStore store;
-  const auto added = store.add(random_params(mlp_factory(), 700));
-  const data::DataSplit split = make_split(40, 75);
-  const auto prepared = engine.prepare(split);
-
-  const EvalOutcome miss = engine.payload_eval(store, added.id, *prepared);
-  EXPECT_EQ(calls, 1u);
-  EXPECT_FALSE(miss.cache_hit);
-  // Base-class eval_many loops eval(): three misses = three backend calls.
-  std::vector<tangle::PayloadId> ids;
-  for (std::size_t i = 0; i < 3; ++i) {
-    ids.push_back(store.add(random_params(mlp_factory(), 710 + i)).id);
-  }
-  engine.payloads_eval_many(store, ids, *prepared, nullptr);
-  EXPECT_EQ(calls, 4u);
-  // A hit skips the backend entirely.
-  engine.payload_eval(store, added.id, *prepared);
-  EXPECT_EQ(calls, 4u);
-  // Results still match the direct computation bitwise.
-  nn::Model model = mlp_factory()();
-  model.set_parameters(store.get(added.id));
-  EXPECT_EQ(miss.result.loss, data::evaluate(model, split).loss);
-}
-
 TEST(EvalEngine, PoolReusesInstancesUnderParallelFor) {
   // Keyless probes are never cached, so every one runs a forward pass and
   // needs a model. parallel_for runs at most (workers + caller) lanes, so
@@ -403,11 +374,10 @@ TEST(EvalEngine, PoolReusesInstancesUnderParallelFor) {
   std::vector<double> losses(kProbes, 0.0);
   ThreadPool pool(3);
   pool.parallel_for(kProbes, [&](std::size_t i) {
-    const EvalRequest request{store.get(ids[i % kPayloads]), std::nullopt};
-    losses[i] = engine
-                    .evaluate_many(std::span<const EvalRequest>(&request, 1),
-                                   *prepared)
-                    .front()
+      losses[i] = evaluate_one(engine,
+                             EvalRequest{store.get(ids[i % kPayloads]),
+                                         std::nullopt},
+                             *prepared)
                     .result.loss;
   });
   for (std::size_t i = 0; i < kProbes; ++i) {
@@ -431,9 +401,7 @@ TEST(EvalEngine, SplitLruEvictsOverBudgetAndKeepsOutstandingEntries) {
     bytes_per = probe.prepare(split_a)->bytes();
   }
   ASSERT_GT(bytes_per, 0u);
-  EvalEngineConfig config;
-  config.batched_budget_bytes = 2 * bytes_per;
-  EvalEngine engine(mlp_factory(), config);
+  EvalEngine engine(mlp_factory(), /*batched_budget_bytes=*/2 * bytes_per);
 
   const auto a = engine.prepare(split_a);
   const auto b = engine.prepare(split_b);
@@ -456,7 +424,9 @@ TEST(EvalEngine, SplitLruEvictsOverBudgetAndKeepsOutstandingEntries) {
   Rng rng(33);
   model.init(rng);
   const data::EvalResult direct = data::evaluate(model, split_b);
-  const data::EvalResult via_evicted = engine.evaluate(model, *b);
+  const nn::ParamVector params = model.get_parameters();
+  const data::EvalResult via_evicted =
+      evaluate_one(engine, EvalRequest{params, std::nullopt}, *b).result;
   EXPECT_EQ(direct.loss, via_evicted.loss);
   EXPECT_EQ(direct.accuracy, via_evicted.accuracy);
   (void)c;
