@@ -11,6 +11,7 @@
 #include "support/sha256.hpp"
 #include "support/stopwatch.hpp"
 #include "tangle/confidence.hpp"
+#include "tangle/milestones.hpp"
 #include "tangle/model_store.hpp"
 #include "tangle/tip_selection.hpp"
 #include "tangle/view_cache.hpp"
@@ -111,6 +112,70 @@ void BM_ViewCacheHit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ViewCacheHit)->Arg(200)->Arg(1000)->Arg(4000);
+
+/// A ledger grown as the perfbench ledger_growth workload grows one: each
+/// round λ = 8 transactions attach to two tips walked over the round's
+/// prefix view (h = 1 round of delay), and every 8th round advances the
+/// milestone floor with keep_recent = 512.
+struct PrunedLedger {
+  ModelStore store;
+  Tangle tangle;
+  ViewCache cache{4};
+  MilestoneTracker pruner{{.enabled = true, .interval = 8, .keep_recent = 512}};
+  Rng master{1};
+  std::uint64_t round = 0;
+
+  PrunedLedger() : tangle(GrownTangle::make_genesis(store)) {}
+
+  /// The prefix view publishers of the next round see.
+  TangleView next_round_view() const {
+    return tangle.view_prefix(tangle.visible_count_for_round(round + 1));
+  }
+
+  void grow_round() {
+    const auto cones = cache.get(next_round_view());
+    ++round;
+    Rng rng = master.split(round);
+    std::vector<std::vector<TxIndex>> parents;
+    for (int p = 0; p < 8; ++p) {
+      parents.push_back(select_tips(*cones, 2, rng, {.alpha = 0.0}));
+    }
+    for (int p = 0; p < 8; ++p) {
+      const auto added = store.add(
+          {static_cast<float>(round), static_cast<float>(p)});
+      tangle.add_transaction(parents[p], added.id, added.hash, round);
+    }
+    if (pruner.tick()) pruner.advance(tangle, store, *cache.get(tangle.view()));
+  }
+};
+
+void BM_ViewCacheGetPruned(benchmark::State& state) {
+  // One round's view-cache get on a pruned ledger: the delta build of the
+  // round's prefix view (a hit after a prune tick, as in the engines).
+  // Entries hold the live window only, so ~10k and ~40k transactions
+  // should read the same.
+  PrunedLedger ledger;
+  while (ledger.tangle.size() < static_cast<std::size_t>(state.range(0))) {
+    ledger.grow_round();
+  }
+  for (auto _ : state) {
+    state.PauseTiming();
+    ledger.grow_round();
+    const TangleView view = ledger.next_round_view();
+    state.ResumeTiming();
+    auto entry = ledger.cache.get(view);
+    benchmark::DoNotOptimize(entry.get());
+  }
+  state.counters["window"] = static_cast<double>(
+      ledger.tangle.size() - ledger.tangle.prune_floor());
+}
+// Fixed iterations: each one appends a round, so the ledger grows by
+// 1,600 transactions over a run instead of a time-dependent amount.
+BENCHMARK(BM_ViewCacheGetPruned)
+    ->Arg(10000)
+    ->Arg(40000)
+    ->Iterations(200)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_ConfidenceSampling(benchmark::State& state) {
   // 35 walks plus one reach pass over a prebuilt entry; the entry

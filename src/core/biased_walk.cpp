@@ -85,10 +85,11 @@ tangle::TxIndex biased_random_walk_tip(const tangle::TangleView& view,
   biased_walk_counter().increment();
   // Prune frontier under milestone pruning, genesis otherwise; loss probes
   // only ever touch approvers of walked nodes, which all lie in the live
-  // window, so released payloads are never fetched.
+  // window, so released payloads are never fetched. Cone sizes start there.
   const std::span<const std::uint32_t> future_cones =
       cones.future_cone_sizes();
-  tangle::TxIndex current = cones.root();
+  const tangle::TxIndex root = cones.root();
+  tangle::TxIndex current = root;
   std::vector<double> weights;
   std::uint64_t steps = 0;
   for (;;) {
@@ -111,15 +112,16 @@ tangle::TxIndex biased_random_walk_tip(const tangle::TangleView& view,
     std::uint32_t max_weight = 0;
     double min_loss = 1e300;
     for (const tangle::TxIndex a : approvers) {
-      max_weight = std::max(max_weight, future_cones[a]);
+      max_weight = std::max(max_weight, future_cones[a - root]);
       if (config.beta != 0.0) {
         min_loss = std::min(min_loss, cache.loss(view, a));
       }
     }
     weights.clear();
     for (const tangle::TxIndex a : approvers) {
-      double exponent = config.alpha * (static_cast<double>(future_cones[a]) -
-                                        static_cast<double>(max_weight));
+      double exponent =
+          config.alpha * (static_cast<double>(future_cones[a - root]) -
+                          static_cast<double>(max_weight));
       if (config.beta != 0.0) {
         exponent -= config.beta * (cache.loss(view, a) - min_loss);
       }

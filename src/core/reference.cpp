@@ -51,12 +51,14 @@ ReferenceResult choose_reference(const tangle::TangleView& view,
   // payloads may have been released and its confidence/rating are pinned
   // approximations. Ranking the window alone matches a full-ledger ranking
   // with frozen priorities zeroed: window entries outrank them (priority
-  // >= 0, newer index), and `take` never exceeds the window.
+  // >= 0, newer index), and `take` never exceeds the window. Ratings start
+  // at the entry's root, which may be an older floor.
   const tangle::TxIndex floor = confidences.floor;
   const std::span<const std::uint32_t> ratings = cones.past_cone_sizes();
+  const std::size_t offset = floor - cones.root();
   std::vector<double> priorities(confidences.values.size());
   for (std::size_t i = 0; i < priorities.size(); ++i) {
-    priorities[i] = confidences.values[i] * ratings[floor + i];
+    priorities[i] = confidences.values[i] * ratings[offset + i];
   }
   const std::size_t take = std::max<std::size_t>(
       1, std::min(config.num_reference_models, priorities.size()));

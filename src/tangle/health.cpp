@@ -78,7 +78,10 @@ HealthSample HealthTracker::sample(const TangleView& view,
 
   // One descending pass computes tip status, first approvals, and approval
   // depth together: children always have higher indices than parents, so
-  // every approver's depth is final before its parents are visited.
+  // every approver's depth is final before its parents are visited. The
+  // entry's CSR covers its window only; rows below its root come from the
+  // tangle's approver lists, filtered by the view.
+  const TxIndex root = cones.root();
   std::vector<std::uint32_t> depths(n, 0);
   std::vector<std::uint32_t> member_depths;
   member_depths.reserve(out.tangle_size);
@@ -89,7 +92,9 @@ HealthSample HealthTracker::sample(const TangleView& view,
     if (!view.contains(i)) continue;
     bool approved = false;
     TxIndex first_approver = 0;
-    for (const TxIndex a : cones.approvers(i)) {
+    for (const TxIndex a :
+         i >= root ? cones.approvers(i) : std::span(tangle.approvers(i))) {
+      if (!view.contains(a)) continue;
       if (!approved) first_approver = a;
       approved = true;
       depths[i] = std::max(depths[i], depths[a] + 1);

@@ -74,15 +74,6 @@ void IncrementalConeState::reset() {
   epoch_ = 0;
 }
 
-void IncrementalConeState::restore(std::vector<std::uint32_t> past,
-                                   std::vector<std::uint32_t> future) {
-  TANGLEFL_DCHECK(past.size() == future.size());
-  reset();
-  processed_ = past.size();
-  past_ = std::move(past);
-  future_ = std::move(future);
-}
-
 std::size_t IncrementalConeState::memory_bytes() const noexcept {
   return (past_.capacity() + future_.capacity() + mark_.capacity()) *
              sizeof(std::uint32_t) +

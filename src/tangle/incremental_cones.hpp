@@ -24,9 +24,10 @@
 // (which the milestone rule targets: the floor is in the past cone of
 // every tip) and otherwise over-counts by the number of frozen orphans —
 // the documented "frozen history is fully confirmed" approximation.
-// future_ entries below the floor go stale (no walk reads them). With
-// pruning disabled the floor is 0 and every value is exact — identical to
-// the BitMatrix pass bit for bit.
+// future_ entries below the floor go stale: ViewCacheEntry::build_incremental
+// copies only the window at and above the floor, so they are never copied
+// into an entry and never read. With pruning disabled the floor is 0 and
+// every value is exact — identical to the BitMatrix pass bit for bit.
 //
 // Not thread-safe; the owning ViewCache serializes access under its mutex.
 #pragma once
@@ -61,11 +62,6 @@ class IncrementalConeState {
 
   /// Drops all state (used when the owner rebinds to another Tangle).
   void reset();
-
-  /// Seeds the state from snapshot arrays (ViewCache::restore_cone_state);
-  /// both must have equal size. Replaces any existing state.
-  void restore(std::vector<std::uint32_t> past,
-               std::vector<std::uint32_t> future);
 
   /// Heap footprint of the maintained state — the number the 100k smoke
   /// run tracks to show cone memory stays O(n) words, not O(n^2/64) bits.

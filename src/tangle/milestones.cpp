@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <stdexcept>
 
 #include "obs/metrics.hpp"
 
@@ -66,9 +67,10 @@ TxIndex find_milestone(const ViewCacheEntry& cones,
   std::vector<std::uint64_t> coverage((n - base) * words, 0);
   const auto row = [&](TxIndex i) { return coverage.data() + (i - base) * words; };
 
-  std::vector<std::uint32_t> tip_bit(n, std::numeric_limits<std::uint32_t>::max());
+  std::vector<std::uint32_t> tip_bit(n - base,
+                                     std::numeric_limits<std::uint32_t>::max());
   for (std::size_t b = 0; b < tips; ++b) {
-    tip_bit[required_tips[b]] = static_cast<std::uint32_t>(b);
+    tip_bit[required_tips[b] - base] = static_cast<std::uint32_t>(b);
   }
 
   const std::uint64_t full_last =
@@ -82,8 +84,9 @@ TxIndex find_milestone(const ViewCacheEntry& cones,
       const std::uint64_t* c = row(child);
       for (std::size_t w = 0; w < words; ++w) r[w] |= c[w];
     }
-    if (tip_bit[i] != std::numeric_limits<std::uint32_t>::max()) {
-      r[tip_bit[i] / 64] |= (1ULL << (tip_bit[i] % 64));
+    const std::uint32_t bit = tip_bit[i - base];
+    if (bit != std::numeric_limits<std::uint32_t>::max()) {
+      r[bit / 64] |= (1ULL << (bit % 64));
     }
     if (i < limit) {
       bool full = r[words - 1] == full_last;
@@ -99,16 +102,28 @@ TxIndex find_milestone(const ViewCacheEntry& cones,
   return best;
 }
 
-std::size_t release_frozen_payloads(const Tangle& tangle, ModelStore& store) {
+std::size_t release_frozen_payloads(const Tangle& tangle, ModelStore& store,
+                                    TxIndex from) {
   const TxIndex floor = tangle.prune_floor();
-  if (floor == 0) return 0;
-  std::vector<bool> live(store.size(), false);
-  for (TxIndex i = floor; i < tangle.size(); ++i) {
-    live[tangle.transaction(i).payload] = true;
+  if (from > floor) {
+    throw std::invalid_argument(
+        "release_frozen_payloads: range starts above the prune floor");
   }
-  std::size_t released = 0;
-  for (PayloadId id = 0; id < live.size(); ++id) {
-    if (!live[id] && !store.is_released(id)) {
+  std::vector<PayloadId> live;  // payloads of the live window
+  for (TxIndex i = floor; i < tangle.size(); ++i) {
+    live.push_back(tangle.transaction(i).payload);
+  }
+  std::vector<PayloadId> frozen;  // payloads of the newly frozen range
+  for (TxIndex i = from; i < floor; ++i) {
+    frozen.push_back(tangle.transaction(i).payload);
+  }
+  std::sort(live.begin(), live.end());
+  std::sort(frozen.begin(), frozen.end());
+  frozen.erase(std::unique(frozen.begin(), frozen.end()), frozen.end());
+  std::size_t released = 0;  // ascending ids, as a whole-store sweep would
+  for (const PayloadId id : frozen) {
+    if (!std::binary_search(live.begin(), live.end(), id) &&
+        !store.is_released(id)) {
       params_released_counter().add(store.get(id).size());
       store.release(id);
       ++released;
@@ -128,16 +143,17 @@ bool MilestoneTracker::advance(Tangle& tangle, ModelStore& store,
                                const ViewCacheEntry& cones,
                                std::span<const TxIndex> required_tips,
                                std::size_t floor_limit) {
+  const TxIndex old_floor = tangle.prune_floor();
   TxIndex milestone =
-      find_milestone(cones, required_tips, tangle.prune_floor(),
-                     config_.keep_recent, config_.max_required_tips);
+      find_milestone(cones, required_tips, old_floor, config_.keep_recent,
+                     config_.max_required_tips);
   milestone = std::min<TxIndex>(milestone, floor_limit);
-  if (milestone <= tangle.prune_floor()) return false;
+  if (milestone <= old_floor) return false;
   tangle.set_prune_floor(milestone);
   milestone_counter().increment();
   floor_gauge().set(static_cast<double>(milestone));
   live_window_gauge().set(static_cast<double>(tangle.size() - milestone));
-  release_frozen_payloads(tangle, store);
+  release_frozen_payloads(tangle, store, old_floor);
   return true;
 }
 

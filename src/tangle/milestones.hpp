@@ -16,13 +16,17 @@
 //     history (tangle/confidence.cpp skips the descent);
 //   * ModelStore payloads referenced only by frozen transactions are dead
 //     to every consumer (walk loss probes and Algorithm 1 stay in the live
-//     window) and can be released.
+//     window) and can be released. An advance releases those of the newly
+//     frozen range [old floor, new floor) no live transaction references;
+//     that equals a sweep of the whole store because every ModelStore::add
+//     is followed at once by add_transaction.
 //
 // The frontier trades exactness below the milestone for bounded state:
 // ratings count the frozen region wholesale (orphans below the floor are
 // treated as confirmed — see tangle/incremental_cones.hpp) and future
-// cones below the floor go stale. With pruning disabled (the default)
-// nothing changes anywhere, byte for byte.
+// cones below the floor go stale (view-cache entries hold only the window
+// above it). With pruning disabled (the default) nothing changes anywhere,
+// byte for byte.
 #pragma once
 
 #include <cstddef>
@@ -58,15 +62,19 @@ struct MilestoneConfig {
 /// Largest index m with current_floor < m, m + keep_recent < n (n =
 /// cones.view_size()) that lies in the reflexive past cone of every
 /// required tip; returns current_floor when none qualifies. One descending
-/// tip-coverage bitset pass over the live region of the full-ledger entry.
+/// tip-coverage bitset pass over the live region of the full-ledger entry,
+/// whose root must not lie above current_floor.
 TxIndex find_milestone(const ViewCacheEntry& cones,
                        std::span<const TxIndex> required_tips,
                        TxIndex current_floor, std::size_t keep_recent,
                        std::size_t max_required_tips = 1024);
 
-/// Releases every ModelStore payload referenced by no transaction at or
-/// above the prune floor. Returns the number of payloads released.
-std::size_t release_frozen_payloads(const Tangle& tangle, ModelStore& store);
+/// Releases every ModelStore payload referenced by a transaction in
+/// [from, prune floor) and by none at or above the floor (see the file
+/// comment). Returns the number of payloads released; throws
+/// std::invalid_argument when `from` lies above the floor.
+std::size_t release_frozen_payloads(const Tangle& tangle, ModelStore& store,
+                                    TxIndex from);
 
 /// Engine-side driver: owns the check cadence and the prune metrics.
 class MilestoneTracker {

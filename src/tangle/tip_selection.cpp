@@ -51,10 +51,11 @@ TxIndex random_walk_tip(const ViewCacheEntry& cones, Rng& rng,
   walk_counter().increment();
   // The prune frontier when milestone pruning is active (the milestone is
   // in the past cone of every tip, so rooting here reaches the same tip
-  // set); index 0 == Tangle::genesis() otherwise.
+  // set); index 0 == Tangle::genesis() otherwise. Cone sizes start there.
   const std::span<const std::uint32_t> future_cones =
       cones.future_cone_sizes();
-  TxIndex current = cones.root();
+  const TxIndex root = cones.root();
+  TxIndex current = root;
   std::vector<double> weights;
   std::uint64_t steps = 0;
   std::uint64_t branch_steps = 0;
@@ -75,12 +76,12 @@ TxIndex random_walk_tip(const ViewCacheEntry& cones, Rng& rng,
     // exp(alpha * (w - w_max)) keeps the weights in (0, 1] for stability.
     std::uint32_t max_weight = 0;
     for (const TxIndex a : approvers) {
-      max_weight = std::max(max_weight, future_cones[a]);
+      max_weight = std::max(max_weight, future_cones[a - root]);
     }
     weights.clear();
     for (const TxIndex a : approvers) {
       weights.push_back(std::exp(
-          config.alpha * (static_cast<double>(future_cones[a]) -
+          config.alpha * (static_cast<double>(future_cones[a - root]) -
                           static_cast<double>(max_weight))));
     }
     current = approvers[rng.weighted_choice(weights)];

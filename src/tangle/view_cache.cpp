@@ -96,10 +96,12 @@ std::uint64_t hash_words(std::span<const std::uint64_t> words) {
 /// One word-column slice [word_begin, word_end) of the two reachability
 /// passes. `bits` is the shared row-major matrix; slices write disjoint
 /// words of every row, so concurrent slices never touch the same byte.
-/// Popcounts accumulate into the caller-provided partial vectors.
+/// Popcounts of the window rows [root, n) accumulate into the
+/// caller-provided partial vectors, indexed by TxIndex - root.
 struct ConeSlice {
   const TangleView* view;
-  const std::vector<std::uint32_t>* offsets;  // CSR of in-view approvers
+  TxIndex root;
+  const std::vector<std::uint32_t>* offsets;  // window CSR of approvers
   const std::vector<TxIndex>* edges;
   std::uint64_t* bits;
   std::size_t words;  // full row stride
@@ -127,8 +129,8 @@ struct ConeSlice {
     return count;
   }
 
-  void zero_rows(std::size_t n) const {
-    for (std::size_t i = 0; i < n; ++i) {
+  void zero_rows(std::size_t begin, std::size_t n) const {
+    for (std::size_t i = begin; i < n; ++i) {
       std::uint64_t* row = bits + i * words;
       std::fill(row + word_begin, row + word_end, 0);
     }
@@ -138,7 +140,8 @@ struct ConeSlice {
     const std::size_t n = view->size();
     const Tangle& tangle = view->tangle();
     // Past pass: parents precede children, so one ascending pass closes
-    // the transitive past relation (masked views are ancestor-closed).
+    // the transitive past relation (masked views are ancestor-closed). It
+    // runs below the root too: a window rating counts frozen ancestors.
     for (TxIndex i = 1; i < n; ++i) {
       if (!view->contains(i)) continue;
       std::uint64_t* row = bits + i * words;
@@ -147,23 +150,24 @@ struct ConeSlice {
         set_bit(row, p);
         or_row(row, bits + p * words);
       }
-      (*past_partial)[i] = popcount_row(row);
+      if (i >= root) (*past_partial)[i - root] = popcount_row(row);
     }
-    // Future pass over the same buffer: zero this slice, then one
-    // descending pass over the in-view approver CSR.
-    zero_rows(n);
-    for (TxIndex ii = n; ii > 0; --ii) {
+    // Future pass over the same buffer: zero this slice of the window
+    // rows, then one descending pass over the window's approver CSR.
+    // Approvers always have higher indices, so it never leaves the window.
+    zero_rows(root, n);
+    for (TxIndex ii = n; ii > root; --ii) {
       const TxIndex i = ii - 1;
       if (!view->contains(i)) continue;
       std::uint64_t* row = bits + i * words;
-      const std::uint32_t begin = (*offsets)[i];
-      const std::uint32_t end = (*offsets)[i + 1];
+      const std::uint32_t begin = (*offsets)[i - root];
+      const std::uint32_t end = (*offsets)[i - root + 1];
       for (std::uint32_t e = begin; e < end; ++e) {
         const TxIndex child = (*edges)[e];
         set_bit(row, child);
         or_row(row, bits + child * words);
       }
-      (*future_partial)[i] = popcount_row(row);
+      (*future_partial)[i - root] = popcount_row(row);
     }
   }
 };
@@ -176,9 +180,9 @@ void ViewCacheEntry::fill_topology(const TangleView& view) {
   // TangleView::approvers() produces.
   const Tangle& tangle = view.tangle();
   const std::size_t n = view.size();
-  offsets_.reserve(n + 1);
+  offsets_.reserve(n - root_ + 1);
   offsets_.push_back(0);
-  for (TxIndex i = 0; i < n; ++i) {
+  for (TxIndex i = root_; i < n; ++i) {
     if (view.contains(i)) {
       for (const TxIndex a : tangle.approvers(i)) {
         if (view.contains(a)) edges_.push_back(a);
@@ -186,8 +190,8 @@ void ViewCacheEntry::fill_topology(const TangleView& view) {
     }
     offsets_.push_back(static_cast<std::uint32_t>(edges_.size()));
   }
-  for (TxIndex i = 0; i < n; ++i) {
-    if (view.contains(i) && offsets_[i + 1] == offsets_[i]) {
+  for (TxIndex i = root_; i < n; ++i) {
+    if (view.contains(i) && offsets_[i - root_ + 1] == offsets_[i - root_]) {
       tips_.push_back(i);
     }
   }
@@ -201,9 +205,10 @@ std::shared_ptr<const ViewCacheEntry> ViewCacheEntry::build(
   auto entry = std::shared_ptr<ViewCacheEntry>(new ViewCacheEntry());
   const std::size_t n = view.size();
   entry->count_ = n;
-  entry->root_ = view.tangle().prune_floor();
-  entry->past_.assign(n, 0);
-  entry->future_.assign(n, 0);
+  entry->root_ = std::min<TxIndex>(view.tangle().prune_floor(), n);
+  const std::size_t window = n - entry->root_;
+  entry->past_.assign(window, 0);
+  entry->future_.assign(window, 0);
   entry->fill_topology(view);
   if (n <= 1) return entry;
 
@@ -216,28 +221,30 @@ std::shared_ptr<const ViewCacheEntry> ViewCacheEntry::build(
   }
 
   if (slices == 1) {
-    ConeSlice slice{&view,        &entry->offsets_, &entry->edges_,
-                    bits.data(),  words,            0,
-                    words,        &entry->past_,    &entry->future_};
+    ConeSlice slice{&view,         entry->root_,  &entry->offsets_,
+                    &entry->edges_, bits.data(),  words,
+                    0,             words,         &entry->past_,
+                    &entry->future_};
     slice.run();
   } else {
     // Each slice owns a word range of every row plus its own partial
     // popcount vectors; the reduction below is a plain integer sum, so the
     // result is bit-identical to the serial fill for any slice count.
     std::vector<std::vector<std::uint32_t>> past_partials(
-        slices, std::vector<std::uint32_t>(n, 0));
+        slices, std::vector<std::uint32_t>(window, 0));
     std::vector<std::vector<std::uint32_t>> future_partials(
-        slices, std::vector<std::uint32_t>(n, 0));
+        slices, std::vector<std::uint32_t>(window, 0));
     pool->parallel_for(slices, [&](std::size_t s) {
       const std::size_t begin = words * s / slices;
       const std::size_t end = words * (s + 1) / slices;
-      ConeSlice slice{&view,       &entry->offsets_,  &entry->edges_,
-                      bits.data(), words,             begin,
-                      end,         &past_partials[s], &future_partials[s]};
+      ConeSlice slice{&view,          entry->root_,     &entry->offsets_,
+                      &entry->edges_, bits.data(),      words,
+                      begin,          end,              &past_partials[s],
+                      &future_partials[s]};
       slice.run();
     });
     for (std::size_t s = 0; s < slices; ++s) {
-      for (TxIndex i = 0; i < n; ++i) {
+      for (std::size_t i = 0; i < window; ++i) {
         entry->past_[i] += past_partials[s][i];
         entry->future_[i] += future_partials[s][i];
       }
@@ -256,11 +263,14 @@ std::shared_ptr<const ViewCacheEntry> ViewCacheEntry::build_incremental(
   state.advance_to(view.tangle(), n);
   auto entry = std::shared_ptr<ViewCacheEntry>(new ViewCacheEntry());
   entry->count_ = n;
-  entry->root_ = view.tangle().prune_floor();
-  const std::span<const std::uint32_t> past = state.past_cone_sizes();
-  const std::span<const std::uint32_t> future = state.future_cone_sizes();
-  entry->past_.assign(past.begin(), past.begin() + static_cast<long>(n));
-  entry->future_.assign(future.begin(), future.begin() + static_cast<long>(n));
+  entry->root_ = std::min<TxIndex>(view.tangle().prune_floor(), n);
+  // Only the window: the state's values below the floor are frozen (and
+  // its future counts there stale), and no reader of an entry goes there.
+  const std::size_t root = entry->root_;
+  const auto past = state.past_cone_sizes().subspan(root, n - root);
+  const auto future = state.future_cone_sizes().subspan(root, n - root);
+  entry->past_.assign(past.begin(), past.end());
+  entry->future_.assign(future.begin(), future.end());
   entry->fill_topology(view);
   return entry;
 }
@@ -346,28 +356,6 @@ void ViewCache::clear() {
 std::size_t ViewCache::size() const {
   MutexLock lock(mutex_);
   return slots_.size();
-}
-
-ViewCache::ConeStateSnapshot ViewCache::cone_state_snapshot() const {
-  MutexLock lock(mutex_);
-  const std::span<const std::uint32_t> past = cone_state_.past_cone_sizes();
-  const std::span<const std::uint32_t> future =
-      cone_state_.future_cone_sizes();
-  return ConeStateSnapshot{{past.begin(), past.end()},
-                           {future.begin(), future.end()}};
-}
-
-void ViewCache::restore_cone_state(const Tangle& tangle,
-                                   ConeStateSnapshot snapshot) {
-  std::vector<Slot> displaced;
-  {
-    MutexLock lock(mutex_);
-    // Bind to the restored tangle so the next get() does not treat it as a
-    // rebind and wipe the seeded state.
-    tangle_ = &tangle;
-    displaced.swap(slots_);
-    cone_state_.restore(std::move(snapshot.past), std::move(snapshot.future));
-  }
 }
 
 }  // namespace tanglefl::tangle

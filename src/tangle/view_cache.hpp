@@ -9,7 +9,9 @@
 // shared view prefix, plus a fresh std::vector allocation per walk step in
 // TangleView::approvers().
 //
-// ViewCacheEntry computes everything once per view:
+// ViewCacheEntry computes everything once per view, over the live window
+// [root(), view_size()) above the prune floor only, so it costs O(window),
+// not O(ledger), under milestone pruning (root() is 0 with pruning off):
 //   * past/future cone size vectors (one bitset-reachability pass each,
 //     optionally parallelized over 64-bit word blocks on a ThreadPool —
 //     the word-sliced recurrence row[i] |= row[parent] is independent per
@@ -18,6 +20,8 @@
 //   * the tip set, and
 //   * a flat CSR adjacency snapshot of in-view approver lists, so a walk
 //     step is a span lookup instead of a filtered vector allocation.
+// No consensus query reads below the floor; the health probe reads frozen
+// rows from Tangle::approvers.
 //
 // ViewCache is a small keyed LRU of entries:
 //   * keying — a view's identity is (prefix count) for prefix views and
@@ -66,9 +70,9 @@ class ViewCacheEntry {
 
   /// Delta build for prefix(-equivalent) views: advances `state` to
   /// view.size() — folding in only the transactions appended since the
-  /// previous build — and snapshots its cone vectors instead of running
-  /// the O(n^2/64) BitMatrix pass. With pruning disabled the result is
-  /// bit-identical to build(); under pruning the frozen region carries the
+  /// previous build — and copies the window of its cone vectors instead of
+  /// running the O(n^2/64) BitMatrix pass. With pruning disabled the result
+  /// is bit-identical to build(); under pruning the ratings carry the
   /// approximation documented in tangle/incremental_cones.hpp. The caller
   /// must guarantee state.processed() <= view.size() and that the view is
   /// prefix-equivalent (member_count() == size()).
@@ -78,35 +82,39 @@ class ViewCacheEntry {
   /// Upper bound of member indices (== TangleView::size()).
   std::size_t view_size() const noexcept { return count_; }
 
-  /// Number of transactions each transaction directly or indirectly
-  /// approves (the rating of Algorithm 1), indexed by TxIndex.
+  /// Number of transactions each window transaction directly or indirectly
+  /// approves (the rating of Algorithm 1), indexed by TxIndex - root().
   std::span<const std::uint32_t> past_cone_sizes() const noexcept {
     return past_;
   }
 
   /// Number of in-view transactions directly or indirectly approving each
-  /// transaction (the cumulative weight steering the random walk).
+  /// window transaction (the cumulative weight steering the random walk),
+  /// indexed by TxIndex - root().
   std::span<const std::uint32_t> future_cone_sizes() const noexcept {
     return future_;
   }
 
-  /// Transactions with no approver inside the view, ascending.
+  /// Window transactions with no approver inside the view, ascending.
   std::span<const TxIndex> tips() const noexcept { return tips_; }
 
   /// Direct approvers of `index` inside the view, ascending — the same
   /// sequence TangleView::approvers() returns, without the allocation.
-  /// `index` must be inside the view: the CSR offset table has count_ + 1
-  /// rows, so an out-of-view index used to silently read garbage (not
-  /// noexcept — the debug-build bounds check throws CheckFailure).
+  /// `index` must lie in the window [root(), view_size()): the CSR offset
+  /// table has one row per window transaction plus one, so any other index
+  /// would read garbage (not noexcept — the debug-build bounds check throws
+  /// CheckFailure).
   std::span<const TxIndex> approvers(TxIndex index) const {
-    TANGLEFL_DCHECK(index < count_);
-    return std::span<const TxIndex>(edges_)
-        .subspan(offsets_[index], offsets_[index + 1] - offsets_[index]);
+    TANGLEFL_DCHECK(index >= root_ && index < count_);
+    const std::size_t row = index - root_;
+    return std::span<const TxIndex>(edges_).subspan(
+        offsets_[row], offsets_[row + 1] - offsets_[row]);
   }
 
-  /// Walk root recorded at build time: the tangle's prune frontier (0 with
-  /// pruning off, i.e. the genesis). Tip-selection walks over this entry
-  /// start here, never descending into frozen history.
+  /// Walk root and window start recorded at build time: the tangle's prune
+  /// frontier (0 with pruning off, i.e. the genesis; never above
+  /// view_size()). Tip-selection walks over this entry start here, never
+  /// descending into frozen history.
   TxIndex root() const noexcept { return root_; }
 
  private:
@@ -117,10 +125,10 @@ class ViewCacheEntry {
 
   TxIndex root_ = 0;
   std::size_t count_ = 0;
-  std::vector<std::uint32_t> past_;
-  std::vector<std::uint32_t> future_;
+  std::vector<std::uint32_t> past_;     // one per window transaction
+  std::vector<std::uint32_t> future_;   // one per window transaction
   std::vector<TxIndex> tips_;
-  std::vector<std::uint32_t> offsets_;  // count_ + 1 CSR row offsets
+  std::vector<std::uint32_t> offsets_;  // window + 1 CSR row offsets
   std::vector<TxIndex> edges_;          // flat in-view approver lists
 };
 
@@ -143,24 +151,7 @@ class ViewCache {
   /// entries.
   void clear();
 
-  /// Copies of the incremental cone-state vectors, so a pruned ledger's
-  /// cone values can be carried into another cache. Both empty when the
-  /// state has processed nothing yet.
-  struct ConeStateSnapshot {
-    std::vector<std::uint32_t> past;
-    std::vector<std::uint32_t> future;
-  };
-  ConeStateSnapshot cone_state_snapshot() const;
-
-  /// Seeds the incremental state from a cone_state_snapshot() and binds
-  /// the cache to `tangle` (whose leading snapshot.past.size()
-  /// transactions the arrays must describe). Cone values — including
-  /// their historical-floor approximations — stay byte-identical to the
-  /// cache that took the snapshot.
-  void restore_cone_state(const Tangle& tangle, ConeStateSnapshot snapshot);
-
   std::size_t size() const;
-  std::size_t capacity() const noexcept { return capacity_; }
 
  private:
   struct Slot {

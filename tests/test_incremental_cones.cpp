@@ -127,30 +127,6 @@ TEST(IncrementalCones, PrunedAppendCountsFrozenRegionWholesale) {
   EXPECT_EQ(state.future_cone_sizes()[c], 1u);
 }
 
-TEST(IncrementalCones, RestoreRoundTripsState) {
-  Fixture f;
-  f.grow(60, /*seed=*/41);
-  IncrementalConeState state;
-  state.advance_to(f.tangle, f.tangle.size());
-
-  std::vector<std::uint32_t> past(state.past_cone_sizes().begin(),
-                                  state.past_cone_sizes().end());
-  std::vector<std::uint32_t> future(state.future_cone_sizes().begin(),
-                                    state.future_cone_sizes().end());
-  IncrementalConeState restored;
-  restored.restore(past, future);
-  EXPECT_EQ(restored.processed(), state.processed());
-
-  // Continuing from restored state matches continuing from the original.
-  f.grow(40, /*seed=*/43);
-  state.advance_to(f.tangle, f.tangle.size());
-  restored.advance_to(f.tangle, f.tangle.size());
-  for (TxIndex i = 0; i < f.tangle.size(); ++i) {
-    EXPECT_EQ(restored.past_cone_sizes()[i], state.past_cone_sizes()[i]);
-    EXPECT_EQ(restored.future_cone_sizes()[i], state.future_cone_sizes()[i]);
-  }
-}
-
 TEST(IncrementalCones, ResetDropsEverything) {
   Fixture f;
   f.grow(10, /*seed=*/5);

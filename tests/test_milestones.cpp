@@ -12,6 +12,7 @@
 #include "data/femnist_synth.hpp"
 #include "nn/model_zoo.hpp"
 #include "support/rng.hpp"
+#include "tangle/tip_selection.hpp"
 
 namespace tanglefl::tangle {
 namespace {
@@ -98,7 +99,8 @@ TEST(ReleaseFrozenPayloads, ReleasesExactlyTheDeadOnes) {
   Fixture f;
   f.grow_chain(9);
   f.tangle.set_prune_floor(5);
-  const std::size_t released = release_frozen_payloads(f.tangle, f.store);
+  const std::size_t released =
+      release_frozen_payloads(f.tangle, f.store, /*from=*/0);
   // The store dedupes by hash: transaction 1's {0.0f} reuses the genesis
   // payload, so transaction i holds payload i - 1 and the live window
   // [5, 10) references payloads 4..8 — exactly 0..3 are dead.
@@ -109,7 +111,23 @@ TEST(ReleaseFrozenPayloads, ReleasesExactlyTheDeadOnes) {
   EXPECT_THROW((void)f.store.get(0), std::logic_error);
   (void)f.store.get(4);  // live payloads stay readable
   // Idempotent: a second sweep finds nothing new.
-  EXPECT_EQ(release_frozen_payloads(f.tangle, f.store), 0u);
+  EXPECT_EQ(release_frozen_payloads(f.tangle, f.store, 0), 0u);
+}
+
+TEST(ReleaseFrozenPayloads, ScansOnlyTheNewlyFrozenRange) {
+  // Payloads frozen by an earlier advance were settled then: a release
+  // from 3 to the floor 5 looks at transactions 3 and 4 (payloads 2 and 3)
+  // only.
+  Fixture f;
+  f.grow_chain(9);
+  f.tangle.set_prune_floor(5);
+  EXPECT_EQ(release_frozen_payloads(f.tangle, f.store, /*from=*/3), 2u);
+  for (PayloadId id = 0; id < f.store.size(); ++id) {
+    EXPECT_EQ(f.store.is_released(id), id == 2 || id == 3) << "payload " << id;
+  }
+  EXPECT_EQ(release_frozen_payloads(f.tangle, f.store, /*from=*/5), 0u);
+  EXPECT_THROW((void)release_frozen_payloads(f.tangle, f.store, /*from=*/6),
+               std::invalid_argument);
 }
 
 TEST(ReleaseFrozenPayloads, SharedPayloadSurvivesWhileReferencedLive) {
@@ -124,7 +142,7 @@ TEST(ReleaseFrozenPayloads, SharedPayloadSurvivesWhileReferencedLive) {
       parents, shared, f.tangle.transaction(a).payload_hash, 3);
   f.add({c}, 4.0f, 4);
   f.tangle.set_prune_floor(b);
-  (void)release_frozen_payloads(f.tangle, f.store);
+  (void)release_frozen_payloads(f.tangle, f.store, 0);
   EXPECT_FALSE(f.store.is_released(shared));
 }
 
@@ -155,6 +173,49 @@ TEST(MilestoneTracker, AdvanceFreezesAndReleases) {
   EXPECT_FALSE(f.store.is_released(6));
   // Nothing new below the keep window: no further advance.
   EXPECT_FALSE(tracker.advance(f.tangle, f.store, *f.cones()));
+}
+
+TEST(MilestoneTracker, EveryAdvanceReleasesWhatNoLiveTransactionReferences) {
+  // A walked ledger with pruning on, grown as the engines grow one. Payload
+  // values repeat, so the store dedupes transactions on both sides of the
+  // floor onto shared payloads. After every advance the released set must
+  // equal a sweep over the whole store: exactly the payloads that no
+  // transaction at or above the floor references.
+  Fixture f;
+  ViewCache cache(4);
+  MilestoneConfig config;
+  config.enabled = true;
+  config.interval = 2;
+  config.keep_recent = 24;
+  MilestoneTracker tracker(config);
+  const Rng master(23);
+  std::size_t advances = 0;
+  for (std::uint64_t round = 1; round <= 60; ++round) {
+    const auto cones = cache.get(
+        f.tangle.view_prefix(f.tangle.visible_count_for_round(round)));
+    Rng rng = master.split(round);
+    std::vector<std::vector<TxIndex>> parents;
+    for (int p = 0; p < 4; ++p) {
+      parents.push_back(select_tips(*cones, 2, rng, {}));
+    }
+    for (int p = 0; p < 4; ++p) {
+      f.add(parents[p], static_cast<float>((round * 4 + p) % 11), round);
+    }
+    if (!tracker.tick() ||
+        !tracker.advance(f.tangle, f.store, *cache.get(f.tangle.view()))) {
+      continue;
+    }
+    ++advances;
+    std::vector<bool> live(f.store.size(), false);
+    for (TxIndex i = f.tangle.prune_floor(); i < f.tangle.size(); ++i) {
+      live[f.tangle.transaction(i).payload] = true;
+    }
+    for (PayloadId id = 0; id < live.size(); ++id) {
+      EXPECT_EQ(f.store.is_released(id), !live[id])
+          << "payload " << id << " after advance " << advances;
+    }
+  }
+  EXPECT_GE(advances, 3u);
 }
 
 TEST(MilestoneTracker, FloorLimitClampsTheAdvance) {

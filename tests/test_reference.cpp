@@ -185,10 +185,11 @@ TEST(Reference, WindowTopKMatchesFullLedgerTopK) {
       const tangle::ConfidenceWindow confidence =
           tangle::compute_confidences(view, *cones, rng_full,
                                       config.confidence);
-      const auto ratings = cones->past_cone_sizes();
+      const auto ratings = cones->past_cone_sizes();  // from the root
+      ASSERT_EQ(cones->root(), floor);
       std::vector<double> priorities(view.size(), 0.0);
       for (TxIndex i = floor; i < view.size(); ++i) {
-        priorities[i] = confidence[i] * ratings[i];
+        priorities[i] = confidence[i] * ratings[i - floor];
       }
       const std::size_t take =
           std::max<std::size_t>(1, std::min(k, view.size() - floor));

@@ -1,19 +1,23 @@
 // The shared cone cache must be a pure memoization layer: every quantity a
 // ViewCacheEntry serves (cones, tips, approver lists) must equal what the
-// TangleView computes directly, on prefix views and on masked (gossip
-// replica) views alike, and the parallel fill must be bit-identical to the
-// serial one. The ViewCache keying tests pin the identity rules: prefix
-// count for prefix views, membership for masked views, and the
-// "mask covers the whole prefix" normalization that lets converged
-// replicas share entries.
+// TangleView computes directly over the entry's window [root(), size()),
+// on prefix views and on masked (gossip replica) views alike, pruned or
+// not, and the parallel fill must be bit-identical to the serial one.
+// The ViewCache keying tests pin the identity rules: prefix count for
+// prefix views, membership for masked views, and the "mask covers the
+// whole prefix" normalization that lets converged replicas share entries.
 #include "tangle/view_cache.hpp"
+
+#include <algorithm>
 
 #include <gtest/gtest.h>
 
 #include "obs/metrics.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
+#include "tangle/milestones.hpp"
 #include "tangle/model_store.hpp"
+#include "tangle/tip_selection.hpp"
 
 namespace tanglefl::tangle {
 namespace {
@@ -73,26 +77,98 @@ struct Fixture {
   }
 };
 
+/// A ledger grown the way the engines grow one with milestone pruning on:
+/// each round's transactions approve two tips walked over the round view's
+/// cache entry, and every other round advances the prune floor over the
+/// full-ledger entry.
+struct PrunedLedger : Fixture {
+  ViewCache cache{4};
+  // Follows the cache's incremental cone state: advanced to each size the
+  // cache is asked for, under the floor the cache saw then.
+  IncrementalConeState mirror;
+  std::vector<std::shared_ptr<const ViewCacheEntry>> served;
+  std::size_t prunes = 0;
+
+  std::shared_ptr<const ViewCacheEntry> get(const TangleView& view) {
+    std::shared_ptr<const ViewCacheEntry> entry = cache.get(view);
+    mirror.advance_to(tangle, view.size());
+    served.push_back(entry);
+    return entry;
+  }
+
+  void grow_pruned(std::size_t rounds, std::size_t lambda) {
+    MilestoneConfig config;
+    config.enabled = true;
+    config.interval = 2;
+    config.keep_recent = 24;
+    MilestoneTracker tracker(config);
+    const Rng master(19);
+    const std::uint64_t first = tangle.transaction(tangle.size() - 1).round + 1;
+    for (std::uint64_t round = first; round < first + rounds; ++round) {
+      const auto cones =
+          get(tangle.view_prefix(tangle.visible_count_for_round(round)));
+      Rng rng = master.split(round);
+      std::vector<std::vector<TxIndex>> parents;
+      for (std::size_t p = 0; p < lambda; ++p) {
+        parents.push_back(select_tips(*cones, 2, rng, {}));
+      }
+      for (std::size_t p = 0; p < lambda; ++p) {
+        add(parents[p], static_cast<float>(tangle.size()), round);
+      }
+      if (tracker.tick() &&
+          tracker.advance(tangle, store, *get(tangle.view()))) {
+        ++prunes;
+      }
+    }
+  }
+
+  /// Ancestor closure of every other tip of the full ledger: a gossip
+  /// replica's view that keeps the floor below its tips.
+  std::vector<bool> every_other_tip_membership() const {
+    const std::vector<TxIndex> tips = tangle.view().tips();
+    std::vector<bool> members(tangle.size(), false);
+    std::vector<TxIndex> stack;
+    for (std::size_t k = 0; k < tips.size(); k += 2) stack.push_back(tips[k]);
+    while (!stack.empty()) {
+      const TxIndex i = stack.back();
+      stack.pop_back();
+      if (members[i]) continue;
+      members[i] = true;
+      if (i == 0) continue;
+      for (const TxIndex p : tangle.parent_indices(i)) stack.push_back(p);
+    }
+    return members;
+  }
+};
+
+/// Every quantity `entry` serves equals the TangleView reference over the
+/// entry's window [root(), view_size()); root() is the prune floor (0 on an
+/// unpruned ledger, where the window is the whole view).
 void expect_entry_matches_view(const TangleView& view,
                                const ViewCacheEntry& entry) {
   ASSERT_EQ(entry.view_size(), view.size());
+  const TxIndex root = entry.root();
+  ASSERT_EQ(root, view.tangle().prune_floor());
+  ASSERT_LT(root, view.size());
   const std::vector<std::uint32_t> past = view.past_cone_sizes();
   const std::vector<std::uint32_t> future = view.future_cone_sizes();
-  ASSERT_EQ(entry.past_cone_sizes().size(), past.size());
-  ASSERT_EQ(entry.future_cone_sizes().size(), future.size());
-  for (TxIndex i = 0; i < view.size(); ++i) {
-    EXPECT_EQ(entry.past_cone_sizes()[i], past[i]) << "past cone of " << i;
-    EXPECT_EQ(entry.future_cone_sizes()[i], future[i])
+  ASSERT_EQ(entry.past_cone_sizes().size(), view.size() - root);
+  ASSERT_EQ(entry.future_cone_sizes().size(), view.size() - root);
+  for (TxIndex i = root; i < view.size(); ++i) {
+    EXPECT_EQ(entry.past_cone_sizes()[i - root], past[i])
+        << "past cone of " << i;
+    EXPECT_EQ(entry.future_cone_sizes()[i - root], future[i])
         << "future cone of " << i;
   }
 
-  const std::vector<TxIndex> tips = view.tips();
+  std::vector<TxIndex> tips = view.tips();
+  std::erase_if(tips, [&](TxIndex t) { return t < root; });
   ASSERT_EQ(entry.tips().size(), tips.size());
   for (std::size_t i = 0; i < tips.size(); ++i) {
     EXPECT_EQ(entry.tips()[i], tips[i]);
   }
 
-  for (TxIndex i = 0; i < view.size(); ++i) {
+  for (TxIndex i = root; i < view.size(); ++i) {
     if (!view.contains(i)) continue;
     const std::vector<TxIndex> direct = view.approvers(i);
     const std::span<const TxIndex> cached = entry.approvers(i);
@@ -317,6 +393,106 @@ TEST(ViewCacheEntry, ApproversOutOfRangeThrowsUnderDebugChecks) {
   (void)entry->approvers(entry->view_size() - 1);  // last valid row is fine
 }
 
+TEST(ViewCacheEntry, PrunedWindowsMatchDirectQueriesAboveRoot) {
+  PrunedLedger f;
+  f.grow_pruned(/*rounds=*/40, /*lambda=*/4);
+  ASSERT_GE(f.prunes, 3u);
+  const TxIndex floor = f.tangle.prune_floor();
+  ASSERT_GT(floor, 0u);
+
+  // Prefix views (the whole ledger and a round view) and a masked gossip
+  // view, each through the BitMatrix build.
+  const std::uint64_t last = f.tangle.transaction(f.tangle.size() - 1).round;
+  const TangleView masked(f.tangle, f.every_other_tip_membership());
+  ASSERT_LT(masked.member_count(), masked.size());
+  for (const TangleView& view :
+       {f.tangle.view(),
+        f.tangle.view_prefix(f.tangle.visible_count_for_round(last)),
+        masked}) {
+    const auto built = ViewCacheEntry::build(view);
+    EXPECT_EQ(built->root(), floor);
+    expect_entry_matches_view(view, *built);
+  }
+
+  // The cache's delta entry serves the same window. It was built at the
+  // last prune tick, before that prune, so its root may lie below the
+  // floor. Its ratings count the frozen region wholesale
+  // (tangle/incremental_cones.hpp), so they are checked against the cone
+  // state the cache maintains.
+  const TangleView view = f.tangle.view();
+  const auto delta = f.get(view);
+  const auto built = ViewCacheEntry::build(view);
+  const TxIndex root = delta->root();
+  ASSERT_GT(root, 0u);
+  ASSERT_LE(root, floor);
+  ASSERT_EQ(delta->past_cone_sizes().size(), view.size() - root);
+  for (TxIndex i = root; i < view.size(); ++i) {
+    EXPECT_EQ(delta->past_cone_sizes()[i - root],
+              f.mirror.past_cone_sizes()[i])
+        << "past cone of " << i;
+  }
+  for (TxIndex i = floor; i < view.size(); ++i) {
+    EXPECT_EQ(delta->future_cone_sizes()[i - root],
+              built->future_cone_sizes()[i - floor])
+        << "future cone of " << i;
+    EXPECT_TRUE(std::ranges::equal(delta->approvers(i), built->approvers(i)))
+        << "approvers of " << i;
+  }
+  EXPECT_TRUE(std::ranges::equal(delta->tips(), built->tips()));
+}
+
+TEST(ViewCacheEntry, PrunedParallelFillMatchesSerial) {
+  PrunedLedger f;
+  f.grow_pruned(/*rounds=*/560, /*lambda=*/4);
+  ASSERT_GE(f.prunes, 3u);
+  const TangleView masked(f.tangle, f.every_other_tip_membership());
+  ASSERT_GE(masked.size(), 2048u);  // above the parallel threshold
+  ThreadPool pool(4);
+  const auto serial = ViewCacheEntry::build(masked, nullptr);
+  const auto parallel = ViewCacheEntry::build(masked, &pool);
+  EXPECT_TRUE(std::ranges::equal(serial->past_cone_sizes(),
+                                 parallel->past_cone_sizes()));
+  EXPECT_TRUE(std::ranges::equal(serial->future_cone_sizes(),
+                                 parallel->future_cone_sizes()));
+  expect_entry_matches_view(masked, *parallel);
+}
+
+TEST(ViewCacheEntry, TipsNeverListIndicesBelowRoot) {
+  PrunedLedger f;
+  f.grow_pruned(/*rounds=*/40, /*lambda=*/4);
+  ASSERT_GE(f.prunes, 3u);
+  for (const auto& entry : f.served) {
+    for (const TxIndex tip : entry->tips()) EXPECT_GE(tip, entry->root());
+  }
+
+  // A floor that is no milestone (an async engine clamps the frontier to
+  // its slowest horizon) leaves a prefix view's tips below it; the entry
+  // lists only the window's.
+  Fixture g;
+  g.grow(60, /*seed=*/61);
+  const TangleView view = g.tangle.view_prefix(50);
+  g.tangle.set_prune_floor(40);
+  const std::vector<TxIndex> all_tips = view.tips();
+  ASSERT_TRUE(std::ranges::any_of(all_tips, [](TxIndex t) { return t < 40; }));
+  const auto entry = ViewCacheEntry::build(view);
+  ASSERT_FALSE(entry->tips().empty());
+  for (const TxIndex tip : entry->tips()) EXPECT_GE(tip, 40u);
+  expect_entry_matches_view(view, *entry);
+}
+
+TEST(ViewCacheEntry, ApproversBelowRootThrowsUnderDebugChecks) {
+  PrunedLedger f;
+  f.grow_pruned(/*rounds=*/40, /*lambda=*/4);
+  ASSERT_GE(f.prunes, 3u);
+  const auto entry = ViewCacheEntry::build(f.tangle.view());
+  ASSERT_GT(entry->root(), 0u);
+#if defined(TANGLEFL_DEBUG_CHECKS)
+  EXPECT_THROW((void)entry->approvers(entry->root() - 1), CheckFailure);
+  EXPECT_THROW((void)entry->approvers(0), CheckFailure);
+#endif
+  (void)entry->approvers(entry->root());  // the first window row is fine
+}
+
 TEST(ViewCache, IncrementalAndFullBuildsServeIdenticalEntries) {
   Fixture f;
   f.grow(80, /*seed=*/31);
@@ -329,32 +505,6 @@ TEST(ViewCache, IncrementalAndFullBuildsServeIdenticalEntries) {
     const auto b = ViewCacheEntry::build(view);
     expect_entry_matches_view(view, *a);
     expect_entry_matches_view(view, *b);
-  }
-}
-
-TEST(ViewCache, ConeStateSnapshotRestoresAcrossCaches) {
-  Fixture f;
-  f.grow(60, /*seed=*/37);
-  ViewCache original(4);
-  (void)original.get(f.tangle.view());
-  const ViewCache::ConeStateSnapshot snapshot =
-      original.cone_state_snapshot();
-  ASSERT_EQ(snapshot.past.size(), f.tangle.size());
-
-  ViewCache resumed(4);
-  resumed.restore_cone_state(f.tangle, snapshot);
-  // The first get() after a restore must serve the seeded state, not wipe
-  // it via the tangle-rebind path.
-  f.grow(25, /*seed=*/39);
-  const TangleView view = f.tangle.view();
-  const auto restored_entry = resumed.get(view);
-  const auto fresh_entry = original.get(view);
-  ASSERT_EQ(restored_entry->view_size(), fresh_entry->view_size());
-  for (TxIndex i = 0; i < view.size(); ++i) {
-    EXPECT_EQ(restored_entry->past_cone_sizes()[i],
-              fresh_entry->past_cone_sizes()[i]);
-    EXPECT_EQ(restored_entry->future_cone_sizes()[i],
-              fresh_entry->future_cone_sizes()[i]);
   }
 }
 
