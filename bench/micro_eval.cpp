@@ -8,8 +8,12 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
+#include <numeric>
+#include <vector>
 
 #include "core/eval_engine.hpp"
+#include "data/femnist_synth.hpp"
 #include "data/training.hpp"
 #include "nn/model_zoo.hpp"
 #include "obs/manifest.hpp"
@@ -247,6 +251,55 @@ BENCHMARK(BM_MultiEvalFused)
     ->Arg(5)
     ->Arg(10)
     ->Arg(20)
+    ->Unit(benchmark::kMillisecond);
+
+// ---------------------------------------------------------- consensus eval
+//
+// The perfbench femnist_robust consensus evaluation: one reference model
+// scored on the pooled test data of all 500 writers (3,036 12x12 samples,
+// 48 batches) as a lone keyless request. Arg = round-pool workers: 0 runs
+// the grid serially; 2 spreads its batches over the workers and the
+// calling thread, as the engine does at the round barrier.
+
+void BM_ConsensusEval(benchmark::State& state) {
+  data::FemnistSynthConfig config;
+  config.num_users = 500;
+  config.image_size = 12;
+  config.mean_samples_per_user = 25.0;
+  config.seed = 1;
+  const data::FederatedDataset dataset = data::make_femnist_synth(config);
+  std::vector<std::size_t> users(dataset.num_users());
+  std::iota(users.begin(), users.end(), std::size_t{0});
+  const data::DataSplit pooled = dataset.pooled_test(users);
+
+  nn::ImageCnnConfig model_config;
+  model_config.image_size = config.image_size;
+  model_config.num_classes = config.num_classes;
+  const nn::ModelFactory factory = [model_config] {
+    return nn::make_image_cnn(model_config);
+  };
+  nn::Model model = factory();
+  Rng rng(1);
+  model.init(rng);
+  const nn::ParamVector params = model.get_parameters();
+
+  core::EvalEngine engine(factory);
+  const auto prepared = engine.prepare(pooled);
+  const auto workers = static_cast<std::size_t>(state.range(0));
+  std::unique_ptr<ThreadPool> pool =
+      workers > 0 ? std::make_unique<ThreadPool>(workers) : nullptr;
+  const core::EvalRequest request{params, std::nullopt};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        engine.evaluate_many({&request, 1}, *prepared, pool.get())
+            .front()
+            .result.loss);
+  }
+  state.counters["samples"] = static_cast<double>(pooled.size());
+}
+BENCHMARK(BM_ConsensusEval)
+    ->Arg(0)
+    ->Arg(2)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

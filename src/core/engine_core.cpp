@@ -190,9 +190,11 @@ void EngineCore::evaluate_consensus(RoundRecord& record,
   const data::DataSplit pooled = dataset_->pooled_test(users);
   if (pooled.empty()) return;
 
-  // The pooled split is batched once per eval, the model comes from the
+  // The pooled split is batched once per eval, the models come from the
   // pool, and the (reference payload list, split) result caches — a repeat
   // eval of an unchanged consensus on the same users costs no forwards.
+  // Its batches run on the round pool, which is idle at this barrier (the
+  // async and gossip engines have none and run them serially).
   const ReferenceResult reference = consensus_reference(view, reference_rng);
   const std::shared_ptr<const BatchedSplit> prepared =
       eval_engine_.prepare(pooled);
@@ -200,7 +202,7 @@ void EngineCore::evaluate_consensus(RoundRecord& record,
   const data::EvalResult eval =
       eval_engine_
           .evaluate_many(std::span<const EvalRequest>(&request, 1), *prepared,
-                         kernel_pool_)
+                         cone_pool_)
           .front()
           .result;
   record.accuracy = eval.accuracy;

@@ -86,9 +86,10 @@ struct CoreOptions {
   // Evaluation cadence in the scheduler's unit (rounds or seconds); > 0.
   double eval_every = 1.0;
   std::size_t view_cache_capacity = 4;
-  // Not owned. Builds cache entries (null builds serially).
+  // Not owned. The round pool: builds cache entries and runs the consensus
+  // eval's batches at the barrier (null runs both serially).
   ThreadPool* cone_pool = nullptr;
-  // Not owned. Intra-node kernels and the consensus eval pass.
+  // Not owned. Intra-node kernels and node steps' eval grids.
   ThreadPool* kernel_pool = nullptr;
 };
 

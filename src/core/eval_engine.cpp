@@ -1,8 +1,11 @@
 #include "core/eval_engine.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cassert>
 #include <cstring>
+#include <limits>
 #include <utility>
 
 #include "nn/layer.hpp"
@@ -88,16 +91,6 @@ std::uint64_t fnv1a(const void* data, std::size_t bytes, std::uint64_t state) {
   return state;
 }
 
-std::uint64_t fnv1a_reverse(const void* data, std::size_t bytes,
-                            std::uint64_t state) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = bytes; i > 0; --i) {
-    state ^= p[i - 1];
-    state *= kFnvPrime;
-  }
-  return state;
-}
-
 std::uint64_t mix64(std::uint64_t x) {
   // SplitMix64 finalizer.
   x ^= x >> 30;
@@ -108,7 +101,31 @@ std::uint64_t mix64(std::uint64_t x) {
   return x;
 }
 
-/// 128-bit content identity of a split: two independent byte passes
+// The split-key hash: 8 bytes per multiply-rotate step (the rotation
+// brings the high product bits, which carry the most of the state, back
+// down to where the next multiply spreads them). A trailing partial word is
+// zero-padded and taken last; `reverse` takes the words in descending
+// order, the partial one first.
+std::uint64_t hash_words(const void* data, std::size_t bytes,
+                         std::uint64_t state, bool reverse) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  const std::size_t words = bytes / 8;
+  const auto step = [&state](std::uint64_t word) {
+    state = std::rotl(state ^ word, 23) * 0x94d049bb133111ebull;
+  };
+  std::uint64_t tail = 0;
+  if (bytes % 8 != 0) std::memcpy(&tail, p + words * 8, bytes % 8);
+  if (reverse && bytes % 8 != 0) step(tail);
+  for (std::size_t n = 0; n < words; ++n) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, p + 8 * (reverse ? words - 1 - n : n), 8);
+    step(word);
+  }
+  if (!reverse && bytes % 8 != 0) step(tail);
+  return state;
+}
+
+/// 128-bit content identity of a split: two independent word passes
 /// (forward and reverse order, distinct bases) over features then labels.
 /// Used as an exact key; a collision would alias cache entries, so the
 /// combined 128 bits + sample count keep that probability negligible.
@@ -119,11 +136,14 @@ SplitKey split_key_of(const data::DataSplit& split) {
 
   SplitKey key;
   key.samples = split.size();
-  key.lo = fnv1a(features.data(), feature_bytes, kFnvBasis);
-  key.lo = fnv1a(split.labels.data(), label_bytes, key.lo);
-  std::uint64_t hi = fnv1a_reverse(split.labels.data(), label_bytes,
-                                   kFnvBasis ^ 0x9e3779b97f4a7c15ull);
-  hi = fnv1a_reverse(features.data(), feature_bytes, hi);
+  std::uint64_t lo = hash_words(features.data(), feature_bytes, kFnvBasis,
+                                /*reverse=*/false);
+  lo = hash_words(split.labels.data(), label_bytes, lo, /*reverse=*/false);
+  std::uint64_t hi = hash_words(split.labels.data(), label_bytes,
+                                kFnvBasis ^ 0x9e3779b97f4a7c15ull,
+                                /*reverse=*/true);
+  hi = hash_words(features.data(), feature_bytes, hi, /*reverse=*/true);
+  key.lo = mix64(lo);
   key.hi = mix64(hi);
   return key;
 }
@@ -147,85 +167,112 @@ BatchScore score_batch(const nn::Tensor& logits,
   return score;
 }
 
-void run_tasks(ThreadPool* pool, std::size_t n,
-               const std::function<void(std::size_t)>& body) {
-  if (pool == nullptr) {
-    for (std::size_t i = 0; i < n; ++i) body(i);
-  } else {
-    pool->parallel_for(n, body);
-  }
-}
-
 }  // namespace
 
-// One leased instance per model, because layers cache activations and a
-// single instance cannot run two batches concurrently. The shared input
-// panels leave each model's weight packs and reduction chains untouched,
-// so every result is bit-identical to that model's own data::evaluate.
+// The grid's parallel axis keeps every lane busy and packs each batch's
+// conv input once. With at least as many batches as lanes, a lane claims
+// whole batches, gathers each into its own GEMM panels and runs all k
+// models on it; with fewer (a node step's candidates on one validation
+// batch), batch b is packed up front into lane b's panels and lanes claim
+// single (model, batch) cells. Each lane leases one model and reloads
+// parameters only when its next cell belongs to another model. A forward
+// is a pure function of (parameters, batch) and every cell writes its own
+// score, so every result is bit-identical to that model's own
+// data::evaluate, whichever lane ran which cell.
 std::vector<data::EvalResult> EvalEngine::run_grid(
     std::span<const std::span<const float>> params,
     const BatchedSplit& batched, ThreadPool* pool) {
   const std::size_t k = params.size();
   assert(k > 0);
-  std::vector<data::EvalResult> results(k);
-  if (batched.samples() == 0) return results;
+  if (batched.samples() == 0) return std::vector<data::EvalResult>(k);
   obs::TraceScope span("eval.forward", &eval_us_histogram());
   const std::size_t batches = batched.batch_count();
-  std::vector<ModelLease> leases;
-  leases.reserve(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    leases.push_back(acquire());
-    leases.back().model().set_parameters(params[i]);
-  }
+  // The pool's workers plus the calling thread (ThreadPool::parallel_for
+  // runs a one-worker pool inline).
+  const std::size_t lanes =
+      pool == nullptr || pool->thread_count() < 2
+          ? 1
+          : std::min(pool->thread_count() + 1, k * batches);
+  const bool by_batch = batches >= lanes;
+  std::vector<BatchScore> grid(k * batches);
+
+  struct Lane {
+    explicit Lane(ModelLease leased) : lease(std::move(leased)) {}
+    ModelLease lease;
+    // Index of the parameters the leased model holds.
+    std::size_t loaded = std::numeric_limits<std::size_t>::max();
+    std::vector<float> panels;
+  };
+  std::vector<Lane> lane_state;
+  lane_state.reserve(lanes);
+  for (std::size_t l = 0; l < lanes; ++l) lane_state.emplace_back(acquire());
 
   // Input-pack sharing applies when the stack opens with a convolution
-  // (every leased model has the same architecture); other stacks still get
-  // the grid parallelism with per-model full forwards.
-  nn::Model& probe = leases.front().model();
+  // (every leased model has the same architecture); other stacks run
+  // per-cell full forwards.
+  nn::Model& probe = lane_state.front().lease.model();
   const bool fuse_conv =
       probe.layer_count() > 1 && probe.layer(0).name() == "Conv2D";
-
-  std::vector<BatchScore> grid(k * batches);
+  const nn::ops::Conv2DShape shape =
+      fuse_conv ? static_cast<nn::Conv2D&>(probe.layer(0)).shape()
+                : nn::ops::Conv2DShape{};
+  const auto pack = [&](std::size_t b, Lane& lane) {
+    const nn::Tensor& x = batched.features(b);
+    lane.panels.resize(x.dim(0) * nn::ops::conv2d_packed_input_floats(
+                                      shape, x.dim(2), x.dim(3)));
+    nn::ops::conv2d_pack_input(x, shape, lane.panels);
+  };
   if (fuse_conv) {
-    const nn::ops::Conv2DShape shape =
-        static_cast<nn::Conv2D&>(probe.layer(0)).shape();
-    nn::ops::Workspace pack_scratch;
-    std::vector<float> packed;
-    for (std::size_t b = 0; b < batches; ++b) {
-      const nn::Tensor& x = batched.features(b);
-      const std::size_t h = x.dim(2), w = x.dim(3);
-      const std::size_t per_sample =
-          nn::ops::conv2d_packed_input_floats(shape, h, w);
-      packed.resize(x.dim(0) * per_sample);
-      nn::ops::conv2d_pack_input(x, shape, packed, &pack_scratch);
-      pack_reuse_counter().add(k - 1);
-      run_tasks(pool, k, [&](std::size_t i) {
-        nn::Model& model = leases[i].model();
-        auto& conv = static_cast<nn::Conv2D&>(model.layer(0));
-        nn::Tensor y1({x.dim(0), shape.out_channels, shape.out_extent(h),
-                       shape.out_extent(w)});
-        nn::ops::conv2d_forward_prepacked(packed, x.dim(0), h, w,
-                                          conv.weight(), conv.bias(), shape,
-                                          y1);
-        const nn::Tensor logits =
-            model.forward_from(1, y1, /*training=*/false);
-        grid[i * batches + b] = score_batch(logits, batched.labels(b));
-      });
+    pack_reuse_counter().add(batches * (k - 1));
+    if (!by_batch) {
+      for (std::size_t b = 0; b < batches; ++b) pack(b, lane_state[b]);
     }
-  } else {
-    run_tasks(pool, k, [&](std::size_t i) {
-      nn::Model& model = leases[i].model();
-      for (std::size_t b = 0; b < batches; ++b) {
-        const nn::Tensor logits =
-            model.forward(batched.features(b), /*training=*/false);
+  }
+
+  std::atomic<std::size_t> next{0};
+  const std::size_t units = by_batch ? batches : k * batches;
+  const auto run_lane = [&](std::size_t l) {
+    Lane& lane = lane_state[l];
+    nn::Model& model = lane.lease.model();
+    for (std::size_t u = next++; u < units; u = next++) {
+      const std::size_t b = by_batch ? u : u / k;
+      const std::size_t first = by_batch ? 0 : u % k;
+      if (by_batch && fuse_conv) pack(b, lane);
+      const std::span<const float> panels =
+          (by_batch ? lane : lane_state[b]).panels;
+      const nn::Tensor& x = batched.features(b);
+      for (std::size_t i = first; i < (by_batch ? k : first + 1); ++i) {
+        if (lane.loaded != i) {
+          model.set_parameters(params[i]);
+          lane.loaded = i;
+        }
+        nn::Tensor logits;
+        if (fuse_conv) {
+          auto& conv = static_cast<nn::Conv2D&>(model.layer(0));
+          nn::Tensor y1({x.dim(0), shape.out_channels,
+                         shape.out_extent(x.dim(2)),
+                         shape.out_extent(x.dim(3))});
+          nn::ops::conv2d_forward_prepacked(panels, x.dim(0), x.dim(2),
+                                            x.dim(3), conv.weight(),
+                                            conv.bias(), shape, y1);
+          logits = model.forward_from(1, y1, /*training=*/false);
+        } else {
+          logits = model.forward(x, /*training=*/false);
+        }
         grid[i * batches + b] = score_batch(logits, batched.labels(b));
       }
-    });
+    }
+  };
+  if (lanes == 1) {
+    run_lane(0);
+  } else {
+    pool->parallel_for(lanes, run_lane);
   }
 
   // Serial reduction in (model, batch) order: per-batch mean loss scaled by
   // the batch count, summed in double over batches in order — the same
   // chain as data::evaluate, and the same counter totals as k lone probes.
+  std::vector<data::EvalResult> results(k);
   for (std::size_t i = 0; i < k; ++i) {
     double loss_sum = 0.0;
     std::size_t correct = 0;

@@ -17,11 +17,13 @@
 //   * pre-batched validation — a split is gathered into forward-ready
 //     batch tensors once (BatchedSplit) and reused by every probe against
 //     it, killing the per-eval DataSplit::gather copies.
-//   * fused grid — the group's cache misses each lease a pooled nn::Model
-//     (so layer allocations and workspaces amortize across the run) and
-//     run as a models×batches grid, on the caller's kernel pool when
-//     given; a stack opening with a convolution gathers each input batch
-//     into GEMM panels once for every model.
+//   * fused grid — the group's cache misses run as a models×batches grid,
+//     on the pool the caller gives. Lanes claim whole batches when there
+//     are at least as many batches as lanes, else single (model, batch)
+//     cells; each lane leases one pooled nn::Model (so layer allocations
+//     and workspaces amortize across the run). A stack opening with a
+//     convolution gathers each input batch into GEMM panels once for
+//     every model.
 //
 // Every result is bit-identical to the direct `factory() + set_parameters
 // + data::evaluate` path: evaluation runs forward passes only
@@ -55,7 +57,8 @@ class ThreadPool;
 
 namespace tanglefl::core {
 
-/// 128-bit content identity of a DataSplit (feature bytes + labels).
+/// 128-bit content identity of a DataSplit (feature bytes + labels, hashed
+/// 8 bytes per step in two independent passes) plus its sample count.
 struct SplitKey {
   std::uint64_t lo = 0;
   std::uint64_t hi = 0;
@@ -181,7 +184,8 @@ class EvalEngine {
   /// Evaluates a probe group: cache hits are resolved up front (first
   /// occurrence of a duplicated key counts as the miss, later ones as hits,
   /// mirroring the serial probe order) and only the misses enter the fused
-  /// pass, whose k×batches work grid runs on `pool`. outcomes[i] is
+  /// pass, whose k×batches work grid runs on `pool` (one lane per worker
+  /// plus the caller; null runs it serially). outcomes[i] is
   /// bit-identical to probing requests[i] alone, including the hit/miss
   /// flags and counter totals.
   std::vector<EvalOutcome> evaluate_many(std::span<const EvalRequest> requests,

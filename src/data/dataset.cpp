@@ -46,27 +46,6 @@ DataSplit DataSplit::slice(std::size_t start, std::size_t count) const {
   return out;
 }
 
-void DataSplit::append(const DataSplit& other) {
-  if (other.empty()) return;
-  if (empty()) {
-    *this = other;
-    return;
-  }
-  if (example_shape() != other.example_shape()) {
-    throw std::invalid_argument("DataSplit::append: shape mismatch");
-  }
-  std::vector<std::size_t> shape = features.shape();
-  shape[0] += other.size();
-  std::vector<float> merged;
-  merged.reserve(features.size() + other.features.size());
-  merged.insert(merged.end(), features.values().begin(),
-                features.values().end());
-  merged.insert(merged.end(), other.features.values().begin(),
-                other.features.values().end());
-  features = nn::Tensor(std::move(shape), std::move(merged));
-  labels.insert(labels.end(), other.labels.begin(), other.labels.end());
-}
-
 FederatedDataset::FederatedDataset(std::string name, std::string model_type,
                                    std::size_t num_classes,
                                    double train_fraction,
@@ -85,9 +64,33 @@ void FederatedDataset::filter_min_samples(std::size_t min_samples) {
 
 DataSplit FederatedDataset::pooled_test(
     std::span<const std::size_t> user_indices) const {
-  DataSplit pooled;
+  // Sizes first, then one allocation and one copy of each user's rows.
+  std::vector<std::size_t> shape;  // of the first non-empty split
+  std::size_t samples = 0;
   for (const std::size_t i : user_indices) {
-    pooled.append(users_.at(i).test);
+    const DataSplit& test = users_.at(i).test;
+    if (test.empty()) continue;
+    if (shape.empty()) {
+      shape = test.features.shape();
+    } else if (!std::equal(shape.begin() + 1, shape.end(),
+                           test.features.shape().begin() + 1,
+                           test.features.shape().end())) {
+      throw std::invalid_argument(
+          "FederatedDataset::pooled_test: shape mismatch");
+    }
+    samples += test.size();
+  }
+  DataSplit pooled;
+  if (shape.empty()) return pooled;
+  shape[0] = samples;
+  pooled.features = nn::Tensor(std::move(shape));
+  pooled.labels.reserve(samples);
+  float* out = pooled.features.data();
+  for (const std::size_t i : user_indices) {
+    const DataSplit& test = users_[i].test;
+    out = std::copy_n(test.features.data(), test.features.size(), out);
+    pooled.labels.insert(pooled.labels.end(), test.labels.begin(),
+                         test.labels.end());
   }
   return pooled;
 }

@@ -31,9 +31,6 @@ struct DataSplit {
   /// materializing an index vector (one block copy instead of per-row).
   [[nodiscard]] DataSplit slice(std::size_t start, std::size_t count) const;
 
-  /// Appends another split with identical per-example shape.
-  void append(const DataSplit& other);
-
   /// Per-example feature shape (the split's shape minus the leading dim).
   [[nodiscard]] std::vector<std::size_t> example_shape() const;
 };
@@ -81,9 +78,11 @@ class FederatedDataset {
   /// Shakespeare preprocessing keeps users with >= 64 samples).
   void filter_min_samples(std::size_t min_samples);
 
-  /// Pools the test splits of the users at `user_indices` into one split —
-  /// the paper validates on "the test datasets of a random selection of
-  /// 10% of all nodes".
+  /// Pools the test splits of the users at `user_indices`, in that order,
+  /// into one split — the paper validates on "the test datasets of a random
+  /// selection of 10% of all nodes". Empty splits are skipped; throws
+  /// std::invalid_argument when two non-empty splits differ in per-example
+  /// shape.
   [[nodiscard]] DataSplit pooled_test(
       std::span<const std::size_t> user_indices) const;
 

@@ -26,7 +26,8 @@ class Layer {
   void set_kernel_pool(ThreadPool* pool) noexcept { kernel_pool_ = pool; }
 
   /// Computes the layer output. `training` enables train-only behaviour
-  /// (dropout masks). The input is cached for backward().
+  /// (dropout masks). A training forward caches what backward() reads;
+  /// Conv2D, ReLU and Linear copy no input when `training` is false.
   virtual Tensor forward(const Tensor& input, bool training) = 0;
 
   /// Given d(loss)/d(output), accumulates parameter gradients and returns

@@ -27,9 +27,8 @@ void Linear::init(Rng& rng) {
 }
 
 Tensor Linear::forward(const Tensor& input, bool training) {
-  (void)training;
   assert(input.rank() == 2 && input.dim(1) == in_features_);
-  cached_input_ = input;
+  if (training) cached_input_ = input;
   Tensor output({input.dim(0), out_features_});
   ops::matmul(input, weight_, output, kernel_pool_);
   ops::add_row_bias(output, bias_);
@@ -65,8 +64,7 @@ std::unique_ptr<Layer> Linear::clone() const {
 // ------------------------------------------------------------------ ReLU
 
 Tensor ReLU::forward(const Tensor& input, bool training) {
-  (void)training;
-  cached_input_ = input;
+  if (training) cached_input_ = input;
   Tensor output = input;
   for (auto& v : output.values()) v = v > 0.0f ? v : 0.0f;
   return output;

@@ -35,9 +35,8 @@ void Conv2D::init(Rng& rng) {
 }
 
 Tensor Conv2D::forward(const Tensor& input, bool training) {
-  (void)training;
   assert(input.rank() == 4 && input.dim(1) == in_channels_);
-  cached_input_ = input;
+  if (training) cached_input_ = input;
   const auto shape = conv_shape();
   Tensor output({input.dim(0), out_channels_, shape.out_extent(input.dim(2)),
                  shape.out_extent(input.dim(3))});

@@ -83,7 +83,8 @@ class KernelTimer {
 };
 
 // Fallback arena for callers that pass no Workspace (one-off tests, direct
-// ops usage). Thread-local so concurrent node steps never share scratch.
+// ops usage, the eval grid's input packs). Thread-local so concurrent node
+// steps never share scratch.
 Workspace& thread_workspace() {
   thread_local Workspace workspace;
   return workspace;

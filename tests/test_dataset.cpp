@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace tanglefl::data {
 namespace {
 
@@ -33,26 +35,6 @@ TEST(DataSplit, GatherEmpty) {
   const DataSplit split = make_split(5);
   const std::vector<std::size_t> indices;
   EXPECT_EQ(split.gather(indices).size(), 0u);
-}
-
-TEST(DataSplit, AppendMergesRows) {
-  DataSplit a = make_split(2);
-  const DataSplit b = make_split(3);
-  a.append(b);
-  EXPECT_EQ(a.size(), 5u);
-  EXPECT_FLOAT_EQ(a.features.at(2, 0), 0.0f);  // first row of b
-}
-
-TEST(DataSplit, AppendToEmpty) {
-  DataSplit a;
-  a.append(make_split(2));
-  EXPECT_EQ(a.size(), 2u);
-}
-
-TEST(DataSplit, AppendShapeMismatchThrows) {
-  DataSplit a = make_split(2, 2);
-  const DataSplit b = make_split(2, 3);
-  EXPECT_THROW(a.append(b), std::invalid_argument);
 }
 
 TEST(DataSplit, ExampleShapeDropsLeadingDim) {
@@ -134,6 +116,55 @@ TEST(FederatedDataset, PooledTestConcatenates) {
   FederatedDataset dataset("test", "MLP", 3, 0.8, std::move(users));
   const std::vector<std::size_t> indices = {0, 2};
   EXPECT_EQ(dataset.pooled_test(indices).size(), 6u);
+}
+
+TEST(FederatedDataset, PooledTestFollowsIndexOrder) {
+  // Rows land in the order of the index list, not of the users; each user
+  // split's rows stay in their own order.
+  std::vector<UserData> users(3);
+  users[0].test = make_split(2);
+  users[1].test = make_split(3);
+  users[2].test = make_split(1);
+  users[1].test.features.at(0, 0) = -1.0f;
+  users[1].test.labels[0] = 7;
+  FederatedDataset dataset("test", "MLP", 3, 0.8, std::move(users));
+  const std::vector<std::size_t> indices = {2, 0, 1};
+  const DataSplit pooled = dataset.pooled_test(indices);
+  ASSERT_EQ(pooled.size(), 6u);
+  EXPECT_EQ(pooled.features.shape(), (std::vector<std::size_t>{6, 2}));
+  const std::vector<float> features = {0, 1, 0,  1,  10, 11,
+                                       -1, 1, 10, 11, 20, 21};
+  const std::vector<std::int32_t> labels = {0, 0, 1, 7, 1, 2};
+  EXPECT_TRUE(std::equal(features.begin(), features.end(),
+                         pooled.features.values().begin(),
+                         pooled.features.values().end()));
+  EXPECT_EQ(pooled.labels, labels);
+}
+
+TEST(FederatedDataset, PooledTestSkipsEmptySplits) {
+  // Empty test splits contribute nothing, whatever their position; a list
+  // of only empty splits pools to an empty split.
+  std::vector<UserData> users(4);
+  users[1].test = make_split(2);
+  users[3].test = make_split(3, 4);  // different shape, but never pooled
+  FederatedDataset dataset("test", "MLP", 3, 0.8, std::move(users));
+  const std::vector<std::size_t> indices = {2, 0, 1, 0};
+  const DataSplit pooled = dataset.pooled_test(indices);
+  ASSERT_EQ(pooled.size(), 2u);
+  EXPECT_EQ(pooled.features.shape(), (std::vector<std::size_t>{2, 2}));
+  EXPECT_EQ(pooled.features.at(1, 1), 11.0f);
+  const std::vector<std::size_t> empties = {2, 0};
+  EXPECT_TRUE(dataset.pooled_test(empties).empty());
+  EXPECT_TRUE(dataset.pooled_test({}).empty());
+}
+
+TEST(FederatedDataset, PooledTestShapeMismatchThrows) {
+  std::vector<UserData> users(3);
+  users[0].test = make_split(2, 2);
+  users[2].test = make_split(2, 3);
+  FederatedDataset dataset("test", "MLP", 3, 0.8, std::move(users));
+  const std::vector<std::size_t> indices = {2, 1, 0};
+  EXPECT_THROW((void)dataset.pooled_test(indices), std::invalid_argument);
 }
 
 TEST(FederatedDataset, EmptyStats) {

@@ -278,6 +278,109 @@ TEST(EvalEngine, SingleRequestConvGroupMatchesDataEvaluateBitwise) {
   }
 }
 
+// --- grid shapes ----------------------------------------------------------
+
+nn::ModelFactory lstm_factory() {
+  return [] {
+    nn::CharLstmConfig config;
+    config.vocab_size = 7;
+    config.seq_length = 5;
+    config.embedding_dim = 3;
+    config.hidden_dim = 6;
+    config.lstm_layers = 2;
+    return nn::make_char_lstm(config);
+  };
+}
+
+data::DataSplit make_token_split(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  data::DataSplit split;
+  split.features = nn::Tensor({n, 5});
+  for (auto& v : split.features.values()) {
+    v = static_cast<float>(rng.uniform_index(7));
+  }
+  split.labels.resize(n);
+  for (auto& l : split.labels) {
+    l = static_cast<std::int32_t>(rng.uniform_index(7));
+  }
+  return split;
+}
+
+std::uint64_t counter_value(const char* name) {
+  return obs::MetricsRegistry::global().counter(name).value();
+}
+
+// One keyless group of `k` models over `split` (`batches` batches), serial
+// and on a 3-thread pool (4 lanes): every result equals data::evaluate on
+// a fresh model bitwise, and both runs move the eval counters alike.
+void expect_grid_matches_direct(const nn::ModelFactory& factory,
+                                const data::DataSplit& split, std::size_t k,
+                                std::size_t batches, bool conv) {
+  EvalEngine engine(factory);
+  const auto prepared = engine.prepare(split);
+  ASSERT_EQ(prepared->batch_count(), batches);
+  std::vector<nn::ParamVector> params;
+  std::vector<data::EvalResult> expected;
+  for (std::size_t i = 0; i < k; ++i) {
+    params.push_back(random_params(factory, 900 + i));
+    nn::Model model = factory();
+    model.set_parameters(params.back());
+    expected.push_back(data::evaluate(model, split));
+  }
+  std::vector<EvalRequest> requests;
+  for (const nn::ParamVector& p : params) {
+    requests.push_back(EvalRequest{p, std::nullopt});
+  }
+
+  ThreadPool pool(3);
+  for (ThreadPool* grid_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    SCOPED_TRACE(grid_pool == nullptr ? "serial" : "3-thread pool");
+    const std::uint64_t forwards = counter_value("eval.forwards");
+    const std::uint64_t examples = counter_value("eval.examples");
+    const std::uint64_t reuses = counter_value("eval.batched.pack_reuses");
+    const std::vector<EvalOutcome> outcomes =
+        engine.evaluate_many(requests, *prepared, grid_pool);
+    ASSERT_EQ(outcomes.size(), k);
+    for (std::size_t i = 0; i < k; ++i) {
+      EXPECT_EQ(outcomes[i].result.loss, expected[i].loss) << "model " << i;
+      EXPECT_EQ(outcomes[i].result.accuracy, expected[i].accuracy);
+      EXPECT_EQ(outcomes[i].result.samples, expected[i].samples);
+    }
+    EXPECT_EQ(counter_value("eval.forwards") - forwards, k * batches);
+    EXPECT_EQ(counter_value("eval.examples") - examples, k * split.size());
+    EXPECT_EQ(counter_value("eval.batched.pack_reuses") - reuses,
+              conv ? batches * (k - 1) : 0);
+  }
+  EXPECT_EQ(engine.pool_size(), engine.models_created());  // all returned
+}
+
+TEST(EvalEngine, GridLoneRequestOverManyBatchesMatchesDirect) {
+  // 300 samples -> four batches of 64 and a ragged 44: a pool's lanes
+  // split the batches of one model.
+  expect_grid_matches_direct(conv_factory(), make_image_split(300, 81), 1, 5,
+                             /*conv=*/true);
+  expect_grid_matches_direct(lstm_factory(), make_token_split(300, 82), 1, 5,
+                             /*conv=*/false);
+}
+
+TEST(EvalEngine, GridGroupOverBatchesMatchesDirect) {
+  // k = 3 over 4 batches: as many batches as lanes, so lanes claim batches
+  // and run all three models on each.
+  expect_grid_matches_direct(conv_factory(), make_image_split(230, 83), 3, 4,
+                             /*conv=*/true);
+  expect_grid_matches_direct(lstm_factory(), make_token_split(230, 84), 3, 4,
+                             /*conv=*/false);
+}
+
+TEST(EvalEngine, GridGroupOverFewBatchesMatchesDirect) {
+  // k = 5 over 2 batches: fewer batches than lanes, so lanes claim single
+  // (model, batch) cells over panels packed up front.
+  expect_grid_matches_direct(conv_factory(), make_image_split(100, 85), 5, 2,
+                             /*conv=*/true);
+  expect_grid_matches_direct(lstm_factory(), make_token_split(100, 86), 5, 2,
+                             /*conv=*/false);
+}
+
 TEST(EvalEngine, EvaluateManyNonConvStackMatchesBitExactly) {
   // MLP stack: no conv to fuse, so the group takes the per-model grid
   // fallback — results must still match the standalone path bitwise.

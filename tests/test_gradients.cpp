@@ -63,9 +63,9 @@ void check_layer(Layer& layer, Tensor input, Rng& rng,
   const Tensor out = layer.forward(input, /*training=*/false);
   const Scalarizer scalarize(out, rng);
 
-  // Analytic gradients.
+  // Analytic gradients: backward reads what a training forward cached.
   for (Tensor* g : layer.gradients()) g->zero();
-  (void)layer.forward(input, false);
+  (void)layer.forward(input, /*training=*/true);
   const Tensor dinput = layer.backward(scalarize.coefficients);
   const std::vector<Tensor*> params = layer.parameters();
   const std::vector<Tensor*> grads = layer.gradients();
@@ -233,7 +233,7 @@ TEST(Gradients, FullCnnEndToEnd) {
   const std::vector<std::int32_t> labels = {0, 2};
 
   model.zero_gradients();
-  const Tensor logits = model.forward(input, false);
+  const Tensor logits = model.forward(input, /*training=*/true);
   const LossResult loss = softmax_cross_entropy(logits, labels);
   model.backward(loss.grad);
   const std::vector<float> analytic = model.get_gradients();
@@ -273,7 +273,7 @@ TEST(Gradients, FullLstmEndToEnd) {
   const std::vector<std::int32_t> labels = {2, 5};
 
   model.zero_gradients();
-  const Tensor logits = model.forward(input, false);
+  const Tensor logits = model.forward(input, /*training=*/true);
   const LossResult loss = softmax_cross_entropy(logits, labels);
   model.backward(loss.grad);
   const std::vector<float> analytic = model.get_gradients();

@@ -154,6 +154,41 @@ TEST(Model, GradientsAccumulateAcrossBackwards) {
   }
 }
 
+TEST(Model, EvalForwardLeavesTheTrainingCacheAlone) {
+  // An eval forward between a training forward and its backward must not
+  // change the gradients: Conv2D, ReLU and Linear keep no copy of an eval
+  // input. Flatten records only the shape, which both batches share.
+  Rng rng(5);
+  Model model;
+  model.emplace<Conv2D>(1, 2, 3, 1, 1);
+  model.emplace<ReLU>();
+  model.emplace<Flatten>();
+  model.emplace<Linear>(2 * 6 * 6, 4);
+  model.emplace<ReLU>();
+  model.emplace<Linear>(4, 3);
+  model.init(rng);
+  Model reference = model.clone();
+  Tensor a({2, 1, 6, 6}), b({2, 1, 6, 6}), grad({2, 3});
+  for (Tensor* t : {&a, &b, &grad}) {
+    for (auto& v : t->values()) v = static_cast<float>(rng.normal());
+  }
+
+  model.zero_gradients();
+  (void)model.forward(a, true);
+  (void)model.forward(b, false);
+  model.backward(grad);
+
+  reference.zero_gradients();
+  (void)reference.forward(a, true);
+  reference.backward(grad);
+
+  const std::vector<float> got = model.get_gradients();
+  const std::vector<float> want = reference.get_gradients();
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
+            0);
+}
+
 TEST(Model, SummaryListsLayersAndParams) {
   Model model = make_mlp(3, 4, 2);
   const std::string summary = model.summary();
