@@ -7,11 +7,6 @@
 
 namespace tanglefl::data {
 
-std::vector<std::size_t> DataSplit::example_shape() const {
-  if (features.rank() == 0) return {};
-  return {features.shape().begin() + 1, features.shape().end()};
-}
-
 DataSplit DataSplit::gather(std::span<const std::size_t> indices) const {
   const std::size_t stride = size() == 0 ? 0 : features.size() / size();
   std::vector<std::size_t> shape = features.shape();
@@ -117,28 +112,6 @@ DatasetStats FederatedDataset::stats() const {
   return stats;
 }
 
-FederatedDataset merge_federated(
-    std::string name, std::string model_type, double train_fraction,
-    std::span<const FederatedDataset* const> parts) {
-  if (parts.empty()) {
-    throw std::invalid_argument("merge_federated: no inputs");
-  }
-  const std::size_t num_classes = parts.front()->num_classes();
-  std::vector<UserData> users;
-  for (const FederatedDataset* part : parts) {
-    if (part->num_classes() != num_classes) {
-      throw std::invalid_argument("merge_federated: class count mismatch");
-    }
-    for (const UserData& user : part->users()) {
-      UserData copy = user;
-      copy.user_id = part->name() + "/" + user.user_id;
-      users.push_back(std::move(copy));
-    }
-  }
-  return FederatedDataset(std::move(name), std::move(model_type), num_classes,
-                          train_fraction, std::move(users));
-}
-
 std::pair<DataSplit, DataSplit> train_test_split(const DataSplit& all,
                                                  double train_fraction,
                                                  Rng& rng) {
@@ -150,17 +123,6 @@ std::pair<DataSplit, DataSplit> train_test_split(const DataSplit& all,
   const std::span<const std::size_t> test_idx(perm.data() + cut,
                                               perm.size() - cut);
   return {all.gather(train_idx), all.gather(test_idx)};
-}
-
-DataSplit sample_batch(const DataSplit& split, std::size_t batch_size,
-                       Rng& rng) {
-  if (split.size() <= batch_size) {
-    std::vector<std::size_t> all(split.size());
-    for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
-    return split.gather(all);
-  }
-  const auto indices = rng.sample_without_replacement(split.size(), batch_size);
-  return split.gather(indices);
 }
 
 }  // namespace tanglefl::data

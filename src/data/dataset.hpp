@@ -30,9 +30,6 @@ struct DataSplit {
   /// batch — equivalent to gather({start, ..., start + count - 1}) without
   /// materializing an index vector (one block copy instead of per-row).
   [[nodiscard]] DataSplit slice(std::size_t start, std::size_t count) const;
-
-  /// Per-example feature shape (the split's shape minus the leading dim).
-  [[nodiscard]] std::vector<std::size_t> example_shape() const;
 };
 
 /// One participating device's local data.
@@ -97,22 +94,10 @@ class FederatedDataset {
   std::vector<UserData> users_;
 };
 
-/// Concatenates the users of several datasets into one (all inputs must
-/// agree on the class count). User ids are prefixed with the source
-/// dataset's name so downstream analysis can recover the origin — used for
-/// the clustered-population scenario of the Section VI outlook.
-FederatedDataset merge_federated(std::string name, std::string model_type,
-                                 double train_fraction,
-                                 std::span<const FederatedDataset* const> parts);
-
 /// Splits `all` into train/test by shuffling with `rng` and cutting at
 /// `train_fraction`.
 std::pair<DataSplit, DataSplit> train_test_split(const DataSplit& all,
                                                  double train_fraction,
                                                  Rng& rng);
-
-/// Draws a random minibatch of at most `batch_size` examples.
-DataSplit sample_batch(const DataSplit& split, std::size_t batch_size,
-                       Rng& rng);
 
 }  // namespace tanglefl::data

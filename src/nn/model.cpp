@@ -42,30 +42,34 @@ void Model::init(Rng& rng) {
 }
 
 Tensor Model::forward(const Tensor& input, bool training) {
-  obs::TraceScope span("nn.forward", &forward_timing());
-  Tensor x = input;
-  for (auto& layer : layers_) x = layer->forward(x, training);
-  return x;
+  return forward_from(0, input, training);
 }
 
 Tensor Model::forward_from(std::size_t first_layer, const Tensor& input,
                            bool training) {
   obs::TraceScope span("nn.forward", &forward_timing());
-  Tensor x = input;
+  assert(first_layer < layers_.size());
+  // Each layer reads its input in place; only layer outputs are held.
+  const Tensor* x = &input;
+  Tensor held;
   for (std::size_t i = first_layer; i < layers_.size(); ++i) {
-    x = layers_[i]->forward(x, training);
+    held = layers_[i]->forward(*x, training);
+    x = &held;
   }
-  return x;
+  return held;
 }
 
 void Model::backward(const Tensor& grad_output) {
   obs::TraceScope span("nn.backward", &backward_timing());
   assert(!layers_.empty());
-  Tensor g = grad_output;
+  // Each layer reads the gradient in place; only layer results are held.
+  const Tensor* g = &grad_output;
+  Tensor held;
   for (std::size_t i = layers_.size() - 1; i > 0; --i) {
-    g = layers_[i]->backward(g);
+    held = layers_[i]->backward(*g);
+    g = &held;
   }
-  layers_.front()->backward_parameters(g);
+  layers_.front()->backward_parameters(*g);
 }
 
 void Model::set_kernel_pool(ThreadPool* pool) noexcept {

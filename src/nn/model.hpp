@@ -33,13 +33,14 @@ class Model {
   /// Randomly initializes every layer from independent child streams.
   void init(Rng& rng);
 
-  /// Runs the full stack; `training` toggles dropout.
+  /// Runs the full stack; `training` toggles dropout. Requires a layer.
   Tensor forward(const Tensor& input, bool training = false);
 
   /// Runs layers [first_layer, layer_count()) on `input`, which must be the
-  /// bit-exact output of layer first_layer - 1. Lets the eval engine's fused
-  /// pass substitute a shared-operand computation of the first layer and
-  /// resume the ordinary stack, producing the same bits as forward().
+  /// bit-exact output of layer first_layer - 1; requires first_layer <
+  /// layer_count(). Lets the eval engine's fused pass substitute a
+  /// shared-operand computation of the first layer and resume the ordinary
+  /// stack, producing the same bits as forward().
   Tensor forward_from(std::size_t first_layer, const Tensor& input,
                       bool training = false);
 

@@ -77,12 +77,4 @@ ParamVector weighted_average_params(std::span<const ParamVector> params,
   return out;
 }
 
-void serialize_params(std::span<const float> params, ByteWriter& writer) {
-  writer.write_f32_span(params);
-}
-
-ParamVector deserialize_params(ByteReader& reader) {
-  return reader.read_f32_vector();
-}
-
 }  // namespace tanglefl::nn

@@ -1,14 +1,12 @@
 // Flat parameter-vector utilities. In the learning tangle every transaction
 // payload is one such vector (Section III: "each transaction consists of a
-// full set of parameters"), so averaging and serialization operate here,
-// independent of any model object.
+// full set of parameters"), so averaging operates here, independent of any
+// model object.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
-
-#include "support/serialize.hpp"
 
 namespace tanglefl::nn {
 
@@ -27,9 +25,5 @@ ParamVector average_params(std::span<const ParamVector* const> params);
 /// local sample count). Requires matching sizes and a positive weight sum.
 ParamVector weighted_average_params(std::span<const ParamVector> params,
                                     std::span<const double> weights);
-
-/// Binary round-trip for ledger payloads and snapshots.
-void serialize_params(std::span<const float> params, ByteWriter& writer);
-ParamVector deserialize_params(ByteReader& reader);
 
 }  // namespace tanglefl::nn

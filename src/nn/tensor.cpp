@@ -1,7 +1,5 @@
 #include "nn/tensor.hpp"
 
-#include <sstream>
-
 namespace tanglefl::nn {
 
 std::size_t Tensor::element_count(std::span<const std::size_t> shape) noexcept {
@@ -50,17 +48,6 @@ std::size_t Tensor::argmax_row(std::size_t row) const {
     if (begin[c] > begin[best]) best = c;
   }
   return best;
-}
-
-std::string Tensor::shape_string() const {
-  std::ostringstream out;
-  out << '[';
-  for (std::size_t i = 0; i < shape_.size(); ++i) {
-    if (i > 0) out << ", ";
-    out << shape_[i];
-  }
-  out << ']';
-  return out.str();
 }
 
 }  // namespace tanglefl::nn

@@ -8,7 +8,6 @@
 #include <cstddef>
 #include <initializer_list>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace tanglefl::nn {
@@ -90,9 +89,6 @@ class Tensor {
 
   /// Index of the maximum element in row `row` of a rank-2 tensor.
   std::size_t argmax_row(std::size_t row) const;
-
-  /// "[2, 3]"-style shape rendering for diagnostics.
-  std::string shape_string() const;
 
   /// Total element count implied by a shape.
   static std::size_t element_count(std::span<const std::size_t> shape) noexcept;

@@ -1,8 +1,9 @@
-// Minimal binary (de)serialization used for model snapshots and tangle
-// persistence. Little-endian, length-prefixed, no alignment requirements.
-// The reader validates every length against the remaining buffer so that a
-// truncated or corrupted stream raises SerializeError instead of reading
-// out of bounds.
+// Minimal binary serialization: the payload codec's wire format, the
+// transaction-id preimage and the ledger dump behind the perfbench digest.
+// Little-endian, length-prefixed, no alignment requirements. The reader
+// (used only by PayloadCodec::decode) validates every length against the
+// remaining buffer so that a truncated or corrupted stream raises
+// SerializeError instead of reading out of bounds.
 #pragma once
 
 #include <cstdint>
@@ -25,25 +26,12 @@ class SerializeError : public std::runtime_error {
 class ByteWriter {
  public:
   void write_u8(std::uint8_t v) { buffer_.push_back(v); }
-  void write_u32(std::uint32_t v) { write_raw(&v, sizeof v); }
   void write_u64(std::uint64_t v) { write_raw(&v, sizeof v); }
-  void write_i64(std::int64_t v) { write_raw(&v, sizeof v); }
   void write_f32(float v) { write_raw(&v, sizeof v); }
-  void write_f64(double v) { write_raw(&v, sizeof v); }
 
   void write_string(std::string_view s) {
     write_u64(s.size());
     write_raw(s.data(), s.size());
-  }
-
-  void write_f32_span(std::span<const float> values) {
-    write_u64(values.size());
-    write_raw(values.data(), values.size() * sizeof(float));
-  }
-
-  void write_u64_span(std::span<const std::uint64_t> values) {
-    write_u64(values.size());
-    write_raw(values.data(), values.size() * sizeof(std::uint64_t));
   }
 
   void write_bytes(std::span<const std::uint8_t> bytes) {
@@ -81,35 +69,15 @@ class ByteReader {
   explicit ByteReader(std::span<const std::uint8_t> data) noexcept : data_(data) {}
 
   std::uint8_t read_u8() { return read_value<std::uint8_t>(); }
-  std::uint32_t read_u32() { return read_value<std::uint32_t>(); }
-  std::uint64_t read_u64() { return read_value<std::uint64_t>(); }
-  std::int64_t read_i64() { return read_value<std::int64_t>(); }
   float read_f32() { return read_value<float>(); }
-  double read_f64() { return read_value<double>(); }
-
-  std::string read_string() {
-    const std::uint64_t n = read_length(1);
-    std::string s(n, '\0');
-    read_raw(s.data(), n);
-    return s;
-  }
-
-  std::vector<float> read_f32_vector() {
-    const std::uint64_t n = read_length(sizeof(float));
-    std::vector<float> v(n);
-    read_raw(v.data(), n * sizeof(float));
-    return v;
-  }
-
-  std::vector<std::uint64_t> read_u64_vector() {
-    const std::uint64_t n = read_length(sizeof(std::uint64_t));
-    std::vector<std::uint64_t> v(n);
-    read_raw(v.data(), n * sizeof(std::uint64_t));
-    return v;
-  }
 
   std::vector<std::uint8_t> read_bytes() {
-    const std::uint64_t n = read_length(1);
+    // Checked before the allocation, so a hostile length prefix cannot size
+    // it.
+    const auto n = read_value<std::uint64_t>();
+    if (n > remaining()) {
+      throw SerializeError("length prefix exceeds remaining buffer");
+    }
     std::vector<std::uint8_t> v(n);
     read_raw(v.data(), n);
     return v;
@@ -124,16 +92,6 @@ class ByteReader {
     T v{};
     read_raw(&v, sizeof v);
     return v;
-  }
-
-  /// Reads a length prefix and checks that `length * element_size` elements
-  /// are actually present, guarding against hostile length fields.
-  std::uint64_t read_length(std::size_t element_size) {
-    const std::uint64_t n = read_value<std::uint64_t>();
-    if (element_size != 0 && n > remaining() / element_size) {
-      throw SerializeError("length prefix exceeds remaining buffer");
-    }
-    return n;
   }
 
   void read_raw(void* out, std::size_t size) {

@@ -1,6 +1,5 @@
 #include "tangle/model_store.hpp"
 
-#include <cstring>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
@@ -103,13 +102,6 @@ bool ModelStore::is_released(PayloadId id) const {
   return entries_[id].released;
 }
 
-PayloadId ModelStore::add_released(const Sha256Digest& hash) {
-  WriterLock lock(mutex_);
-  const PayloadId id = entries_.size();
-  entries_.push_back({nn::ParamVector{}, hash, /*released=*/true});
-  return id;
-}
-
 const Sha256Digest& ModelStore::hash_of(PayloadId id) const {
   ReaderLock lock(mutex_);
   if (id >= entries_.size()) {
@@ -121,65 +113,6 @@ const Sha256Digest& ModelStore::hash_of(PayloadId id) const {
 std::size_t ModelStore::size() const {
   ReaderLock lock(mutex_);
   return entries_.size();
-}
-
-void ModelStore::serialize(ByteWriter& writer) const {
-  ReaderLock lock(mutex_);
-  writer.write_u8(0);  // store flag: 0 = flat, the only body written
-  writer.write_u64(entries_.size());
-  for (const auto& entry : entries_) {
-    // Liveness flag per entry: released payloads persist hash-only, so a
-    // pruned ledger's dump shrinks with its store.
-    writer.write_u8(entry.released ? 0 : 1);
-    if (entry.released) {
-      writer.write_bytes(entry.hash);
-    } else {
-      writer.write_f32_span(entry.params);
-    }
-  }
-}
-
-void ModelStore::deserialize_into(ByteReader& reader, ModelStore& store) {
-  if (reader.read_u8() != 0) {
-    throw SerializeError("ModelStore: unsupported store flag");
-  }
-  deserialize_into_v2(reader, store);
-}
-
-void ModelStore::deserialize_into_v2(ByteReader& reader, ModelStore& store) {
-  const std::uint64_t count = reader.read_u64();
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::uint8_t live = reader.read_u8();
-    if (live == 1) {
-      const auto added = store.add(reader.read_f32_vector());
-      if (added.id != i) {
-        // Duplicate payloads collapse on re-add; a well-formed dump never
-        // contains duplicates because add() deduplicated on write.
-        throw SerializeError("ModelStore: duplicate payload in dump");
-      }
-      continue;
-    }
-    if (live != 0) {
-      throw SerializeError("ModelStore: bad payload liveness flag");
-    }
-    const std::vector<std::uint8_t> hash_bytes = reader.read_bytes();
-    Sha256Digest hash{};
-    if (hash_bytes.size() != hash.size()) {
-      throw SerializeError("ModelStore: bad released payload hash size");
-    }
-    std::memcpy(hash.data(), hash_bytes.data(), hash.size());
-    store.add_released(hash);
-  }
-}
-
-void ModelStore::deserialize_into_v1(ByteReader& reader, ModelStore& store) {
-  const std::uint64_t count = reader.read_u64();
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const auto added = store.add(reader.read_f32_vector());
-    if (added.id != i) {
-      throw SerializeError("ModelStore: duplicate payload in dump");
-    }
-  }
 }
 
 std::size_t ModelStore::total_parameters() const {

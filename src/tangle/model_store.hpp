@@ -55,23 +55,6 @@ class ModelStore {
   void release(PayloadId id);
   bool is_released(PayloadId id) const;
 
-  /// Appends a released (parameters-free) entry carrying only its hash —
-  /// the deserialization path for dumps of pruned ledgers.
-  PayloadId add_released(const Sha256Digest& hash);
-
-  /// Binary round trip of all payloads (ids are preserved, so transaction
-  /// payload handles stay valid across save/load). The store is not
-  /// movable (it owns a mutex), so deserialization fills an existing empty
-  /// instance. The current (v3) format is a store flag byte, always 0,
-  /// then exactly the v2 body; deserialize_into throws SerializeError on
-  /// any other flag before reading further. deserialize_into_v2 reads the
-  /// v2 body (liveness flags, no store flag); deserialize_into_v1 the
-  /// flag-less legacy format.
-  void serialize(ByteWriter& writer) const;
-  static void deserialize_into(ByteReader& reader, ModelStore& store);
-  static void deserialize_into_v2(ByteReader& reader, ModelStore& store);
-  static void deserialize_into_v1(ByteReader& reader, ModelStore& store);
-
  private:
   struct Entry {
     nn::ParamVector params;

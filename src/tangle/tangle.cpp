@@ -287,46 +287,4 @@ void Tangle::serialize(ByteWriter& writer) const {
   }
 }
 
-Tangle Tangle::deserialize(ByteReader& reader) {
-  Tangle tangle;
-  const std::uint64_t count = reader.read_u64();
-  tangle.transactions_.reserve(count);
-  tangle.parent_indices_.reserve(count);
-  tangle.approvers_.resize(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    Transaction tx = deserialize_transaction(reader);
-    const std::uint64_t parent_count = reader.read_u64();
-    if (parent_count == 0 || parent_count > 64) {
-      throw SerializeError("tangle: implausible parent count");
-    }
-    std::vector<TxIndex> parents;
-    parents.reserve(parent_count);
-    for (std::uint64_t k = 0; k < parent_count; ++k) {
-      parents.push_back(static_cast<TxIndex>(reader.read_u64()));
-    }
-    if (i > 0) {
-      std::vector<TxIndex> distinct = parents;
-      std::sort(distinct.begin(), distinct.end());
-      distinct.erase(std::unique(distinct.begin(), distinct.end()),
-                     distinct.end());
-      for (const TxIndex p : distinct) {
-        if (p >= i) throw SerializeError("tangle: parent after child");
-        tangle.approvers_[p].push_back(i);
-      }
-    }
-    // Ids are content hashes; seeing one twice means a corrupt or forged
-    // stream, not a legitimate ledger.
-    if (!tangle.index_by_id_.emplace(tx.id, static_cast<TxIndex>(i)).second) {
-      throw SerializeError("tangle: duplicate transaction id");
-    }
-    tangle.transactions_.push_back(std::move(tx));
-    tangle.parent_indices_.push_back(std::move(parents));
-  }
-  if (tangle.transactions_.empty()) {
-    throw SerializeError("tangle: missing genesis");
-  }
-  debug_check_invariants(tangle);
-  return tangle;
-}
-
 }  // namespace tanglefl::tangle

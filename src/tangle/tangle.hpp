@@ -145,9 +145,9 @@ class Tangle {
   /// order (the simulation engine guarantees this).
   std::size_t visible_count_for_round(std::uint64_t round) const;
 
-  /// Binary round trip (headers only; payloads live in the ModelStore).
+  /// Binary dump of the headers and parent indices (payloads live in the
+  /// ModelStore); the perfbench ledger digest hashes it.
   void serialize(ByteWriter& writer) const;
-  static Tangle deserialize(ByteReader& reader);
 
   /// Full structural audit (see tangle/invariants.hpp): acyclicity,
   /// solidity, approver accounting, cone monotonicity, header integrity.
@@ -157,8 +157,6 @@ class Tangle {
   std::vector<std::string> check_invariants() const;
 
  private:
-  Tangle() = default;  // for deserialize
-
   friend struct TangleTestAccess;  // test-only corruption hooks
 
   std::vector<Transaction> transactions_;

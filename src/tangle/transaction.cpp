@@ -1,7 +1,5 @@
 #include "tangle/transaction.hpp"
 
-#include <algorithm>
-
 namespace tanglefl::tangle {
 
 TransactionId compute_transaction_id(std::span<const TransactionId> parents,
@@ -30,39 +28,6 @@ void serialize_transaction(const Transaction& tx, ByteWriter& writer) {
   writer.write_u64(tx.round);
   writer.write_u64(tx.nonce);
   writer.write_string(tx.publisher);
-}
-
-namespace {
-
-Sha256Digest read_digest(ByteReader& reader) {
-  const std::vector<std::uint8_t> bytes = reader.read_bytes();
-  if (bytes.size() != 32) {
-    throw SerializeError("transaction digest must be 32 bytes");
-  }
-  Sha256Digest digest;
-  std::copy(bytes.begin(), bytes.end(), digest.begin());
-  return digest;
-}
-
-}  // namespace
-
-Transaction deserialize_transaction(ByteReader& reader) {
-  Transaction tx;
-  tx.id = read_digest(reader);
-  const std::uint64_t parent_count = reader.read_u64();
-  if (parent_count == 0 || parent_count > 64) {
-    throw SerializeError("transaction has implausible parent count");
-  }
-  tx.parents.reserve(parent_count);
-  for (std::uint64_t i = 0; i < parent_count; ++i) {
-    tx.parents.push_back(read_digest(reader));
-  }
-  tx.payload_hash = read_digest(reader);
-  tx.payload = reader.read_u64();
-  tx.round = reader.read_u64();
-  tx.nonce = reader.read_u64();
-  tx.publisher = reader.read_string();
-  return tx;
 }
 
 std::string short_id(const TransactionId& id) {

@@ -54,9 +54,9 @@ TransactionId compute_transaction_id(std::span<const TransactionId> parents,
                                      const Sha256Digest& payload_hash,
                                      std::uint64_t round, std::uint64_t nonce);
 
-/// Binary round trip for ledger persistence.
+/// Appends every header field, the publisher tag included, to `writer`
+/// (Tangle::serialize's per-transaction record).
 void serialize_transaction(const Transaction& tx, ByteWriter& writer);
-Transaction deserialize_transaction(ByteReader& reader);
 
 /// Short printable prefix of an id, for logs and DOT labels.
 std::string short_id(const TransactionId& id);

@@ -193,29 +193,5 @@ TEST(BiasedWalk, NodeConfigIntegration) {
   ASSERT_TRUE(publish.has_value());
 }
 
-TEST(MergeFederated, CombinesAndPrefixesUsers) {
-  data::FemnistSynthConfig a_config;
-  a_config.num_users = 3;
-  a_config.num_classes = 4;
-  a_config.image_size = 8;
-  a_config.seed = 1;
-  const auto a = data::make_femnist_synth(a_config);
-  data::FemnistSynthConfig b_config = a_config;
-  b_config.seed = 2;
-  const auto b = data::make_femnist_synth(b_config);
-
-  const std::vector<const data::FederatedDataset*> parts = {&a, &b};
-  const auto merged =
-      data::merge_federated("clusters", "CNN", 0.8, parts);
-  EXPECT_EQ(merged.num_users(), 6u);
-  EXPECT_EQ(merged.user(0).user_id.rfind("femnist-synth/", 0), 0u);
-}
-
-TEST(MergeFederated, EmptyThrows) {
-  const std::vector<const data::FederatedDataset*> parts;
-  EXPECT_THROW((void)data::merge_federated("x", "y", 0.8, parts),
-               std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace tanglefl::core

@@ -37,14 +37,6 @@ TEST(DataSplit, GatherEmpty) {
   EXPECT_EQ(split.gather(indices).size(), 0u);
 }
 
-TEST(DataSplit, ExampleShapeDropsLeadingDim) {
-  DataSplit split;
-  split.features = nn::Tensor({4, 1, 8, 8});
-  split.labels.resize(4);
-  EXPECT_EQ(split.example_shape(),
-            (std::vector<std::size_t>{1, 8, 8}));
-}
-
 TEST(TrainTestSplit, FractionRespected) {
   Rng rng(1);
   const DataSplit all = make_split(10);
@@ -68,18 +60,6 @@ TEST(TrainTestSplit, PartitionsDisjointAndComplete) {
     seen[row] = true;
   }
   for (const bool s : seen) EXPECT_TRUE(s);
-}
-
-TEST(SampleBatch, SmallerPoolReturnsAll) {
-  Rng rng(3);
-  const DataSplit split = make_split(3);
-  EXPECT_EQ(sample_batch(split, 10, rng).size(), 3u);
-}
-
-TEST(SampleBatch, DrawsRequestedCount) {
-  Rng rng(3);
-  const DataSplit split = make_split(20);
-  EXPECT_EQ(sample_batch(split, 5, rng).size(), 5u);
 }
 
 TEST(FederatedDataset, StatsAggregation) {

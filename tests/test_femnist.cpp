@@ -104,8 +104,9 @@ TEST(FemnistSynth, LabelsInRange) {
 
 TEST(FemnistSynth, ExampleShapeMatchesConfig) {
   const FederatedDataset dataset = make_femnist_synth(small_config());
-  EXPECT_EQ(dataset.user(0).train.example_shape(),
-            (std::vector<std::size_t>{1, 10, 10}));
+  const nn::Tensor& features = dataset.user(0).train.features;
+  EXPECT_EQ(features.shape(),
+            (std::vector<std::size_t>{features.dim(0), 1, 10, 10}));
 }
 
 TEST(FemnistSynth, TrainFractionApproximatelyRespected) {

@@ -293,13 +293,5 @@ TEST(Params, WeightedAverageRejectsBadWeights) {
                std::invalid_argument);
 }
 
-TEST(Params, SerializeRoundTrip) {
-  const ParamVector params = {1.5f, -2.0f, 0.0f};
-  ByteWriter writer;
-  serialize_params(params, writer);
-  ByteReader reader(writer.bytes());
-  EXPECT_EQ(deserialize_params(reader), params);
-}
-
 }  // namespace
 }  // namespace tanglefl::nn

@@ -120,8 +120,7 @@ TEST(ModelStore, ReleasedHashCanBeReAdded) {
 }
 
 TEST(ModelStore, LiveBytesTracksAddsAndReleases) {
-  // Regression: released entries must leave the live-payload accounting,
-  // and hash-only tombstones contribute nothing.
+  // Regression: released entries must leave the live-payload accounting.
   ModelStore store;
   EXPECT_EQ(store.live_bytes(), 0u);
   const auto a = store.add({1.0f, 2.0f, 3.0f});
@@ -134,99 +133,9 @@ TEST(ModelStore, LiveBytesTracksAddsAndReleases) {
   store.release(a.id);  // idempotent: no double subtraction
   EXPECT_EQ(store.live_bytes(), 2 * sizeof(float));
 
-  const nn::ParamVector tombstone = {9.0f};
-  store.add_released(ModelStore::hash_params(tombstone));
-  EXPECT_EQ(store.live_bytes(), 2 * sizeof(float));
   store.release(b.id);
   EXPECT_EQ(store.live_bytes(), 0u);
   EXPECT_EQ(store.total_parameters(), 0u);
-}
-
-TEST(ModelStore, FlatDumpLoadsIntoFlatStore) {
-  // The v3 body is a zero store flag followed by exactly the v2 body.
-  ModelStore flat;
-  flat.add({1.0f, 2.0f});
-  ByteWriter writer;
-  flat.serialize(writer);
-  ASSERT_FALSE(writer.bytes().empty());
-  EXPECT_EQ(writer.bytes().front(), 0u);
-
-  ByteReader reader(writer.bytes());
-  ModelStore restored;
-  ModelStore::deserialize_into(reader, restored);
-  EXPECT_TRUE(reader.exhausted());
-  EXPECT_EQ(restored.get(0), (nn::ParamVector{1.0f, 2.0f}));
-
-  const std::span<const std::uint8_t> body(writer.bytes());
-  ByteReader v2_reader(body.subspan(1));
-  ModelStore from_v2;
-  ModelStore::deserialize_into_v2(v2_reader, from_v2);
-  EXPECT_EQ(from_v2.get(0), (nn::ParamVector{1.0f, 2.0f}));
-}
-
-TEST(ModelStore, LegacyV1DumpStillLoads) {
-  // The v1 body has no flags at all: a count, then every payload in id
-  // order.
-  ByteWriter v1_writer;
-  v1_writer.write_u64(2);
-  v1_writer.write_f32_span(nn::ParamVector{1.0f, 2.0f});
-  v1_writer.write_f32_span(nn::ParamVector{3.0f});
-  ByteReader v1_reader(v1_writer.bytes());
-  ModelStore from_v1;
-  ModelStore::deserialize_into_v1(v1_reader, from_v1);
-  EXPECT_TRUE(v1_reader.exhausted());
-  ASSERT_EQ(from_v1.size(), 2u);
-  EXPECT_EQ(from_v1.get(0), (nn::ParamVector{1.0f, 2.0f}));
-  EXPECT_EQ(from_v1.get(1), (nn::ParamVector{3.0f}));
-}
-
-TEST(ModelStore, RetiredChunkedFlagIsRejectedBeforeAllocating) {
-  // Flag 1 was the chunked body: cutter parameters, then a u64 chunk-slot
-  // count. A hostile count of 2^60 must fail as a SerializeError on the
-  // flag, never reach an allocation sized by it.
-  ByteWriter writer;
-  writer.write_u8(1);
-  writer.write_u64(512);
-  writer.write_u64(8192);
-  writer.write_u32(11);
-  writer.write_u64(std::uint64_t{1} << 60);
-  ByteReader reader(writer.bytes());
-  ModelStore store;
-  EXPECT_THROW(ModelStore::deserialize_into(reader, store), SerializeError);
-  EXPECT_EQ(store.size(), 0u);
-}
-
-TEST(ModelStore, UnknownStoreFlagIsRejected) {
-  ModelStore flat;
-  flat.add({1.0f});
-  ByteWriter writer;
-  flat.serialize(writer);
-  std::vector<std::uint8_t> bytes = writer.bytes();
-  bytes.front() = 2;
-  ByteReader reader(bytes);
-  ModelStore store;
-  EXPECT_THROW(ModelStore::deserialize_into(reader, store), SerializeError);
-}
-
-TEST(ModelStore, SerializeRoundTripsReleasedEntries) {
-  ModelStore store;
-  const auto a = store.add({1.0f, 2.0f});
-  const auto b = store.add({3.0f, 4.0f});
-  const auto c = store.add({5.0f});
-  store.release(b.id);
-
-  ByteWriter writer;
-  store.serialize(writer);
-  ByteReader reader(writer.bytes());
-  ModelStore restored;
-  ModelStore::deserialize_into(reader, restored);
-
-  ASSERT_EQ(restored.size(), 3u);
-  EXPECT_EQ(restored.get(a.id), (nn::ParamVector{1.0f, 2.0f}));
-  EXPECT_TRUE(restored.is_released(b.id));
-  EXPECT_EQ(to_hex(restored.hash_of(b.id)), to_hex(b.hash));
-  EXPECT_THROW((void)restored.get(b.id), std::logic_error);
-  EXPECT_EQ(restored.get(c.id), (nn::ParamVector{5.0f}));
 }
 
 }  // namespace

@@ -48,8 +48,8 @@ TEST(ShakespeareSynth, FeaturesAreTokenIds) {
 
 TEST(ShakespeareSynth, WindowShape) {
   const FederatedDataset dataset = make_shakespeare_synth(small_config());
-  EXPECT_EQ(dataset.user(0).train.example_shape(),
-            (std::vector<std::size_t>{8}));
+  const nn::Tensor& features = dataset.user(0).train.features;
+  EXPECT_EQ(features.shape(), (std::vector<std::size_t>{features.dim(0), 8}));
 }
 
 TEST(ShakespeareSynth, LabelsInVocab) {

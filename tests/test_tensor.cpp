@@ -83,11 +83,6 @@ TEST(Tensor, ArgmaxRowFirstOfTies) {
   EXPECT_EQ(t.argmax_row(0), 0u);
 }
 
-TEST(Tensor, ShapeString) {
-  const Tensor t({2, 3});
-  EXPECT_EQ(t.shape_string(), "[2, 3]");
-}
-
 TEST(Tensor, ElementCount) {
   const std::vector<std::size_t> shape = {2, 3, 4};
   EXPECT_EQ(Tensor::element_count(shape), 24u);

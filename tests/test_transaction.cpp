@@ -59,44 +59,6 @@ TEST(Transaction, PublisherExcludedFromId) {
             to_hex(compute_transaction_id(b.parents, b.payload_hash, 0, 0)));
 }
 
-TEST(Transaction, SerializeRoundTrip) {
-  Transaction tx;
-  tx.parents = {digest_of("p1"), digest_of("p2"), digest_of("p3")};
-  tx.payload_hash = digest_of("payload");
-  tx.payload = 17;
-  tx.round = 42;
-  tx.nonce = 9;
-  tx.publisher = "writer_3";
-  tx.id = compute_transaction_id(tx.parents, tx.payload_hash, tx.round,
-                                 tx.nonce);
-
-  ByteWriter writer;
-  serialize_transaction(tx, writer);
-  ByteReader reader(writer.bytes());
-  const Transaction back = deserialize_transaction(reader);
-
-  EXPECT_EQ(to_hex(back.id), to_hex(tx.id));
-  ASSERT_EQ(back.parents.size(), 3u);
-  EXPECT_EQ(to_hex(back.parents[2]), to_hex(tx.parents[2]));
-  EXPECT_EQ(back.payload, 17u);
-  EXPECT_EQ(back.round, 42u);
-  EXPECT_EQ(back.nonce, 9u);
-  EXPECT_EQ(back.publisher, "writer_3");
-}
-
-TEST(Transaction, DeserializeRejectsZeroParents) {
-  Transaction tx;
-  tx.parents = {digest_of("p")};
-  ByteWriter writer;
-  serialize_transaction(tx, writer);
-  // Corrupt the parent count (immediately after the 32-byte id prefix:
-  // 8-byte length + 32 bytes + 8-byte count).
-  auto bytes = writer.take();
-  for (std::size_t i = 40; i < 48; ++i) bytes[i] = 0;
-  ByteReader reader(bytes);
-  EXPECT_THROW((void)deserialize_transaction(reader), SerializeError);
-}
-
 TEST(Transaction, GenesisDetection) {
   Transaction tx;
   tx.payload_hash = digest_of("genesis-model");
