@@ -114,9 +114,9 @@ void BM_ViewCacheHit(benchmark::State& state) {
 BENCHMARK(BM_ViewCacheHit)->Arg(200)->Arg(1000)->Arg(4000);
 
 /// A ledger grown as the perfbench ledger_growth workload grows one: each
-/// round λ = 8 transactions attach to two tips walked over the round's
-/// prefix view (h = 1 round of delay), and every 8th round advances the
-/// milestone floor with keep_recent = 512.
+/// round λ = 8 transactions attach to two tips walked with bias `alpha`
+/// over the round's prefix view (h = 1 round of delay), and every 8th
+/// round advances the milestone floor with keep_recent = 512.
 struct PrunedLedger {
   ModelStore store;
   Tangle tangle;
@@ -124,8 +124,10 @@ struct PrunedLedger {
   MilestoneTracker pruner{{.enabled = true, .interval = 8, .keep_recent = 512}};
   Rng master{1};
   std::uint64_t round = 0;
+  double alpha;
 
-  PrunedLedger() : tangle(GrownTangle::make_genesis(store)) {}
+  explicit PrunedLedger(double walk_alpha = 0.0)
+      : tangle(GrownTangle::make_genesis(store)), alpha(walk_alpha) {}
 
   /// The prefix view publishers of the next round see.
   TangleView next_round_view() const {
@@ -138,7 +140,7 @@ struct PrunedLedger {
     Rng rng = master.split(round);
     std::vector<std::vector<TxIndex>> parents;
     for (int p = 0; p < 8; ++p) {
-      parents.push_back(select_tips(*cones, 2, rng, {.alpha = 0.0}));
+      parents.push_back(select_tips(*cones, 2, rng, {.alpha = alpha}));
     }
     for (int p = 0; p < 8; ++p) {
       const auto added = store.add(
@@ -176,6 +178,27 @@ BENCHMARK(BM_ViewCacheGetPruned)
     ->Arg(40000)
     ->Iterations(200)
     ->Unit(benchmark::kMicrosecond);
+
+void BM_RandomWalkTipStationary(benchmark::State& state) {
+  // Walks in the stationary regime the ledger_growth workload runs in:
+  // λ = 8 per round, h = 1, alpha = 0.01 and milestone pruning, so each
+  // walk starts at the prune floor and most of its steps weigh several
+  // approvers. BM_RandomWalkTip's one-transaction-at-a-time ledger is
+  // mostly single-approver steps, which cost the same in any weighting.
+  PrunedLedger ledger(0.01);
+  while (ledger.tangle.size() < static_cast<std::size_t>(state.range(0))) {
+    ledger.grow_round();
+  }
+  const auto cones = ledger.cache.get(ledger.next_round_view());
+  Rng rng(2);
+  const TipSelectionConfig config{.alpha = 0.01};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(random_walk_tip(*cones, rng, config));
+  }
+  state.counters["window"] = static_cast<double>(
+      ledger.tangle.size() - ledger.tangle.prune_floor());
+}
+BENCHMARK(BM_RandomWalkTipStationary)->Arg(10000);
 
 void BM_ConfidenceSampling(benchmark::State& state) {
   // 35 walks plus one reach pass over a prebuilt entry; the entry

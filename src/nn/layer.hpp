@@ -27,7 +27,10 @@ class Layer {
 
   /// Computes the layer output. `training` enables train-only behaviour
   /// (dropout masks). A training forward caches what backward() reads;
-  /// Conv2D, ReLU and Linear copy no input when `training` is false.
+  /// Conv2D, ReLU, MaxPool2D, Linear and Dropout leave that cache alone
+  /// when `training` is false, so an eval forward of the same input shape
+  /// may run between a training forward and its backward (Flatten records
+  /// the shape of every input).
   virtual Tensor forward(const Tensor& input, bool training) = 0;
 
   /// Given d(loss)/d(output), accumulates parameter gradients and returns

@@ -92,7 +92,8 @@ Dropout::Dropout(double drop_probability)
 }
 
 Tensor Dropout::forward(const Tensor& input, bool training) {
-  if (!training || drop_probability_ == 0.0) {
+  if (!training) return input;
+  if (drop_probability_ == 0.0) {
     mask_.clear();
     return input;
   }

@@ -71,13 +71,13 @@ MaxPool2D::MaxPool2D(std::size_t window, std::size_t stride)
     : window_(window), stride_(stride == 0 ? window : stride) {}
 
 Tensor MaxPool2D::forward(const Tensor& input, bool training) {
-  (void)training;
   assert(input.rank() == 4);
-  input_shape_ = input.shape();
+  if (training) input_shape_ = input.shape();
   const std::size_t oh = (input.dim(2) - window_) / stride_ + 1;
   const std::size_t ow = (input.dim(3) - window_) / stride_ + 1;
   Tensor output({input.dim(0), input.dim(1), oh, ow});
-  ops::maxpool2d_forward(input, window_, stride_, output, argmax_);
+  ops::maxpool2d_forward(input, window_, stride_, output,
+                         training ? &argmax_ : nullptr);
   return output;
 }
 

@@ -516,7 +516,7 @@ void maxpool_planes(const float* x, std::size_t planes, std::size_t h,
           }
         }
         *y++ = best;
-        *argmax++ = best_index;
+        if (argmax != nullptr) *argmax++ = best_index;
       }
     }
   }
@@ -961,16 +961,16 @@ void conv2d_backward(const Tensor& x, const Tensor& weights,
 // ----------------------------------------------------------------- pooling
 
 void maxpool2d_forward(const Tensor& x, std::size_t window, std::size_t stride,
-                       Tensor& y, std::vector<std::size_t>& argmax) {
+                       Tensor& y, std::vector<std::size_t>* argmax) {
   assert(x.rank() == 4 && y.rank() == 4);
   const std::size_t h = x.dim(2), w = x.dim(3);
   assert(y.dim(0) == x.dim(0) && y.dim(1) == x.dim(1) &&
          y.dim(2) == (h - window) / stride + 1 &&
          y.dim(3) == (w - window) / stride + 1);
-  argmax.resize(y.size());
+  if (argmax != nullptr) argmax->resize(y.size());
   (window == 2 ? maxpool_planes<2> : maxpool_planes<0>)(
       x.data(), x.dim(0) * x.dim(1), h, w, window, stride, y.data(),
-      argmax.data());
+      argmax != nullptr ? argmax->data() : nullptr);
 }
 
 void maxpool2d_backward(const Tensor& dy, const std::vector<std::size_t>& argmax,

@@ -177,11 +177,12 @@ void conv2d_backward(const Tensor& x, const Tensor& weights,
                      Tensor& dw, Tensor& dbias, Workspace* workspace = nullptr,
                      ThreadPool* pool = nullptr);
 
-/// 2x2-style max pooling with a square window and equal stride. `argmax`
-/// records the flat input index of each output maximum for the backward
-/// pass; it must have y's element count.
+/// 2x2-style max pooling with a square window and equal stride. A non-null
+/// `argmax` is resized to y's element count and records the flat input
+/// index of each output maximum for the backward pass; an eval forward
+/// passes null and records nothing.
 void maxpool2d_forward(const Tensor& x, std::size_t window, std::size_t stride,
-                       Tensor& y, std::vector<std::size_t>& argmax);
+                       Tensor& y, std::vector<std::size_t>* argmax);
 
 /// Scatters dy back through the recorded argmax indices; dx is overwritten.
 void maxpool2d_backward(const Tensor& dy, const std::vector<std::size_t>& argmax,

@@ -100,16 +100,8 @@ bool Rng::bernoulli(double p) noexcept { return uniform() < p; }
 
 std::size_t Rng::weighted_choice(std::span<const double> weights) noexcept {
   assert(!weights.empty());
-  double total = 0.0;
-  for (const double w : weights) total += (w > 0.0 ? w : 0.0);
-  if (total <= 0.0) return static_cast<std::size_t>(uniform_index(weights.size()));
-  double target = uniform() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    const double w = weights[i] > 0.0 ? weights[i] : 0.0;
-    if (target < w) return i;
-    target -= w;
-  }
-  return weights.size() - 1;  // numerical slack
+  return weighted_choice(weights.size(),
+                         [weights](std::size_t i) { return weights[i]; });
 }
 
 std::vector<std::size_t> Rng::permutation(std::size_t n) noexcept {

@@ -58,6 +58,28 @@ class Rng {
   /// choice is uniform. Requires weights to be non-empty.
   std::size_t weighted_choice(std::span<const double> weights) noexcept;
 
+  /// The same draw over the weights `weight_at(0), ..., weight_at(n - 1)`,
+  /// without storing them: each is asked for once to total them and again
+  /// while scanning for the target, so `weight_at` must return the same
+  /// value for an index every time. Requires n > 0.
+  template <typename WeightAt>
+  std::size_t weighted_choice(std::size_t n, WeightAt&& weight_at) noexcept {
+    double total = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double w = weight_at(i);
+      total += (w > 0.0 ? w : 0.0);
+    }
+    if (total <= 0.0) return static_cast<std::size_t>(uniform_index(n));
+    double target = uniform() * total;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double w = weight_at(i);
+      const double clamped = w > 0.0 ? w : 0.0;
+      if (target < clamped) return i;
+      target -= clamped;
+    }
+    return n - 1;  // numerical slack
+  }
+
   /// Fisher-Yates shuffle.
   template <typename T>
   void shuffle(std::vector<T>& items) noexcept {

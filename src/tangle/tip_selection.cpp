@@ -1,6 +1,7 @@
 #include "tangle/tip_selection.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "obs/metrics.hpp"
@@ -37,6 +38,40 @@ obs::Counter& uniform_counter() {
   return counter;
 }
 
+// Walk weights exp(alpha * -d) for cone-weight gaps d < kGapTableSize, per
+// thread and keyed by alpha's bits. Entries [0, filled) are valid; a walk
+// fills the rest on demand. Trivially initialised (alpha 0.0, nothing
+// filled), so the first use needs no constructor.
+constexpr std::uint32_t kGapTableSize = 1024;
+
+struct GapTable {
+  std::uint64_t alpha_bits;
+  std::uint32_t filled;
+  double weight[kGapTableSize];
+};
+
+thread_local GapTable t_gap_table;
+
+/// exp(alpha * -gap) for a gap at or past the table's end. Cold: such gaps
+/// are rare (none on a stationary ledger), and keeping the call out of line
+/// keeps the walk's draw loop short.
+[[gnu::cold, gnu::noinline]] double weight_past_table(double alpha,
+                                                      std::uint32_t gap) {
+  return std::exp(alpha * -static_cast<double>(gap));
+}
+
+/// exp(alpha * -gap): the table entry, filling the table up to `gap` first
+/// if needed, or the out-of-line std::exp for gaps past the table.
+double gap_weight(GapTable& table, double alpha, std::uint32_t gap) {
+  if (gap >= kGapTableSize) return weight_past_table(alpha, gap);
+  while (table.filled <= gap) {
+    table.weight[table.filled] =
+        std::exp(alpha * -static_cast<double>(table.filled));
+    ++table.filled;
+  }
+  return table.weight[gap];
+}
+
 /// Uniform draw from a precomputed tip set (URTS hot path).
 TxIndex uniform_from(std::span<const TxIndex> tips, Rng& rng) {
   uniform_counter().increment();
@@ -56,7 +91,12 @@ TxIndex random_walk_tip(const ViewCacheEntry& cones, Rng& rng,
       cones.future_cone_sizes();
   const TxIndex root = cones.root();
   TxIndex current = root;
-  std::vector<double> weights;
+  const double alpha = config.alpha;
+  GapTable& table = t_gap_table;
+  if (table.alpha_bits != std::bit_cast<std::uint64_t>(alpha)) {
+    table.alpha_bits = std::bit_cast<std::uint64_t>(alpha);
+    table.filled = 0;
+  }
   std::uint64_t steps = 0;
   std::uint64_t branch_steps = 0;
   for (;;) {
@@ -74,17 +114,17 @@ TxIndex random_walk_tip(const ViewCacheEntry& cones, Rng& rng,
     }
     ++branch_steps;
     // exp(alpha * (w - w_max)) keeps the weights in (0, 1] for stability.
+    // Cone sizes are uint32_t, so w - w_max in double is exactly -(w_max - w)
+    // and the gap table returns the bits std::exp would.
     std::uint32_t max_weight = 0;
     for (const TxIndex a : approvers) {
       max_weight = std::max(max_weight, future_cones[a - root]);
     }
-    weights.clear();
-    for (const TxIndex a : approvers) {
-      weights.push_back(std::exp(
-          config.alpha * (static_cast<double>(future_cones[a - root]) -
-                          static_cast<double>(max_weight))));
-    }
-    current = approvers[rng.weighted_choice(weights)];
+    current = approvers[rng.weighted_choice(
+        approvers.size(), [&](std::size_t i) {
+          return gap_weight(table, alpha,
+                            max_weight - future_cones[approvers[i] - root]);
+        })];
   }
 }
 

@@ -11,6 +11,17 @@
 // a depth-windowed particle (Section IV). Walks run over a prebuilt cone
 // cache entry (tangle/view_cache.hpp), which carries the cumulative
 // weights, tip set and approver lists of one view.
+//
+// The weight of approver a at a branch is exp(alpha * (w_a - w_max)),
+// w_max the heaviest sibling's cone size. Cone sizes are uint32_t, so in
+// double arithmetic w_a - w_max is exactly -d for the integer gap
+// d = w_max - w_a, and the walk reads exp(alpha * -d) from a per-thread
+// table of gaps below 1,024 (filled on first use, re-keyed when alpha
+// changes) instead of calling std::exp per approver. Every table entry is
+// the value std::exp returns for that product (exp(+0) and exp(-0) are
+// both 1), so weights, draws and reached tips keep their bits; gaps past
+// the table fall back to std::exp. The draw itself is Rng::weighted_choice
+// over the weights as they are computed, with no weight buffer.
 #pragma once
 
 #include <vector>
@@ -34,7 +45,7 @@ struct TipSelectionConfig {
 
 /// One weighted random walk over the view `cones` describes, from its root
 /// (the prune frontier, or the genesis); returns the reached tip.
-/// Allocation-free apart from the per-walk weight buffer.
+/// Allocation-free.
 TxIndex random_walk_tip(const ViewCacheEntry& cones, Rng& rng,
                         const TipSelectionConfig& config);
 

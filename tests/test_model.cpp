@@ -154,24 +154,15 @@ TEST(Model, GradientsAccumulateAcrossBackwards) {
   }
 }
 
-TEST(Model, EvalForwardLeavesTheTrainingCacheAlone) {
-  // An eval forward between a training forward and its backward must not
-  // change the gradients: Conv2D, ReLU and Linear keep no copy of an eval
-  // input. Flatten records only the shape, which both batches share.
-  Rng rng(5);
-  Model model;
-  model.emplace<Conv2D>(1, 2, 3, 1, 1);
-  model.emplace<ReLU>();
-  model.emplace<Flatten>();
-  model.emplace<Linear>(2 * 6 * 6, 4);
-  model.emplace<ReLU>();
-  model.emplace<Linear>(4, 3);
+/// Gradients of a training forward on `a` and its backward must not change
+/// when an eval forward on `b` runs in between.
+void expect_eval_forward_keeps_gradients(Model& model, Rng& rng,
+                                         const Tensor& a, const Tensor& b,
+                                         std::size_t classes) {
   model.init(rng);
   Model reference = model.clone();
-  Tensor a({2, 1, 6, 6}), b({2, 1, 6, 6}), grad({2, 3});
-  for (Tensor* t : {&a, &b, &grad}) {
-    for (auto& v : t->values()) v = static_cast<float>(rng.normal());
-  }
+  Tensor grad({a.dim(0), classes});
+  for (auto& v : grad.values()) v = static_cast<float>(rng.normal());
 
   model.zero_gradients();
   (void)model.forward(a, true);
@@ -187,6 +178,46 @@ TEST(Model, EvalForwardLeavesTheTrainingCacheAlone) {
   ASSERT_EQ(got.size(), want.size());
   EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
             0);
+}
+
+Tensor normal_tensor(std::vector<std::size_t> shape, Rng& rng) {
+  Tensor t(std::move(shape));
+  for (auto& v : t.values()) v = static_cast<float>(rng.normal());
+  return t;
+}
+
+TEST(Model, EvalForwardLeavesTheTrainingCacheAlone) {
+  // Every layer the paper's CNN uses keeps its backward cache through an
+  // eval forward: Conv2D, ReLU and Linear copy no eval input, MaxPool2D
+  // records no argmax and Dropout keeps its mask. Flatten records only the
+  // shape, which both batches share.
+  {
+    Rng rng(5);
+    Model model;
+    model.emplace<Conv2D>(1, 2, 3, 1, 1);
+    model.emplace<ReLU>();
+    model.emplace<Flatten>();
+    model.emplace<Linear>(2 * 6 * 6, 4);
+    model.emplace<ReLU>();
+    model.emplace<Linear>(4, 3);
+    const Tensor a = normal_tensor({2, 1, 6, 6}, rng);
+    const Tensor b = normal_tensor({2, 1, 6, 6}, rng);
+    expect_eval_forward_keeps_gradients(model, rng, a, b, 3);
+  }
+  {
+    ImageCnnConfig config;
+    config.image_size = 8;
+    config.num_classes = 3;
+    config.conv1_channels = 2;
+    config.conv2_channels = 3;
+    config.hidden = 6;
+    config.dropout = 0.5;
+    Rng rng(6);
+    Model model = make_image_cnn(config);
+    const Tensor a = normal_tensor({2, 1, 8, 8}, rng);
+    const Tensor b = normal_tensor({2, 1, 8, 8}, rng);
+    expect_eval_forward_keeps_gradients(model, rng, a, b, 3);
+  }
 }
 
 TEST(Model, SummaryListsLayersAndParams) {

@@ -175,7 +175,7 @@ TEST(Ops, MaxPoolForwardPicksMaxima) {
                  {1, 2, 0, 0, 3, 4, 0, 0, 0, 0, 5, 6, 0, 0, 7, 8});
   Tensor y({1, 1, 2, 2});
   std::vector<std::size_t> argmax;
-  ops::maxpool2d_forward(x, 2, 2, y, argmax);
+  ops::maxpool2d_forward(x, 2, 2, y, &argmax);
   EXPECT_FLOAT_EQ(y[0], 4.0f);
   EXPECT_FLOAT_EQ(y[3], 8.0f);
 }
@@ -191,7 +191,7 @@ TEST(Ops, MaxPoolForwardKeepsTieInfinityAndNanSemantics) {
                                 1, 3, -1, -2, -inf, -inf, nan, 1});
   Tensor y({1, 1, 1, 4});
   std::vector<std::size_t> argmax;
-  ops::maxpool2d_forward(x, 2, 2, y, argmax);
+  ops::maxpool2d_forward(x, 2, 2, y, &argmax);
   const std::uint32_t want_bits[] = {0x40400000u, 0x80000000u, 0xff800000u,
                                      0x40000000u};
   const std::vector<std::size_t> want_argmax = {0, 2, 0, 7};
@@ -199,13 +199,20 @@ TEST(Ops, MaxPoolForwardKeepsTieInfinityAndNanSemantics) {
     EXPECT_EQ(std::bit_cast<std::uint32_t>(y[i]), want_bits[i]) << "at " << i;
   }
   EXPECT_EQ(argmax, want_argmax);
+  // An eval forward records no argmax and pools to the same bits.
+  Tensor y_eval({1, 1, 1, 4});
+  ops::maxpool2d_forward(x, 2, 2, y_eval, nullptr);
+  for (std::size_t i = 0; i < y.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(y_eval[i]), want_bits[i])
+        << "at " << i;
+  }
 }
 
 TEST(Ops, MaxPoolBackwardRoutesToArgmax) {
   const Tensor x({1, 1, 2, 2}, {1, 9, 2, 3});
   Tensor y({1, 1, 1, 1});
   std::vector<std::size_t> argmax;
-  ops::maxpool2d_forward(x, 2, 2, y, argmax);
+  ops::maxpool2d_forward(x, 2, 2, y, &argmax);
   const Tensor dy({1, 1, 1, 1}, {5});
   Tensor dx({1, 1, 2, 2});
   ops::maxpool2d_backward(dy, argmax, dx);
