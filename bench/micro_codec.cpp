@@ -1,11 +1,12 @@
 // Micro-benchmarks for the payload codec pipeline and the ModelStore:
-// per-stage encode/decode throughput on realistic model-delta shapes, and
-// store insertion cost.
+// per-stage encode/decode throughput on realistic model-delta shapes, one
+// round's publishes through the batch pipeline, and store insertion cost.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "obs/trace.hpp"
 #include "support/rng.hpp"
 #include "support/stopwatch.hpp"
+#include "support/thread_pool.hpp"
 #include "tangle/model_store.hpp"
 #include "tangle/payload_codec.hpp"
 
@@ -76,6 +78,73 @@ void BM_PayloadCodec(benchmark::State& state) {
 }
 BENCHMARK(BM_PayloadCodec)
     ->ArgsProduct({{4096, 33000}, {0, 1, 2, 3}});
+
+/// One round of the femnist_codec workload's publishes: 5 payloads of the
+/// FEMNIST CNN's 11,178 parameters, each a parent model with every
+/// coordinate moved slightly, as SGD moves them. The parent sits in a
+/// ledger, so the pipeline resolves it as the delta base.
+struct PublishRound {
+  static constexpr std::size_t kParams = 11178;
+  static constexpr std::size_t kPublishes = 5;
+  ModelStore store;
+  Tangle tangle;
+  std::vector<nn::ParamVector> payloads;
+  std::vector<TxIndex> parents;
+
+  PublishRound() : tangle(genesis(store)) {
+    const nn::ParamVector& base = store.get(tangle.transaction(0).payload);
+    Rng rng(11);
+    for (std::size_t p = 0; p < kPublishes; ++p) {
+      nn::ParamVector params(base);
+      for (float& value : params) {
+        value += static_cast<float>(rng.normal(0.0, 0.00001));
+      }
+      payloads.push_back(std::move(params));
+    }
+    parents = {tangle.genesis(), tangle.genesis()};
+  }
+
+  static Tangle genesis(ModelStore& store) {
+    Rng rng(7);
+    nn::ParamVector base(kParams);
+    for (float& value : base) value = static_cast<float>(rng.normal(0.0, 0.1));
+    const auto added = store.add(std::move(base));
+    return Tangle(added.id, added.hash);
+  }
+};
+
+/// The lossless default codec over one round's publishes as one batch:
+/// serially (0 workers) or on a round pool of 2 workers plus the caller.
+void BM_PublishBatch(benchmark::State& state) {
+  const auto workers = static_cast<std::size_t>(state.range(0));
+  const PublishRound round;
+  const PayloadPipeline pipeline(parse_codec_spec("default"));
+  std::unique_ptr<ThreadPool> pool =
+      workers > 0 ? std::make_unique<ThreadPool>(workers) : nullptr;
+  std::vector<nn::ParamVector> payloads;
+  std::vector<EncodedPayload> frames(PublishRound::kPublishes);
+  std::vector<PipelinePublish> batch(PublishRound::kPublishes);
+  for (auto _ : state) {
+    payloads = round.payloads;
+    for (std::size_t p = 0; p < batch.size(); ++p) {
+      batch[p] = {&payloads[p], round.parents, &frames[p]};
+    }
+    pipeline.process(batch, round.tangle, round.store, pool.get());
+    benchmark::DoNotOptimize(payloads.data());
+    benchmark::ClobberMemory();
+  }
+  std::size_t encoded_bytes = 0;
+  for (const EncodedPayload& frame : frames) encoded_bytes += frame.bytes.size();
+  state.counters["ratio"] = benchmark::Counter(
+      static_cast<double>(encoded_bytes) /
+      static_cast<double>(PublishRound::kPublishes * PublishRound::kParams *
+                          sizeof(float)));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(PublishRound::kPublishes *
+                                                    PublishRound::kParams *
+                                                    sizeof(float)));
+}
+BENCHMARK(BM_PublishBatch)->Arg(0)->Arg(2)->UseRealTime();
 
 /// Insert a stream of near-identical payloads (shared prefix, distinct
 /// tail): whole-payload hashing plus one copy per insert.

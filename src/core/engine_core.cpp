@@ -113,9 +113,14 @@ std::optional<PublishRequest> EngineCore::step_node(NodeContext& context,
   return std::nullopt;
 }
 
-void EngineCore::encode(PublishRequest& publish) const {
-  publish.params = payload_pipeline_.process(std::move(publish.params),
-                                             publish.parents, tangle_, store_);
+void EngineCore::encode(std::span<PublishRequest* const> publishes) const {
+  if (!payload_pipeline_.active()) return;
+  std::vector<tangle::PipelinePublish> batch;
+  batch.reserve(publishes.size());
+  for (PublishRequest* publish : publishes) {
+    batch.push_back({&publish->params, publish->parents});
+  }
+  payload_pipeline_.process(batch, tangle_, store_, cone_pool_);
 }
 
 tangle::TxIndex EngineCore::commit(PublishRequest&& publish, std::uint64_t now,

@@ -86,8 +86,9 @@ struct CoreOptions {
   // Evaluation cadence in the scheduler's unit (rounds or seconds); > 0.
   double eval_every = 1.0;
   std::size_t view_cache_capacity = 4;
-  // Not owned. The round pool: builds cache entries and runs the consensus
-  // eval's batches at the barrier (null runs both serially).
+  // Not owned. The round pool: builds cache entries, codes the round's
+  // publishes and runs the consensus eval's batches at the barrier (null
+  // runs all three serially).
   ThreadPool* cone_pool = nullptr;
   // Not owned. Intra-node kernels and node steps' eval grids.
   ThreadPool* kernel_pool = nullptr;
@@ -140,9 +141,15 @@ class EngineCore {
                                           std::size_t user,
                                           bool malicious) const;
 
-  /// Publish path, part one: replaces the payload by its canonical codec
-  /// form. Pure, so it may run in a worker lane while nothing commits.
-  void encode(PublishRequest& publish) const;
+  /// Publish path, part one: replaces each payload by its canonical codec
+  /// form, with the codec's tasks spread over the round pool (serial
+  /// without one). Pure, so it may run while nothing commits; the bytes do
+  /// not depend on the pool.
+  void encode(std::span<PublishRequest* const> publishes) const;
+  void encode(PublishRequest& publish) const {
+    PublishRequest* const one = &publish;
+    encode(std::span<PublishRequest* const>(&one, 1));
+  }
 
   /// Publish path, part two: stores the payload and appends the transaction.
   tangle::TxIndex commit(PublishRequest&& publish, std::uint64_t now,

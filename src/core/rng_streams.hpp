@@ -5,7 +5,7 @@
 //   * every (engine, purpose) pair provably gets its own stream — the
 //     regression tests assert pairwise distinctness, which would have
 //     caught the consensus/eval stream collision this header fixes:
-//     consensus_params() used to derive from kEval.split(tangle_size)
+//     the consensus walks used to derive from kEval.split(tangle_size)
 //     while evaluate() derived from kEval.split(round), so whenever
 //     tangle_size == round the eval-user sampling was perfectly
 //     correlated with the reference confidence walks;

@@ -69,12 +69,19 @@ std::size_t TangleSimulation::run_round(std::uint64_t round) {
     result.malicious = attacking && core_.is_malicious(user_index);
     NodeContext context = core_.node_context(view, *cones, round, user_index);
     result.publish = core_.step_node(context, user_index, result.malicious);
-    // The whole codec step runs here in the lane: the delta base comes from
-    // parents in the round's prefix view, which nothing mutates before the
-    // barrier, and encode/decode are pure, so the canonical payload does not
-    // depend on which lane computes it.
-    if (result.publish) core_.encode(*result.publish);
   });
+
+  // The codec runs after the node steps, as tasks of its own on the same
+  // pool, so a lane that drew a long step does not also code its payload.
+  // The delta bases come from parents in the round's prefix view, which
+  // nothing mutates before the barrier, encode/decode are pure, and the
+  // best-of choice is made serially in slot order, so the canonical
+  // payloads do not depend on which lane codes them.
+  std::vector<PublishRequest*> publishes;
+  for (SlotResult& result : results) {
+    if (result.publish) publishes.push_back(&*result.publish);
+  }
+  core_.encode(publishes);
 
   // Round barrier: everything published this round lands in the ledger
   // now, in slot order, and becomes visible from round + 1 on.
@@ -116,12 +123,6 @@ std::size_t TangleSimulation::run_round(std::uint64_t round) {
   core_.update_ledger_gauge();
   core_.timeline_barrier(round, round);
   return published;
-}
-
-nn::ParamVector TangleSimulation::consensus_params() {
-  return core_
-      .consensus_reference(core_.tangle().view(), core_.consensus_rng())
-      .params;
 }
 
 RoundRecord TangleSimulation::evaluate(std::uint64_t round) {

@@ -2,11 +2,11 @@
 // Training is organized in rounds: a subset of nodes participates per
 // round, transactions published in round r become visible in round r+1,
 // and a fraction of nodes can be declared malicious from a configurable
-// attack-start round onward. Node steps within a round, each followed by
-// the payload codec of its publish, run in parallel on a thread pool, and
-// the round barrier commits the publishes in slot order; determinism is
-// preserved because every step derives its randomness from (seed, round,
-// slot).
+// attack-start round onward. Node steps within a round run in parallel on a
+// thread pool, the payload codec of their publishes then runs on the same
+// pool, and the round barrier commits the publishes in slot order;
+// determinism is preserved because every step derives its randomness from
+// (seed, round, slot).
 #pragma once
 
 #include <memory>
@@ -61,9 +61,6 @@ class TangleSimulation {
   const std::vector<std::size_t>& malicious_users() const noexcept {
     return core_.malicious_users();
   }
-
-  /// Consensus parameters right now (Algorithm 1 over the full ledger).
-  nn::ParamVector consensus_params();
 
   /// Shared evaluation engine (loss cache + model pool), exposed for tests.
   EvalEngine& eval_engine() noexcept { return core_.eval_engine(); }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -11,6 +12,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "support/serialize.hpp"
+#include "support/thread_pool.hpp"
 
 namespace tanglefl::tangle {
 namespace {
@@ -251,17 +253,26 @@ std::size_t exponent_bucket_of(float base_value) {
   return 0;                       // smaller (or zero)
 }
 
+/// Words between two reads of a concurrently stored give-up size.
+constexpr std::size_t kGiveUpRereadWords = 256;
+
 /// Codes the dense word stream. The range coder only ever appends, so once
-/// the output reaches `give_up_at` bytes the finished stream could not be
-/// shorter: coding stops there and returns the unfinished prefix, which the
-/// best-of caller only compares and discards.
+/// the output reaches the size in `give_up_at` the finished stream could not
+/// be shorter: coding stops there and returns the unfinished prefix, which
+/// the best-of rule only compares and discards. Another task may store that
+/// size while this one codes; it is reread every kGiveUpRereadWords words,
+/// so a size stored before the call stops coding at exactly its length.
 std::vector<std::uint8_t> entropy_compress_words(
     std::span<const std::uint8_t> data, std::span<const float> base,
-    std::size_t give_up_at = std::numeric_limits<std::size_t>::max()) {
+    const std::atomic<std::size_t>* give_up_at = nullptr) {
   std::vector<ByteTree> trees(4 * kWordClasses * kExponentBuckets);
   RangeEncoder encoder(data.size() / 2 + 16);
+  std::size_t limit = std::numeric_limits<std::size_t>::max();
   for (std::size_t word = 0; word + 4 <= data.size(); word += 4) {
-    if (encoder.size() >= give_up_at) return encoder.take();
+    if (give_up_at != nullptr && word % (4 * kGiveUpRereadWords) == 0) {
+      limit = give_up_at->load();
+    }
+    if (encoder.size() >= limit) return encoder.take();
     const std::size_t bucket =
         base.empty() ? 0 : exponent_bucket_of(base[word / 4]);
     std::size_t cls = 0;
@@ -450,37 +461,31 @@ obs::Histogram& decode_timing() {
   return hist;
 }
 
-}  // namespace
-
-EncodedPayload PayloadCodec::encode(std::span<const float> params,
-                                    std::span<const float> base) const {
-  obs::TraceScope span("ledger.codec.encode", &encode_timing());
-  if (!base.empty() && base.size() != params.size()) {
-    throw std::invalid_argument(
-        "PayloadCodec::encode: base/params size mismatch");
-  }
-  const std::span<const float> delta_base =
-      config_.delta ? base : std::span<const float>{};
+/// Codes one payload's whole frame: every spec except the dense lossless
+/// best-of, which CodecJob splits into two tasks.
+EncodedPayload encode_frame(const PayloadCodecConfig& config,
+                            std::span<const float> params,
+                            std::span<const float> delta_base) {
   std::uint8_t flags = 0;
   if (!delta_base.empty()) flags |= kFlagDeltaUsed;
-  if (config_.topk) flags |= kFlagTopk;
-  if (config_.quantize) flags |= kFlagQuantize;
-  if (config_.entropy) flags |= kFlagEntropy;
+  if (config.topk) flags |= kFlagTopk;
+  if (config.quantize) flags |= kFlagQuantize;
+  if (config.entropy) flags |= kFlagEntropy;
 
   // Serialize the stage representation into `inner` (or, for the dense
   // lossless form, straight into `dense_plain`).
   ByteWriter inner;
   std::vector<std::uint8_t> dense_plain;
-  if (config_.topk) {
+  if (config.topk) {
     const TopkSelection selection =
-        select_topk(params, delta_base, config_.topk_fraction);
+        select_topk(params, delta_base, config.topk_fraction);
     write_varint(inner, selection.indices.size());
     std::uint64_t previous = 0;
     for (std::size_t i = 0; i < selection.indices.size(); ++i) {
       write_varint(inner, selection.indices[i] - previous);
       previous = selection.indices[i];
     }
-    if (config_.quantize) {
+    if (config.quantize) {
       const nn::QuantizedParams quantized =
           nn::quantize_params(selection.values);
       inner.write_f32(quantized.scale);
@@ -490,7 +495,7 @@ EncodedPayload PayloadCodec::encode(std::span<const float> params,
     } else {
       for (const float v : selection.values) inner.write_f32(v);
     }
-  } else if (config_.quantize) {
+  } else if (config.quantize) {
     // Dense 8-bit quantization of the update (or of the raw payload when
     // no base resolved).
     nn::ParamVector update(params.begin(), params.end());
@@ -505,42 +510,7 @@ EncodedPayload PayloadCodec::encode(std::span<const float> params,
       inner.write_u8(static_cast<std::uint8_t>(v));
     }
   } else {
-    // Dense lossless words; under entropy coding, pick the smaller of the
-    // XOR-delta and raw streams (a payload unrelated to its parents — e.g.
-    // a poisoned publish — compresses better without the base).
-    std::vector<std::uint8_t> words = dense_words(params, delta_base);
-    if (config_.entropy && !delta_base.empty()) {
-      std::vector<std::uint8_t> raw_words =
-          dense_words(params, std::span<const float>{});
-      const std::vector<std::uint8_t> delta_coded =
-          entropy_compress_words(words, delta_base);
-      // Raw wins only when strictly smaller, so its pass stops as soon as it
-      // has caught up with the delta stream.
-      const std::vector<std::uint8_t> raw_coded = entropy_compress_words(
-          raw_words, std::span<const float>{}, delta_coded.size());
-      EncodedPayload encoded;
-      encoded.param_count = params.size();
-      ByteWriter out;
-      if (raw_coded.size() < delta_coded.size()) {
-        flags = static_cast<std::uint8_t>((flags & ~kFlagDeltaUsed) |
-                                          kFlagDenseRaw);
-        out.write_u8(flags);
-        write_varint(out, params.size());
-        write_varint(out, raw_words.size());
-        out.write_bytes(raw_coded);
-      } else {
-        out.write_u8(flags);
-        write_varint(out, params.size());
-        write_varint(out, words.size());
-        out.write_bytes(delta_coded);
-      }
-      encoded.bytes = out.take();
-      raw_bytes_counter().add(encoded.raw_bytes());
-      encoded_bytes_counter().add(encoded.bytes.size());
-      payloads_counter().increment();
-      return encoded;
-    }
-    dense_plain = std::move(words);
+    dense_plain = dense_words(params, delta_base);
   }
 
   EncodedPayload encoded;
@@ -551,7 +521,7 @@ EncodedPayload PayloadCodec::encode(std::span<const float> params,
   const bool dense = !dense_plain.empty();
   const std::vector<std::uint8_t> plain =
       dense ? std::move(dense_plain) : inner.take();
-  if (config_.entropy) {
+  if (config.entropy) {
     write_varint(out, plain.size());
     out.write_bytes(dense ? entropy_compress_words(plain, delta_base)
                           : entropy_compress(plain));
@@ -559,10 +529,146 @@ EncodedPayload PayloadCodec::encode(std::span<const float> params,
     out.write_bytes(plain);
   }
   encoded.bytes = out.take();
-  raw_bytes_counter().add(encoded.raw_bytes());
-  encoded_bytes_counter().add(encoded.bytes.size());
-  payloads_counter().increment();
   return encoded;
+}
+
+/// Frame of an entropy-coded dense word stream of `count` parameters.
+EncodedPayload dense_frame(std::uint8_t flags, std::size_t count,
+                           std::span<const std::uint8_t> coded) {
+  EncodedPayload encoded;
+  encoded.param_count = count;
+  ByteWriter out;
+  out.write_u8(flags);
+  write_varint(out, count);
+  write_varint(out, count * sizeof(std::uint32_t));
+  out.write_bytes(coded);
+  encoded.bytes = out.take();
+  return encoded;
+}
+
+/// Dense lossless best-of: with entropy coding and a base, the encoder
+/// codes both the XOR-delta and the raw word stream and keeps the smaller
+/// (a payload unrelated to its parents, e.g. a poisoned publish,
+/// compresses better without the base).
+bool dense_best_of(const PayloadCodecConfig& config) {
+  return config.delta && config.entropy && !config.lossy();
+}
+
+/// One payload through the codec. `run_jobs` gives every job a first task
+/// and a best-of job a second: the first resolves the base, codes the
+/// frame (for a best-of job, the XOR-delta stream, whose size it then
+/// stores in `delta_size`) and runs the self-check decode; the second
+/// codes the raw stream until it reaches `delta_size`.
+struct CodecJob {
+  std::span<const float> params;
+  // Parent payloads the first task averages into the base; empty when the
+  // base is given in `base` or none resolves.
+  std::vector<const nn::ParamVector*> parents;
+  std::span<const float> base;
+  nn::ParamVector averaged_base;
+  bool best_of = false;
+  bool verify = false;  // run the self-check decode (the publish path)
+  std::atomic<std::size_t> delta_size{std::numeric_limits<std::size_t>::max()};
+  std::vector<std::uint8_t> raw_coded;  // best-of: raw stream or its prefix
+  EncodedPayload encoded;
+  nn::ParamVector decoded;  // self-check output: the published payload
+};
+
+/// Decodes the job's frame as the published payload; a lossless spec must
+/// give back the input bit for bit.
+void self_check(const PayloadCodec& codec, CodecJob& job) {
+  job.decoded = codec.decode(job.encoded, job.base);
+  if (!codec.config().lossy() &&
+      !std::equal(job.decoded.begin(), job.decoded.end(), job.params.begin(),
+                  job.params.end(), [](float a, float b) {
+                    return float_bits(a) == float_bits(b);
+                  })) {
+    throw std::logic_error(
+        "PayloadPipeline: lossless codec round trip is not bit-exact");
+  }
+}
+
+void code_first(const PayloadCodec& codec, CodecJob& job) {
+  if (!job.parents.empty()) {
+    job.averaged_base = nn::average_params(job.parents);
+    job.base = job.averaged_base;
+  }
+  {
+    obs::TraceScope span("ledger.codec.encode", &encode_timing());
+    if (job.best_of) {
+      const std::vector<std::uint8_t> coded =
+          entropy_compress_words(dense_words(job.params, job.base), job.base);
+      job.delta_size.store(coded.size());
+      job.encoded = dense_frame(kFlagEntropy | kFlagDeltaUsed,
+                                job.params.size(), coded);
+    } else {
+      job.encoded = encode_frame(
+          codec.config(), job.params,
+          codec.config().delta ? job.base : std::span<const float>{});
+    }
+  }
+  if (job.verify) self_check(codec, job);
+}
+
+void code_raw(CodecJob& job) {
+  obs::TraceScope span("ledger.codec.encode", &encode_timing());
+  job.raw_coded = entropy_compress_words(
+      dense_words(job.params, std::span<const float>{}),
+      std::span<const float>{}, &job.delta_size);
+}
+
+/// Runs every job's tasks on `pool` (serially without one), then settles
+/// the best-of rule and the counters in job order. First tasks come before
+/// raw tasks, so lanes claim the longer chains first; run serially, each
+/// raw task starts after its delta size is stored.
+void run_jobs(const PayloadCodec& codec, std::span<CodecJob> jobs,
+              ThreadPool* pool) {
+  std::vector<std::size_t> raw_jobs;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    if (jobs[i].best_of) raw_jobs.push_back(i);
+  }
+  const auto task = [&](std::size_t i) {
+    if (i < jobs.size()) {
+      code_first(codec, jobs[i]);
+    } else {
+      code_raw(jobs[raw_jobs[i - jobs.size()]]);
+    }
+  };
+  const std::size_t tasks = jobs.size() + raw_jobs.size();
+  if (pool != nullptr) {
+    pool->parallel_for(tasks, task);
+  } else {
+    for (std::size_t i = 0; i < tasks; ++i) task(i);
+  }
+  for (CodecJob& job : jobs) {
+    // The raw stream wins only when strictly smaller. A raw task that gave
+    // up returned a prefix at least as long as the delta stream, so this
+    // picks what two full passes pick.
+    if (job.best_of && job.raw_coded.size() < job.delta_size.load()) {
+      job.encoded = dense_frame(kFlagEntropy | kFlagDenseRaw,
+                                job.params.size(), job.raw_coded);
+      if (job.verify) self_check(codec, job);
+    }
+    raw_bytes_counter().add(job.encoded.raw_bytes());
+    encoded_bytes_counter().add(job.encoded.bytes.size());
+    payloads_counter().increment();
+  }
+}
+
+}  // namespace
+
+EncodedPayload PayloadCodec::encode(std::span<const float> params,
+                                    std::span<const float> base) const {
+  if (!base.empty() && base.size() != params.size()) {
+    throw std::invalid_argument(
+        "PayloadCodec::encode: base/params size mismatch");
+  }
+  CodecJob job;
+  job.params = params;
+  job.base = base;
+  job.best_of = dense_best_of(config_) && !base.empty();
+  run_jobs(*this, std::span<CodecJob>(&job, 1), nullptr);
+  return std::move(job.encoded);
 }
 
 nn::ParamVector PayloadCodec::decode(const EncodedPayload& encoded,
@@ -736,46 +842,43 @@ std::string codec_spec_string(const PayloadCodecConfig& config) {
 // Publish-path pipeline
 // ---------------------------------------------------------------------------
 
-nn::ParamVector PayloadPipeline::process(nn::ParamVector params,
-                                         std::span<const TxIndex> parents,
-                                         const Tangle& tangle,
-                                         const ModelStore& store) const {
-  if (!active()) return params;
-  nn::ParamVector base;
-  if (codec_.config().delta) {
-    // The delta predictor is the average of the approved parents' payloads
-    // (duplicates included) — exactly the base an honest node trained
-    // from, and recomputable by any decoder from the transaction header.
-    // A released (pruned) parent payload downgrades to "no base".
-    std::vector<const nn::ParamVector*> parent_params;
-    parent_params.reserve(parents.size());
-    bool resolvable = !parents.empty();
-    for (const TxIndex parent : parents) {
-      const PayloadId payload = tangle.transaction(parent).payload;
-      if (store.is_released(payload)) {
-        resolvable = false;
-        break;
+void PayloadPipeline::process(std::span<const PipelinePublish> batch,
+                              const Tangle& tangle, const ModelStore& store,
+                              ThreadPool* pool) const {
+  if (!active()) return;
+  const PayloadCodecConfig& config = codec_.config();
+  std::vector<CodecJob> jobs(batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    CodecJob& job = jobs[i];
+    job.params = *batch[i].params;
+    job.verify = true;
+    if (config.delta) {
+      // The delta predictor is the average of the approved parents'
+      // payloads (duplicates included) — exactly the base an honest node
+      // trained from, and recomputable by any decoder from the transaction
+      // header. A released (pruned) parent payload downgrades to "no base".
+      for (const TxIndex parent : batch[i].parents) {
+        const PayloadId payload = tangle.transaction(parent).payload;
+        if (store.is_released(payload)) {
+          job.parents.clear();
+          break;
+        }
+        const nn::ParamVector& value = store.get(payload);
+        if (value.size() != job.params.size()) {
+          job.parents.clear();
+          break;
+        }
+        job.parents.push_back(&value);
       }
-      const nn::ParamVector& value = store.get(payload);
-      if (value.size() != params.size()) {
-        resolvable = false;
-        break;
-      }
-      parent_params.push_back(&value);
     }
-    if (resolvable) base = nn::average_params(parent_params);
+    job.best_of = dense_best_of(config) && !job.parents.empty() &&
+                  !job.params.empty();
   }
-  const EncodedPayload encoded = codec_.encode(params, base);
-  nn::ParamVector decoded = codec_.decode(encoded, base);
-  if (!codec_.config().lossy() &&
-      !std::equal(decoded.begin(), decoded.end(), params.begin(), params.end(),
-                  [](float a, float b) {
-                    return float_bits(a) == float_bits(b);
-                  })) {
-    throw std::logic_error(
-        "PayloadPipeline: lossless codec round trip is not bit-exact");
+  run_jobs(codec_, jobs, pool);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    *batch[i].params = std::move(jobs[i].decoded);
+    if (batch[i].frame != nullptr) *batch[i].frame = std::move(jobs[i].encoded);
   }
-  return decoded;
 }
 
 }  // namespace tanglefl::tangle

@@ -41,6 +41,10 @@
 #include "tangle/model_store.hpp"
 #include "tangle/tangle.hpp"
 
+namespace tanglefl {
+class ThreadPool;
+}
+
 namespace tanglefl::tangle {
 
 struct PayloadCodecConfig {
@@ -102,14 +106,33 @@ class PayloadCodec {
   PayloadCodecConfig config_;
 };
 
+/// One publish of a PayloadPipeline batch: the payload, replaced in place
+/// by its canonical form, and the transactions it approves (indices into
+/// the tangle).
+struct PipelinePublish {
+  nn::ParamVector* params = nullptr;
+  std::span<const TxIndex> parents;
+  // Optional: receives the encoded frame, the bytes a transport would send.
+  EncodedPayload* frame = nullptr;
+};
+
 /// Publish-path driver shared by the three engines: resolves the delta base
 /// from the approved parents (average of their payloads — exactly the base
 /// an honest node trained from), encodes, records the
-/// ledger.codec.{raw_bytes,encoded_bytes} counters and encode/decode
-/// timings, and returns the canonical decoded payload to store. With no
-/// wire stage configured this is a zero-cost pass-through. process() keeps
-/// no state, so concurrent calls are safe while nothing mutates `tangle`
-/// or `store`.
+/// ledger.codec.{raw_bytes,encoded_bytes,payloads} counters and
+/// encode/decode timings, and replaces each payload by its canonical
+/// decoded form. With no wire stage configured this is a zero-cost
+/// pass-through.
+///
+/// A batch runs as pool tasks. A dense lossless best-of payload (delta and
+/// entropy, no lossy stage, a resolvable base) is two tasks: one resolves
+/// the base, codes the XOR-delta stream and runs the self-check decode;
+/// the other codes the raw stream and gives up once it reaches the delta
+/// stream's size. Every other payload is one task. A serial pass in batch
+/// order then keeps the raw stream only where it is strictly smaller,
+/// exactly as two full passes would, so the bytes do not depend on the
+/// pool. process() keeps no state, so it is safe while nothing mutates
+/// `tangle` or `store`.
 class PayloadPipeline {
  public:
   explicit PayloadPipeline(const PayloadCodecConfig& config)
@@ -117,12 +140,12 @@ class PayloadPipeline {
 
   bool active() const noexcept { return codec_.config().any_stage(); }
 
-  /// `parents` are the approved transaction indices (into `tangle`); any
-  /// released parent payload downgrades the delta base to "none" so decode
-  /// never depends on pruned history.
-  nn::ParamVector process(nn::ParamVector params,
-                          std::span<const TxIndex> parents,
-                          const Tangle& tangle, const ModelStore& store) const;
+  /// Codes `batch` on `pool` (null: serially, one task after another). Any
+  /// released parent payload downgrades that publish's delta base to
+  /// "none", so decode never depends on pruned history. Call it from
+  /// outside `pool`'s workers, or its tasks run inline.
+  void process(std::span<const PipelinePublish> batch, const Tangle& tangle,
+               const ModelStore& store, ThreadPool* pool) const;
 
  private:
   PayloadCodec codec_;

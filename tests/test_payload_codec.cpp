@@ -14,6 +14,7 @@
 #include "obs/metrics.hpp"
 #include "support/rng.hpp"
 #include "support/sha256.hpp"
+#include "support/thread_pool.hpp"
 
 namespace tanglefl::tangle {
 namespace {
@@ -291,6 +292,153 @@ TEST(PayloadCodec, OversizedPlainSizeThrowsBeforeAllocating) {
   }
 }
 
+// ---------------------------------------------------------------- batch path
+
+/// A ledger to resolve delta bases from: genesis, tx 1 carrying the
+/// fixture's base, and tx 2 whose payload has been released.
+struct PipelineLedger {
+  CodecFixture fixture;
+  ModelStore store;
+  Tangle tangle;
+  TxIndex base_tx = 0;
+  TxIndex released_tx = 0;
+
+  PipelineLedger() : tangle(genesis(store, fixture.base.size())) {
+    const TxIndex genesis_tx = tangle.genesis();
+    const auto base = store.add(fixture.base);
+    base_tx = tangle.add_transaction(std::span(&genesis_tx, 1), base.id,
+                                     base.hash, 1);
+    const auto pruned = store.add(unrelated_payload(fixture.base.size(), 3));
+    released_tx = tangle.add_transaction(std::span(&genesis_tx, 1),
+                                         pruned.id, pruned.hash, 1);
+    store.release(pruned.id);
+  }
+
+  static Tangle genesis(ModelStore& store, std::size_t n) {
+    const auto added = store.add(nn::ParamVector(n, 0.5f));
+    return Tangle(added.id, added.hash);
+  }
+};
+
+/// What one batch produced: published payloads, frame digests and the
+/// ledger.codec.* counter totals it added.
+struct BatchOutcome {
+  std::vector<nn::ParamVector> published;
+  std::vector<std::string> frames;
+  std::uint64_t raw_bytes = 0;
+  std::uint64_t encoded_bytes = 0;
+  std::uint64_t payloads = 0;
+};
+
+/// Runs `inputs` (payload, parents) through the pipeline: as one batch on
+/// `pool`, or one publish at a time without a pool.
+BatchOutcome run_pipeline(const PayloadPipeline& pipeline,
+                          const PipelineLedger& ledger,
+                          const std::vector<std::pair<nn::ParamVector,
+                                                      std::vector<TxIndex>>>&
+                              inputs,
+                          bool one_at_a_time, ThreadPool* pool) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  obs::Counter& raw = registry.counter("ledger.codec.raw_bytes");
+  obs::Counter& encoded = registry.counter("ledger.codec.encoded_bytes");
+  obs::Counter& payloads = registry.counter("ledger.codec.payloads");
+  const std::uint64_t raw_before = raw.value();
+  const std::uint64_t encoded_before = encoded.value();
+  const std::uint64_t payloads_before = payloads.value();
+
+  BatchOutcome outcome;
+  outcome.published.reserve(inputs.size());
+  std::vector<EncodedPayload> frames(inputs.size());
+  std::vector<PipelinePublish> batch;
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    outcome.published.push_back(inputs[i].first);
+    batch.push_back({&outcome.published.back(), inputs[i].second, &frames[i]});
+  }
+  if (one_at_a_time) {
+    for (const PipelinePublish& publish : batch) {
+      pipeline.process(std::span(&publish, 1), ledger.tangle, ledger.store,
+                       nullptr);
+    }
+  } else {
+    pipeline.process(batch, ledger.tangle, ledger.store, pool);
+  }
+  for (const EncodedPayload& frame : frames) {
+    outcome.frames.push_back(digest_of(frame));
+  }
+  outcome.raw_bytes = raw.value() - raw_before;
+  outcome.encoded_bytes = encoded.value() - encoded_before;
+  outcome.payloads = payloads.value() - payloads_before;
+  return outcome;
+}
+
+TEST(PayloadPipeline, BatchMatchesOneAtATimeOnAnyPool) {
+  // The batch codes a best-of payload as a delta task and a raw task that
+  // may run concurrently; its output must equal coding one publish at a
+  // time, whatever the pool. Inputs: a delta win, an unrelated payload
+  // (raw wins), an empty parent list and a released parent (no base).
+  const PipelineLedger ledger;
+  const std::size_t n = ledger.fixture.base.size();
+  const std::vector<std::pair<nn::ParamVector, std::vector<TxIndex>>> inputs =
+      {{ledger.fixture.params, {ledger.base_tx, ledger.base_tx}},
+       {unrelated_payload(n), {ledger.base_tx}},
+       {ledger.fixture.params, {}},
+       {ledger.fixture.params, {ledger.base_tx, ledger.released_tx}},
+       {unrelated_payload(n, 5), {ledger.base_tx, ledger.base_tx}}};
+  ThreadPool one_worker(1);
+  ThreadPool three_workers(3);
+  for (const char* spec :
+       {"delta,entropy", "delta,quantize", "delta,quantize,entropy",
+        "delta,topk:0.05", "delta,topk:0.05,entropy",
+        "delta,topk:0.05,quantize,entropy"}) {
+    const PayloadPipeline pipeline(parse_codec_spec(spec));
+    const BatchOutcome serial =
+        run_pipeline(pipeline, ledger, inputs, /*one_at_a_time=*/true, nullptr);
+    EXPECT_EQ(serial.payloads, inputs.size()) << spec;
+    for (ThreadPool* pool :
+         {static_cast<ThreadPool*>(nullptr), &one_worker, &three_workers}) {
+      const std::size_t workers = pool == nullptr ? 0 : pool->thread_count();
+      const BatchOutcome batched =
+          run_pipeline(pipeline, ledger, inputs, /*one_at_a_time=*/false, pool);
+      ASSERT_EQ(batched.published.size(), serial.published.size());
+      for (std::size_t i = 0; i < inputs.size(); ++i) {
+        EXPECT_TRUE(bit_equal(batched.published[i], serial.published[i]))
+            << spec << " workers " << workers << " publish " << i;
+      }
+      EXPECT_EQ(batched.frames, serial.frames) << spec << " workers " << workers;
+      EXPECT_EQ(batched.raw_bytes, serial.raw_bytes) << spec;
+      EXPECT_EQ(batched.encoded_bytes, serial.encoded_bytes) << spec;
+      EXPECT_EQ(batched.payloads, serial.payloads) << spec;
+    }
+  }
+}
+
+TEST(PayloadPipeline, BatchFramesMatchTheCodec) {
+  // The lossless frames are exactly PayloadCodec::encode against the
+  // resolved base, for both best-of outcomes and for "no base".
+  const PipelineLedger ledger;
+  const std::size_t n = ledger.fixture.base.size();
+  const nn::ParamVector unrelated = unrelated_payload(n);
+  const std::vector<std::pair<nn::ParamVector, std::vector<TxIndex>>> inputs =
+      {{ledger.fixture.params, {ledger.base_tx}},
+       {unrelated, {ledger.base_tx}},
+       {ledger.fixture.params, {ledger.released_tx}}};
+  const PayloadCodecConfig config = parse_codec_spec("default");
+  ThreadPool pool(3);
+  const BatchOutcome batched =
+      run_pipeline(PayloadPipeline(config), ledger, inputs, false, &pool);
+  const PayloadCodec codec(config);
+  const std::span<const float> base(ledger.fixture.base);
+  const EncodedPayload delta_win = codec.encode(ledger.fixture.params, base);
+  const EncodedPayload raw_win = codec.encode(unrelated, base);
+  EXPECT_EQ(delta_win.bytes.front(), 0x09);
+  EXPECT_EQ(raw_win.bytes.front(), 0x18);
+  EXPECT_EQ(batched.frames[0], digest_of(delta_win));
+  EXPECT_EQ(batched.frames[1], digest_of(raw_win));
+  EXPECT_EQ(batched.frames[2], digest_of(codec.encode(ledger.fixture.params, {})));
+  EXPECT_TRUE(bit_equal(batched.published[0], ledger.fixture.params));
+  EXPECT_TRUE(bit_equal(batched.published[1], unrelated));
+}
+
 // ---------------------------------------------------------------- spec parse
 
 TEST(CodecSpec, OffAndDefaultPresets) {
@@ -460,10 +608,35 @@ TEST(PayloadCodecEngine, BitIdenticalAcrossKernelThreadCounts) {
   }
 }
 
+/// Published malicious payloads whose lossless frame, coded against the
+/// average of their parents' payloads, keeps the raw stream.
+std::size_t raw_wins(const core::TangleSimulation& sim) {
+  const PayloadCodec codec(parse_codec_spec("default"));
+  std::size_t wins = 0;
+  for (TxIndex i = 1; i < sim.tangle().size(); ++i) {
+    const Transaction& tx = sim.tangle().transaction(i);
+    if (tx.publisher != "malicious") continue;
+    std::vector<const nn::ParamVector*> parents;
+    for (const TransactionId& parent : tx.parents) {
+      parents.push_back(
+          &sim.store().get(sim.tangle().transaction(*sim.tangle().find(parent))
+                               .payload));
+    }
+    const nn::ParamVector base = nn::average_params(parents);
+    if (codec.encode(sim.store().get(tx.payload), base).bytes.front() ==
+        0x18) {
+      ++wins;
+    }
+  }
+  return wins;
+}
+
 TEST(PayloadCodecEngine, BitIdenticalAcrossPoolThreadCounts) {
-  // The codec runs in the node-step lanes and the barrier commits in slot
-  // order, so ledger, history and deterministic counters must not depend on
-  // how many lanes encode.
+  // The codec runs as round-pool tasks after the node steps and the
+  // barrier commits in slot order, so ledger, history and deterministic
+  // counters must not depend on how many lanes code. Random poisoning
+  // publishes payloads unrelated to their parents, so the raw stream wins
+  // inside the engine too.
   const auto dataset = small_dataset();
   const auto factory = small_factory();
   for (const std::string spec : {"default", "delta,quantize,entropy"}) {
@@ -475,12 +648,18 @@ TEST(PayloadCodecEngine, BitIdenticalAcrossPoolThreadCounts) {
       core::SimulationConfig config = fast_config();
       config.codec = parse_codec_spec(spec);
       config.threads = threads;
+      config.attack = core::AttackType::kRandomPoison;
+      config.malicious_fraction = 0.3;
+      config.attack_start_round = 2;
       core::TangleSimulation sim(dataset, factory, config);
       results.push_back(sim.run());
       ledgers.push_back(tx_hexes(sim.tangle()));
       snapshots.push_back(obs::MetricsRegistry::global()
                               .snapshot(obs::SnapshotKind::kDeterministic)
                               .to_json());
+      if (spec == "default") {
+        EXPECT_GT(raw_wins(sim), 0u) << threads;
+      }
     }
     EXPECT_NE(snapshots[0].find("ledger.codec.payloads"), std::string::npos)
         << spec;

@@ -1,6 +1,6 @@
 // Regression tests for the RNG stream registry (core/rng_streams.hpp).
 // The pairwise-distinctness check is the one that would have caught the
-// consensus/eval stream collision: consensus_params() derived its walks
+// consensus/eval stream collision: the consensus walks derived
 // from kEval.split(tangle_size) while evaluate() sampled eval users from
 // kEval.split(round), so the two purposes shared a stream root and
 // correlated whenever tangle_size == round.

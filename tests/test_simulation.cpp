@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include "core/reference.hpp"
 #include "data/femnist_synth.hpp"
 #include "nn/model_zoo.hpp"
 #include "obs/metrics.hpp"
+#include "tangle/view_cache.hpp"
 
 namespace tanglefl::core {
 namespace {
@@ -282,7 +284,12 @@ TEST(Simulation, ConsensusParamsHaveModelSize) {
   const auto dataset = small_dataset();
   TangleSimulation sim(dataset, small_factory(), fast_config());
   sim.run_round(1);
-  EXPECT_EQ(sim.consensus_params().size(),
+  const tangle::TangleView view = sim.tangle().view();
+  tangle::ViewCache cones(1);
+  Rng rng(1);
+  EXPECT_EQ(choose_reference(view, sim.store(), *cones.get(view), rng,
+                             ReferenceConfig{})
+                .params.size(),
             small_factory()().parameter_count());
 }
 
