@@ -113,19 +113,28 @@ std::optional<PublishRequest> EngineCore::step_node(NodeContext& context,
   return std::nullopt;
 }
 
+std::size_t EngineCore::step_samples(std::size_t user,
+                                     bool malicious) const noexcept {
+  if (malicious && attack_.attack == AttackType::kRandomPoison) return 0;
+  return dataset_->user(user).total_samples();
+}
+
 void EngineCore::encode(std::span<PublishRequest* const> publishes) const {
   if (!payload_pipeline_.active()) return;
   std::vector<tangle::PipelinePublish> batch;
   batch.reserve(publishes.size());
   for (PublishRequest* publish : publishes) {
-    batch.push_back({&publish->params, publish->parents});
+    batch.push_back({&publish->params, publish->parents, nullptr,
+                     &publish->digest.emplace()});
   }
   payload_pipeline_.process(batch, tangle_, store_, cone_pool_);
 }
 
 tangle::TxIndex EngineCore::commit(PublishRequest&& publish, std::uint64_t now,
                                    const std::string& issuer) {
-  const auto added = store_.add(std::move(publish.params));
+  const auto added =
+      publish.digest ? store_.add(std::move(publish.params), *publish.digest)
+                     : store_.add(std::move(publish.params));
   return tangle_.add_transaction(publish.parents, added.id, added.hash, now,
                                  issuer);
 }

@@ -141,17 +141,23 @@ class EngineCore {
                                           std::size_t user,
                                           bool malicious) const;
 
+  /// Samples the step of `user` trains and validates on, 0 for a step that
+  /// trains nothing (random poison): a round claims its steps in
+  /// descending order of this count.
+  std::size_t step_samples(std::size_t user, bool malicious) const noexcept;
+
   /// Publish path, part one: replaces each payload by its canonical codec
-  /// form, with the codec's tasks spread over the round pool (serial
-  /// without one). Pure, so it may run while nothing commits; the bytes do
-  /// not depend on the pool.
+  /// form and sets its digest, with the codec's tasks spread over the round
+  /// pool (serial without one). Pure, so it may run while nothing commits;
+  /// the bytes do not depend on the pool. No-op with the codec off.
   void encode(std::span<PublishRequest* const> publishes) const;
   void encode(PublishRequest& publish) const {
     PublishRequest* const one = &publish;
     encode(std::span<PublishRequest* const>(&one, 1));
   }
 
-  /// Publish path, part two: stores the payload and appends the transaction.
+  /// Publish path, part two: stores the payload under its digest (hashed
+  /// here when the request carries none) and appends the transaction.
   tangle::TxIndex commit(PublishRequest&& publish, std::uint64_t now,
                          const std::string& issuer);
 

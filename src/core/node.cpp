@@ -90,12 +90,6 @@ obs::Histogram& validate_timing() {
 }  // namespace
 
 std::vector<tangle::TxIndex> HonestNode::choose_parents(
-    NodeContext& context, const data::DataSplit& validation) {
-  return choose_parents(
-      context, validation.empty() ? nullptr : context.eval.prepare(validation));
-}
-
-std::vector<tangle::TxIndex> HonestNode::choose_parents(
     NodeContext& context,
     const std::shared_ptr<const BatchedSplit>& prepared) {
   const std::size_t num_tips = std::max<std::size_t>(1, config_.num_tips);

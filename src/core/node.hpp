@@ -59,6 +59,9 @@ struct NodeConfig {
 struct PublishRequest {
   std::vector<tangle::TxIndex> parents;  // approved transactions
   nn::ParamVector params;                // new model payload
+  // ModelStore::hash_params(params) of the final payload, when the engine
+  // computed it off the commit path; commit hashes the payload otherwise.
+  std::optional<Sha256Digest> digest = std::nullopt;
 };
 
 /// Read-only view of the world a node sees during its training round, plus
@@ -105,18 +108,14 @@ class HonestNode final : public NodeBehavior {
 
   /// Picks the tips to average: draws `tip_sample_size` candidates by
   /// random walk; if more candidates than `num_tips` are drawn, keeps the
-  /// `num_tips` whose payloads score the lowest loss on `validation`.
+  /// `num_tips` whose payloads score the lowest loss on `prepared`, the
+  /// engine-batched validation split (null when the split is empty).
   /// Exposed for unit tests.
-  std::vector<tangle::TxIndex> choose_parents(NodeContext& context,
-                                              const data::DataSplit& validation);
-
- private:
-  /// Same, probing candidate losses through `prepared`, the engine-batched
-  /// validation split (null when the split is empty).
   std::vector<tangle::TxIndex> choose_parents(
       NodeContext& context,
       const std::shared_ptr<const BatchedSplit>& prepared);
 
+ private:
   NodeConfig config_;
 };
 

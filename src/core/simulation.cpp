@@ -60,15 +60,38 @@ std::size_t TangleSimulation::run_round(std::uint64_t round) {
   struct SlotResult {
     std::optional<PublishRequest> publish;
     bool malicious = false;
+    std::size_t samples = 0;  // claim key: see EngineCore::step_samples
   };
   std::vector<SlotResult> results(participants);
+  // The round waits for its slowest lane, so lanes claim the steps with the
+  // most samples first; the insertion sort keeps ties in slot order. Each
+  // step draws from its own (round, user) stream and writes only its slot,
+  // so the claim order changes no bit.
+  std::vector<std::size_t> claims(participants);
+  for (std::size_t slot = 0; slot < participants; ++slot) {
+    SlotResult& result = results[slot];
+    result.malicious = attacking && core_.is_malicious(chosen[slot]);
+    result.samples = core_.step_samples(chosen[slot], result.malicious);
+    std::size_t i = slot;
+    for (; i > 0 && results[claims[i - 1]].samples < result.samples; --i) {
+      claims[i] = claims[i - 1];
+    }
+    claims[i] = slot;
+  }
+  const bool codec_on = config_.codec.any_stage();
 
-  pool_.parallel_for(participants, [&](std::size_t slot) {
+  pool_.parallel_for(participants, [&](std::size_t claim) {
+    const std::size_t slot = claims[claim];
     SlotResult& result = results[slot];
     const std::size_t user_index = chosen[slot];
-    result.malicious = attacking && core_.is_malicious(user_index);
     NodeContext context = core_.node_context(view, *cones, round, user_index);
     result.publish = core_.step_node(context, user_index, result.malicious);
+    // Without the codec the payload is final here: hash it on this lane
+    // instead of at the barrier.
+    if (result.publish && !codec_on) {
+      result.publish->digest =
+          tangle::ModelStore::hash_params(result.publish->params);
+    }
   });
 
   // The codec runs after the node steps, as tasks of its own on the same
@@ -76,7 +99,8 @@ std::size_t TangleSimulation::run_round(std::uint64_t round) {
   // The delta bases come from parents in the round's prefix view, which
   // nothing mutates before the barrier, encode/decode are pure, and the
   // best-of choice is made serially in slot order, so the canonical
-  // payloads do not depend on which lane codes them.
+  // payloads do not depend on which lane codes them. Each payload's first
+  // codec task also hashes it.
   std::vector<PublishRequest*> publishes;
   for (SlotResult& result : results) {
     if (result.publish) publishes.push_back(&*result.publish);

@@ -4,6 +4,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "support/check.hpp"
 
 namespace tanglefl::tangle {
 namespace {
@@ -48,10 +49,22 @@ Sha256Digest ModelStore::hash_params(std::span<const float> params) {
 }
 
 ModelStore::AddResult ModelStore::add(nn::ParamVector params) {
+  return insert(params, hash_params(params));
+}
+
+ModelStore::AddResult ModelStore::add(nn::ParamVector params,
+                                      const Sha256Digest& hash) {
+  TANGLEFL_DCHECK_MSG(hash_params(params) == hash,
+                      "ModelStore::add: digest does not match the payload");
+  return insert(params, hash);
+}
+
+ModelStore::AddResult ModelStore::insert(nn::ParamVector& params,
+                                         const Sha256Digest& hash) {
   obs::TraceScope span("store.add", &add_timing_histogram());
   add_counter().increment();
   AddResult result;
-  result.hash = hash_params(params);
+  result.hash = hash;
 
   WriterLock lock(mutex_);
   if (const auto it = by_hash_.find(result.hash); it != by_hash_.end()) {

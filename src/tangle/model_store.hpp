@@ -27,6 +27,10 @@ class ModelStore {
     bool deduplicated = false;
   };
   AddResult add(nn::ParamVector params);
+  /// Same, with `hash` = hash_params(params) already computed by the caller,
+  /// so the insert itself hashes nothing (the checked builds re-hash and
+  /// compare).
+  AddResult add(nn::ParamVector params, const Sha256Digest& hash);
 
   /// Payload lookup. The returned reference stays valid for the store's
   /// lifetime (payloads are immutable once inserted).
@@ -61,6 +65,9 @@ class ModelStore {
     Sha256Digest hash{};
     bool released = false;
   };
+
+  // Both add()s: inserts `params` under `hash` or dedups onto a live copy.
+  AddResult insert(nn::ParamVector& params, const Sha256Digest& hash);
 
   mutable SharedMutex mutex_;
   // Deque, not vector: get()/hash_of() hand out references that must stay

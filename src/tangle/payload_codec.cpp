@@ -337,6 +337,18 @@ std::uint64_t read_varint(ByteReader& reader) {
   throw SerializeError("payload codec: varint overruns 64 bits");
 }
 
+/// Reads a quantize scale, rejecting any value nn::quantize_params cannot
+/// produce (it emits a positive scale of at most FLT_MAX / 127), so every
+/// dequantized value is finite.
+float read_quantize_scale(ByteReader& reader) {
+  const float scale = reader.read_f32();
+  if (!(scale > 0.0f &&
+        scale <= std::numeric_limits<float>::max() / 127.0f)) {
+    throw SerializeError("payload codec: quantize scale out of range");
+  }
+  return scale;
+}
+
 std::uint64_t varint_size(std::uint64_t value) {
   std::uint64_t bytes = 1;
   for (; value >= 0x80; value >>= 7) ++bytes;
@@ -557,8 +569,9 @@ bool dense_best_of(const PayloadCodecConfig& config) {
 /// One payload through the codec. `run_jobs` gives every job a first task
 /// and a best-of job a second: the first resolves the base, codes the
 /// frame (for a best-of job, the XOR-delta stream, whose size it then
-/// stores in `delta_size`) and runs the self-check decode; the second
-/// codes the raw stream until it reaches `delta_size`.
+/// stores in `delta_size`), runs the self-check decode and hashes its
+/// output into `digest`; the second codes the raw stream until it reaches
+/// `delta_size`.
 struct CodecJob {
   std::span<const float> params;
   // Parent payloads the first task averages into the base; empty when the
@@ -568,6 +581,7 @@ struct CodecJob {
   nn::ParamVector averaged_base;
   bool best_of = false;
   bool verify = false;  // run the self-check decode (the publish path)
+  Sha256Digest* digest = nullptr;  // verify only: receives the decoded hash
   std::atomic<std::size_t> delta_size{std::numeric_limits<std::size_t>::max()};
   std::vector<std::uint8_t> raw_coded;  // best-of: raw stream or its prefix
   EncodedPayload encoded;
@@ -608,6 +622,7 @@ void code_first(const PayloadCodec& codec, CodecJob& job) {
     }
   }
   if (job.verify) self_check(codec, job);
+  if (job.digest != nullptr) *job.digest = ModelStore::hash_params(job.decoded);
 }
 
 void code_raw(CodecJob& job) {
@@ -710,7 +725,8 @@ nn::ParamVector PayloadCodec::decode(const EncodedPayload& encoded,
       out[i] = delta_used ? base[i] : 0.0f;
     }
     const std::uint64_t keep = read_varint(body);
-    if (keep > count) {
+    // Every kept index takes at least one varint byte.
+    if (keep > count || keep > body.remaining()) {
       throw SerializeError("payload codec: topk count exceeds payload");
     }
     std::vector<std::uint64_t> indices(keep);
@@ -724,7 +740,7 @@ nn::ParamVector PayloadCodec::decode(const EncodedPayload& encoded,
     }
     if ((flags & kFlagQuantize) != 0) {
       nn::QuantizedParams quantized;
-      quantized.scale = body.read_f32();
+      quantized.scale = read_quantize_scale(body);
       quantized.values.resize(keep);
       for (std::uint64_t i = 0; i < keep; ++i) {
         quantized.values[i] = static_cast<std::int8_t>(body.read_u8());
@@ -738,7 +754,7 @@ nn::ParamVector PayloadCodec::decode(const EncodedPayload& encoded,
     }
   } else if ((flags & kFlagQuantize) != 0) {
     nn::QuantizedParams quantized;
-    quantized.scale = body.read_f32();
+    quantized.scale = read_quantize_scale(body);
     quantized.values.resize(count);
     for (std::size_t i = 0; i < count; ++i) {
       quantized.values[i] = static_cast<std::int8_t>(body.read_u8());
@@ -852,6 +868,7 @@ void PayloadPipeline::process(std::span<const PipelinePublish> batch,
     CodecJob& job = jobs[i];
     job.params = *batch[i].params;
     job.verify = true;
+    job.digest = batch[i].digest;
     if (config.delta) {
       // The delta predictor is the average of the approved parents'
       // payloads (duplicates included) — exactly the base an honest node

@@ -114,6 +114,9 @@ struct PipelinePublish {
   std::span<const TxIndex> parents;
   // Optional: receives the encoded frame, the bytes a transport would send.
   EncodedPayload* frame = nullptr;
+  // Optional: receives ModelStore::hash_params of the canonical payload,
+  // computed in the payload's first codec task.
+  Sha256Digest* digest = nullptr;
 };
 
 /// Publish-path driver shared by the three engines: resolves the delta base
@@ -128,11 +131,13 @@ struct PipelinePublish {
 /// entropy, no lossy stage, a resolvable base) is two tasks: one resolves
 /// the base, codes the XOR-delta stream and runs the self-check decode;
 /// the other codes the raw stream and gives up once it reaches the delta
-/// stream's size. Every other payload is one task. A serial pass in batch
-/// order then keeps the raw stream only where it is strictly smaller,
-/// exactly as two full passes would, so the bytes do not depend on the
-/// pool. process() keeps no state, so it is safe while nothing mutates
-/// `tangle` or `store`.
+/// stream's size. Every other payload is one task. The first task also
+/// hashes the decoded payload when the publish asks for its digest; both
+/// streams of a best-of payload decode to the same values. A serial pass
+/// in batch order then keeps the raw stream only where it is strictly
+/// smaller, exactly as two full passes would, so the bytes do not depend
+/// on the pool. process() keeps no state, so it is safe while nothing
+/// mutates `tangle` or `store`.
 class PayloadPipeline {
  public:
   explicit PayloadPipeline(const PayloadCodecConfig& config)

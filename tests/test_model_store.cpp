@@ -5,6 +5,8 @@
 #include <thread>
 #include <vector>
 
+#include "support/check.hpp"
+
 namespace tanglefl::tangle {
 namespace {
 
@@ -39,6 +41,30 @@ TEST(ModelStore, HashMatchesStaticHasher) {
   const auto added = store.add(params);
   EXPECT_EQ(to_hex(added.hash), to_hex(ModelStore::hash_params(params)));
   EXPECT_EQ(to_hex(store.hash_of(added.id)), to_hex(added.hash));
+}
+
+TEST(ModelStore, AddWithDigestMatchesAdd) {
+  // Same sequence, one store hashing itself and one given each digest: the
+  // ids, hashes and dedup results must agree, a repeat included.
+  const std::vector<nn::ParamVector> payloads = {
+      {1.0f, 2.0f}, {3.0f}, {1.0f, 2.0f}, {}, {3.0f}};
+  ModelStore hashing;
+  ModelStore given;
+  for (const nn::ParamVector& params : payloads) {
+    const auto a = hashing.add(params);
+    const auto b = given.add(params, ModelStore::hash_params(params));
+    EXPECT_EQ(a.id, b.id);
+    EXPECT_EQ(to_hex(a.hash), to_hex(b.hash));
+    EXPECT_EQ(a.deduplicated, b.deduplicated);
+    EXPECT_EQ(to_hex(given.hash_of(b.id)), to_hex(b.hash));
+  }
+  EXPECT_EQ(hashing.size(), 3u);
+  EXPECT_EQ(given.size(), 3u);
+#if defined(TANGLEFL_DEBUG_CHECKS)
+  // Checked builds re-hash the payload and refuse a digest of other bytes.
+  EXPECT_THROW(given.add({4.0f}, ModelStore::hash_params(payloads[0])),
+               CheckFailure);
+#endif
 }
 
 TEST(ModelStore, UnknownIdThrows) {

@@ -134,7 +134,9 @@ TEST(HonestNode, ChooseParentsBasicReturnsRequestedCount) {
   HonestNode node(config);
   const tangle::TangleView view = f.tangle.view();
   NodeContext context = f.context(2, view);
-  EXPECT_EQ(node.choose_parents(context, f.user.test).size(), 3u);
+  EXPECT_EQ(
+      node.choose_parents(context, context.eval.prepare(f.user.test)).size(),
+      3u);
 }
 
 TEST(HonestNode, RobustSelectionAvoidsPoisonTip) {
@@ -152,7 +154,8 @@ TEST(HonestNode, RobustSelectionAvoidsPoisonTip) {
 
   const tangle::TangleView view = f.tangle.view();
   NodeContext context = f.context(2, view);
-  const auto parents = node.choose_parents(context, f.user.test);
+  const auto parents =
+      node.choose_parents(context, context.eval.prepare(f.user.test));
   ASSERT_EQ(parents.size(), 2u);
   for (const TxIndex p : parents) {
     EXPECT_NE(p, poison);
@@ -178,7 +181,8 @@ TEST(HonestNode, BasicSelectionCanPickPoisonTip) {
   bool poison_selected = false;
   for (std::uint64_t seed = 0; seed < 16 && !poison_selected; ++seed) {
     NodeContext context = f.context(2, view, seed);
-    for (const TxIndex p : node.choose_parents(context, f.user.test)) {
+    for (const TxIndex p :
+         node.choose_parents(context, context.eval.prepare(f.user.test))) {
       if (p == poison) poison_selected = true;
     }
   }
@@ -193,7 +197,8 @@ TEST(HonestNode, RobustSelectionFillsWithBestWhenFewDistinctTips) {
   HonestNode node(config);
   const tangle::TangleView view = f.tangle.view();
   NodeContext context = f.context(1, view);
-  const auto parents = node.choose_parents(context, f.user.test);
+  const auto parents =
+      node.choose_parents(context, context.eval.prepare(f.user.test));
   EXPECT_EQ(parents, (std::vector<TxIndex>{0, 0}));
 }
 

@@ -4,8 +4,9 @@
 // entropy stage) is mutated by bit flips, truncation, splicing and varint
 // inflation under a fixed seed and iteration budget, so the run is
 // reproducible and takes seconds under the asan preset. Every input must
-// either throw SerializeError or decode to exactly param_count values; the
-// sanitizers turn any out-of-bounds read or UB into a failure.
+// either throw SerializeError or decode to exactly param_count values the
+// encoder accepts again; the sanitizers turn any out-of-bounds read or UB
+// into a failure.
 #include "tangle/payload_codec.hpp"
 
 #include <gtest/gtest.h>
@@ -175,15 +176,17 @@ TEST(PayloadCodecFuzz, MutatedFramesThrowOrDecodeToParamCount) {
     try {
       if (codec.encode(values, base).bytes != mutated.bytes) ++non_canonical;
     } catch (const std::invalid_argument&) {
-      ++unencodable;  // e.g. a quantize scale that decodes to inf or NaN
+      ++unencodable;  // e.g. non-finite values nn::quantize_params refuses
     }
   }
   EXPECT_EQ(rejected + decoded_count, kIterations);
   EXPECT_GT(rejected, 0u);
   EXPECT_GT(decoded_count, 0u);
+  // The decoder rejects every quantize scale the encoder cannot produce, so
+  // nothing it accepts decodes to values the encoder refuses.
+  EXPECT_EQ(unencodable, 0u);
   // Decoding is not canonical: a mutated frame may decode to values that
-  // re-encode to other bytes, or that the encoder refuses. Reported, not
-  // required.
+  // re-encode to other bytes. Reported, not required.
   RecordProperty("rejected", static_cast<int>(rejected));
   RecordProperty("decoded", static_cast<int>(decoded_count));
   RecordProperty("non_canonical", static_cast<int>(non_canonical));

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "core/reference.hpp"
 #include "data/femnist_synth.hpp"
 #include "nn/model_zoo.hpp"
 #include "obs/metrics.hpp"
+#include "support/serialize.hpp"
 #include "tangle/view_cache.hpp"
 
 namespace tanglefl::core {
@@ -101,6 +106,56 @@ TEST(Simulation, DeterministicAcrossThreadCounts) {
   for (tangle::TxIndex i = 0; i < a.tangle().size(); ++i) {
     EXPECT_EQ(to_hex(a.tangle().transaction(i).id),
               to_hex(b.tangle().transaction(i).id));
+  }
+}
+
+TEST(Simulation, RobustPoisonedRunDeterministicAcrossThreadCounts) {
+  // The femnist_robust shape: robust tip selection, random poison and users
+  // of unequal size. Lanes claim a round's steps by sample count, which is
+  // not slot order here, and random-poison steps (sample count 0) go last.
+  data::FemnistSynthConfig data_config;
+  data_config.num_users = 12;
+  data_config.num_classes = 3;
+  data_config.image_size = 8;
+  data_config.mean_samples_per_user = 15.0;
+  data_config.samples_log_sigma = 1.0;
+  data_config.seed = 5;
+  const auto dataset = data::make_femnist_synth(data_config);
+  bool unequal = false;
+  for (std::size_t u = 1; u < dataset.num_users(); ++u) {
+    unequal |= dataset.user(u).total_samples() !=
+               dataset.user(0).total_samples();
+  }
+  ASSERT_TRUE(unequal);
+
+  const auto run = [&](std::size_t threads) {
+    SimulationConfig config = fast_config(5);
+    config.nodes_per_round = 6;
+    config.node.num_tips = 2;
+    config.node.tip_sample_size = 4;
+    config.attack = AttackType::kRandomPoison;
+    config.malicious_fraction = 0.3;
+    config.attack_start_round = 2;
+    config.threads = threads;
+    TangleSimulation sim(dataset, small_factory(), config);
+    (void)sim.run();
+    std::vector<std::string> ids;
+    std::size_t poisoned = 0;
+    for (tangle::TxIndex i = 0; i < sim.tangle().size(); ++i) {
+      ids.push_back(to_hex(sim.tangle().transaction(i).id));
+      poisoned += sim.tangle().transaction(i).publisher == "malicious";
+    }
+    ByteWriter writer;
+    sim.tangle().serialize(writer);
+    return std::make_tuple(ids, writer.take(), poisoned);
+  };
+  const auto [ids, bytes, poisoned] = run(1);
+  EXPECT_GT(poisoned, 0u);
+  for (const std::size_t threads : {2u, 4u}) {
+    const auto [other_ids, other_bytes, other_poisoned] = run(threads);
+    EXPECT_EQ(other_ids, ids) << "threads " << threads;
+    EXPECT_TRUE(other_bytes == bytes) << "threads " << threads;
+    EXPECT_EQ(other_poisoned, poisoned) << "threads " << threads;
   }
 }
 
